@@ -135,13 +135,18 @@ class RemoteResultStore:
         """
         response = _checked(
             self._conn.request(
-                {"op": "load", "cell": cell_name, "fingerprint": fingerprint}
+                {
+                    "op": "load",
+                    "cell": cell_name,
+                    "fingerprint": fingerprint,
+                    "claim": self.claim_cells,
+                }
             )
         )
         reason = response.get("reason")
         if reason is None:
             return response.get("result"), None
-        if self.claim_cells and not self._try_claim(cell_name):
+        if self.claim_cells and not response["granted"]:
             return None, "inflight"
         return None, reason
 
@@ -171,10 +176,6 @@ class RemoteResultStore:
 
     # -- inflight coordination ---------------------------------------------------
 
-    def _try_claim(self, cell_name: str) -> bool:
-        response = _checked(self._conn.request({"op": "claim", "cell": cell_name}))
-        return bool(response.get("granted"))
-
     def load_wait(
         self, cell_name: str, fingerprint: dict
     ) -> Tuple[Optional[Any], Optional[str]]:
@@ -194,13 +195,14 @@ class RemoteResultStore:
                         "fingerprint": fingerprint,
                         "wait": True,
                         "wait_s": self.wait_chunk_s,
+                        "claim": self.claim_cells,
                     }
                 )
             )
             reason = response.get("reason")
             if reason is None:
                 return response.get("result"), None
-            if not self.claim_cells or self._try_claim(cell_name):
+            if not self.claim_cells or response["granted"]:
                 return None, reason
             time.sleep(min(0.05, self.wait_chunk_s))
 

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from repro.campaign.progress import ProgressBase, resolve_workers
-from repro.campaign.store import ResultStore, summarize_index
+from repro.campaign.store import ResultStore, fingerprint_digest, summarize_index
 from repro.campaign.wire import (
     DEFAULT_PORT,
     PROTOCOL_VERSION,
@@ -189,8 +189,12 @@ def _job_faultsim(server: "CampaignServer", params: dict, progress):
     geometry = X8_SECDED_16GB
     # Checkpoints keep their one-file-per-shard directory contract, so
     # each faultsim job gets a subdirectory, not the shared cell space.
+    # It is keyed by the full science fingerprint (engine and geometry
+    # included): jobs whose results differ must not overwrite each
+    # other's shard files.
+    fingerprint = config.science_fingerprint(scheme, geometry)
     checkpoint_dir = os.path.join(
-        server.store_dir, f"faultsim-{scheme}-{config.n_modules}-{seed}"
+        server.store_dir, f"faultsim-{fingerprint_digest(fingerprint)}"
     )
     result = simulate_parallel(
         evaluator_for(scheme, geometry),
@@ -365,8 +369,6 @@ class CampaignServer:
             }
         if op == "load":
             return await self._op_load(conn_id, request)
-        if op == "claim":
-            return self._op_claim(conn_id, request)
         if op == "release":
             cell = str(request["cell"])
             if self._claim_holder(cell) == conn_id:
@@ -424,18 +426,18 @@ class CampaignServer:
             counters["rejected_corrupt"] = 1
         elif reason == "stale":
             counters["rejected_stale"] = 1
+        response = {"ok": True, "result": result, "reason": reason}
+        if reason is not None and request.get("claim"):
+            # Claim in the same step as the miss: no other request runs
+            # in between, so a result another client stores after this
+            # load is never computed a second time here.
+            granted = self._claim_holder(cell) in (None, conn_id)
+            if granted:
+                self._claims[cell] = (conn_id, time.monotonic() + self.lease_s)
+            counters["claims_granted" if granted else "claims_denied"] = 1
+            response["granted"] = granted
         self.activity.advance(**counters)
-        return {"ok": True, "result": result, "reason": reason}
-
-    def _op_claim(self, conn_id: int, request: dict):
-        cell = str(request["cell"])
-        holder = self._claim_holder(cell)
-        if holder is not None and holder != conn_id:
-            self.activity.advance(claims_denied=1)
-            return {"ok": True, "granted": False}
-        self._claims[cell] = (conn_id, time.monotonic() + self.lease_s)
-        self.activity.advance(claims_granted=1)
-        return {"ok": True, "granted": True}
+        return response
 
     def _op_store(self, request: dict):
         self.store.store(

@@ -18,7 +18,7 @@ from typing import Any, Optional, Tuple
 #: Protocol schema version; both sides send it in ``ping`` and refuse to
 #: talk across a mismatch (the store contract is too load-bearing to
 #: guess at).
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default TCP port for ``python -m repro serve`` (0 = ephemeral).
 DEFAULT_PORT = 7797

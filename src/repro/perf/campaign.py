@@ -165,7 +165,8 @@ def cell_fingerprint(cell: CampaignCell, config: PerfConfig) -> dict:
         # produced the cell (0 for the reference engine, which has no
         # kernels): a kernel rewrite recomputes instead of trusting a
         # cache written by older code, even though rewrites are pinned
-        # bit-identical by the batched/scalar A/B suites.
+        # bit-identical by the golden corpus and the fallback-replay
+        # equivalence tests.
         "kernel_revision": fastpath.KERNEL_REVISION if engine == "fast" else 0,
         "workload": dataclasses.asdict(prof),
         "organization": dataclasses.asdict(cell.organization),

@@ -16,20 +16,27 @@ speeds that permit real workload sweeps — built as three passes:
    ``ways`` distinct lines by last fill position, which one
    ``np.unique``/``np.lexsort`` pass produces without simulating fills.
 
-2. **Content pass** (shared): one lean merged loop over all cores' ops in
-   deterministic virtual-time order (instruction count, ties by core id —
-   in rate mode every core runs at the same base CPI, so this is the
-   reference interleave up to timing jitter) replays the exact L1 / LLC /
-   stream-prefetcher bookkeeping inline on plain dicts and records, per
-   op, its hit level plus the ordered list of controller-facing actions
-   (demand read, victim writeback, prefetch reads, prefetch-victim and
-   inclusion-violation writebacks). Because organizations differ only in
-   *timing* (MAC tail, extra metadata accesses), never in which lines are
-   touched, this pass is organization-independent: it is memoized and
-   shared across every organization of a campaign grid.
+2. **Content pass** (shared): all cores' ops are merged in deterministic
+   virtual-time order (instruction count, ties by core id — in rate mode
+   every core runs at the same base CPI, so this is the reference
+   interleave up to timing jitter) and the exact L1 / LLC /
+   stream-prefetcher bookkeeping is replayed to record, per op, its hit
+   level plus the ordered list of controller-facing actions (demand
+   read, victim writeback, prefetch reads, prefetch-victim and
+   inclusion-violation writebacks). Set indices partition the access
+   stream, so the replay runs as per-set numpy LRU kernels, each set's
+   recurrence over one contiguous array. The one cross-set interaction,
+   an LLC eviction back-invalidating a line still live in an L1, is
+   detected by a vectorized residency check; the pass then takes the
+   exact per-access scalar replay instead (never at the default
+   geometry, where the LLC dwarfs the L1s). Because organizations differ
+   only in *timing* (MAC tail, extra metadata accesses), never in which
+   lines are touched, this pass is organization-independent: it is
+   memoized and shared across every organization of a campaign grid.
 
 3. **Timing pass** (sparse, per organization): only ops with controller
-   actions (a few percent) are walked event-wise; between events a core's
+   actions (a few percent) are walked event-wise, over the structured
+   event tables the content pass precomputed; between events a core's
    clock advances by closed-form prefix sums, and ROB-window stalls from
    outstanding DRAM loads are resolved per entry at its precomputed
    window-crossing op. DRAM requests run on :class:`_FastController`, the
@@ -53,18 +60,6 @@ modes.
 
 Mode resolution: ``PerfConfig.engine`` > :func:`set_engine` /
 ``REPRO_PERF`` environment variable > ``"reference"`` (the default).
-
-Within the fast engine, each pass additionally has a **kernel mode**
-(``REPRO_PERF_BATCH`` / :func:`set_pass_modes` / :func:`forced_passes`):
-``"batched"`` (default) runs the content pass through per-set numpy LRU
-kernels (set indices partition the access stream, so every set's LRU
-recurrence runs over a contiguous array; a vectorized residency check
-detects would-be inclusion back-invalidations and falls back to the
-exact scalar replay) and the timing pass over a precomputed
-structured event table; ``"scalar"`` keeps the original per-access /
-per-event Python loops. The two modes are **bit-identical** — the
-batched kernels are an evaluation-order change, not a model change —
-and the equivalence suites in ``tests/test_perf_batched.py`` pin it.
 """
 
 from __future__ import annotations
@@ -72,7 +67,6 @@ from __future__ import annotations
 import heapq
 import os
 from array import array
-from bisect import bisect_left
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -96,12 +90,12 @@ ENGINE_ENV = "REPRO_PERF"
 
 #: Generation counter for the fast engine's replay/timing kernels,
 #: pinned into every perf-campaign cell fingerprint. Kernel rewrites
-#: stay bit-identical to the scalar fast pass (the batched/scalar A/B
-#: suites enforce it), but a rewrite is exactly when a latent bug could
-#: slip in — bumping this invalidates cached cells so they are
-#: recomputed by the new code instead of trusted blindly. Revision 1:
-#: the per-set batched LLC/L1 kernels and the structured-array timing
-#: tick.
+#: must stay bit-identical (the golden ``result_fast`` replays and the
+#: fallback-replay equivalence tests enforce it), but a rewrite is
+#: exactly when a latent bug could slip in — bumping this invalidates
+#: cached cells so they are recomputed by the new code instead of
+#: trusted blindly. Revision 1: the per-set batched LLC/L1 kernels and
+#: the structured-array timing tick.
 KERNEL_REVISION = 1
 
 #: Salt of the fast engine's counter-based draw streams (disjoint from
@@ -164,64 +158,15 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
-#: Recognized per-pass kernel modes of the fast engine.
-VALID_PASS_MODES = ("batched", "scalar")
-
-PASS_MODE_ENV = "REPRO_PERF_BATCH"
-
-
-def _pass_mode_from_env() -> str:
-    mode = os.environ.get(PASS_MODE_ENV, "batched").strip().lower() or "batched"
-    if mode not in VALID_PASS_MODES:
-        raise ValueError(
-            f"{PASS_MODE_ENV}={mode!r} is not recognized; "
-            f"use one of {VALID_PASS_MODES}"
-        )
-    return mode
-
-
-_content_mode = _timing_mode = _pass_mode_from_env()
-
-
 def pass_modes() -> Tuple[str, str]:
-    """The active ``(content, timing)`` kernel modes of the fast engine."""
-    return _content_mode, _timing_mode
+    """The fast engine's ``(content, timing)`` kernel paths.
 
-
-def set_pass_modes(
-    content: Optional[str] = None, timing: Optional[str] = None
-) -> None:
-    """Select kernel modes per pass; ``None`` leaves a pass unchanged.
-
-    Both modes are bit-identical by construction; the switch exists so
-    the equivalence suites can compare them in isolation and so a
-    regression in one kernel can be sidestepped without losing the
-    other. The content mode is part of the memo key, so flipping it
-    never serves stale entries.
+    Constant: both passes always run their batched kernels. The content
+    pass's exact scalar replay is not a mode but an automatic fallback,
+    counted in :data:`_BATCH_STATS`. Benchmark results record this pair
+    with their configuration.
     """
-    global _content_mode, _timing_mode
-    for mode in (content, timing):
-        if mode is not None and mode not in VALID_PASS_MODES:
-            raise ValueError(
-                f"pass mode {mode!r} is not one of {VALID_PASS_MODES}"
-            )
-    if content is not None:
-        _content_mode = content
-    if timing is not None:
-        _timing_mode = timing
-
-
-@contextmanager
-def forced_passes(
-    content: Optional[str] = None, timing: Optional[str] = None
-) -> Iterator[None]:
-    """Temporarily force per-pass kernel modes (tests and benchmarks)."""
-    previous = (_content_mode, _timing_mode)
-    set_pass_modes(content, timing)
-    try:
-        yield
-    finally:
-        set_pass_modes(*previous)
+    return "batched", "batched"
 
 
 def supports(prof: WorkloadProfile, core_config: Optional[CoreConfig] = None) -> bool:
@@ -241,9 +186,9 @@ def supports(prof: WorkloadProfile, core_config: Optional[CoreConfig] = None) ->
 
 # Cache geometry, mirroring CacheHierarchy's defaults (32KB/4-way L1 per
 # core, 4MB/16-way shared LLC, 64B lines). Module-level (read at call
-# time, not captured) so the batched-vs-scalar equivalence tests can
-# shrink the caches until inclusion back-invalidations actually occur
-# and pin the scalar-fallback path.
+# time, not captured) so the equivalence tests can shrink the caches
+# until inclusion back-invalidations actually occur and pin the
+# scalar-fallback path.
 _L1_WAYS = 4
 _L1_SET_BITS = 7  # 128 sets per core
 _LLC_WAYS = 16
@@ -481,8 +426,8 @@ def _initial_llc_arrays(
 
 # -- pass 2: the shared content pass ---------------------------------------------
 
-#: Counters the batched-kernel tests read: how many content passes ran
-#: fully batched vs fell back to the exact scalar replay.
+#: How many content passes ran fully batched vs fell back to the exact
+#: scalar replay (read by the tests and the benchmark's tracer).
 _BATCH_STATS = {"batched": 0, "fallbacks": 0}
 
 #: Small permutation tables for the LRU-refresh move, per way count:
@@ -711,21 +656,21 @@ def _batched_replay(
     fill_dirty: np.ndarray,
     pf_params: Tuple[int, int, int],
 ):
-    """The content replay as per-set array kernels (the batched mode).
+    """The content replay as per-set array kernels.
 
-    Decomposes the scalar replay into independent per-set recurrences:
-    the L1 kernel yields hits/victims per op, the prefetcher loop runs
-    over the miss stream, and the LLC kernel replays each set's probe
-    stream ordered by ``(merged position, in-op sub-order)`` — demand
-    probe, dirty-victim touch, prefetch burst — exactly the scalar
-    in-op order. The decomposition is exact unless an LLC eviction
-    back-invalidates a line still resident in an L1 (the only cross-set
-    interaction); a vectorized residency count over the L1 fill/evict
-    streams detects that case soundly — it fires iff the scalar replay
-    would count a back-invalidation — and the caller falls back to the
-    exact uncollapsed scalar replay. Returns ``None`` in that case,
-    else ``(counters, outcome, per-core event arrays, hits_base,
-    misses_base)`` bit-equal to the scalar ``run()``.
+    Decomposes :func:`_scalar_replay` into independent per-set
+    recurrences: the L1 kernel yields hits/victims per op, the
+    prefetcher loop runs over the miss stream, and the LLC kernel
+    replays each set's probe stream ordered by ``(merged position, in-op
+    sub-order)`` — demand probe, dirty-victim touch, prefetch burst —
+    exactly the scalar in-op order. The decomposition is exact unless an
+    LLC eviction back-invalidates a line still resident in an L1 (the
+    only cross-set interaction); a vectorized residency count over the
+    L1 fill/evict streams detects that case soundly — it fires iff the
+    scalar replay would back-invalidate — and returns ``None`` so the
+    caller takes the exact uncollapsed scalar replay. Otherwise returns
+    ``(counters, outcome, events, hits_base, misses_base)`` as
+    :func:`_scalar_replay` does.
     """
     llc_ways = _LLC_WAYS
     llc_mask = _LLC_SETS - 1
@@ -810,7 +755,6 @@ def _batched_replay(
         "hits": int(demand_hit.sum()) + int(touch_hit.sum()),
         "misses": int((~demand_hit).sum()),
         "incl": int((~touch_hit).sum()),
-        "back_inval": 0,
     }
     hits_base = int((demand_hit & (demand_pos < boundary)).sum()) + int(
         (touch_hit & (touch_pos_s < boundary)).sum()
@@ -883,22 +827,214 @@ def _batched_replay(
     return counters, outcome, events, hits_base, misses_base
 
 
+def _scalar_replay(
+    line: np.ndarray,
+    l1_index: np.ndarray,
+    write: np.ndarray,
+    core_of: np.ndarray,
+    idx_of: np.ndarray,
+    boundary: int,
+    trace_lens: List[int],
+    fill_lines: np.ndarray,
+    fill_dirty: np.ndarray,
+    pf_params: Tuple[int, int, int],
+):
+    """The exact per-access content replay, the batched kernels' fallback.
+
+    Walks the merged ops one by one through the L1 / stream-prefetcher /
+    LLC bookkeeping on plain dicts, so it also replays what the per-set
+    kernels cannot: an LLC eviction back-invalidating a live L1 line
+    (which can break a same-line run, so this replay takes uncollapsed
+    columns). Same arguments and return shape as :func:`_batched_replay`:
+    ``(counters, outcome, events, hits_base, misses_base)`` with per-core
+    hit-level arrays and per-core ``(op, pos, offsets, actions)`` event
+    arrays.
+    """
+    l1_ways = _L1_WAYS
+    l1_bits = _L1_SET_BITS
+    l1_mask = (1 << l1_bits) - 1
+    llc_ways = _LLC_WAYS
+    llc_mask = _LLC_SETS - 1
+    pf_streams, pf_degree, pf_distance = pf_params
+    n_cores = len(trace_lens)
+    # Replay columns as array.array (not list) on purpose: their elements
+    # are machine values, so the cyclic GC never rescans them — with
+    # multi-hundred-k lists here, every gen-2 collection would walk
+    # millions of pointers and dominate the pass.
+    merged_line = array("q", line.tobytes())
+    merged_l1_index = array("q", l1_index.tobytes())
+    merged_write = array("b", write.astype(np.int8).tobytes())
+    core_of = array("q", core_of.tobytes())
+    idx_of = array("q", idx_of.tobytes())
+
+    missing = object()  # dict-probe sentinel (single-lookup hit path)
+    llc = _initial_llc_sets(fill_lines, fill_dirty, _LLC_SETS, llc_ways)
+    # Flat per-core L1 sets: index (core << l1_bits) | (line & l1_mask).
+    l1: List[dict] = [{} for _ in range(n_cores << l1_bits)]
+    # Prefetcher stream tables: page -> [last_line, confidence, next_prefetch].
+    pf: List[dict] = [{} for _ in range(n_cores)]
+    outcome = [bytearray(length) for length in trace_lens]
+    events: List[List[Tuple[int, int, List[int]]]] = [[] for _ in range(n_cores)]
+    counters = {"hits": 0, "misses": 0, "incl": 0}
+
+    def replay(start: int, end: int) -> None:
+        llc_hits = counters["hits"]
+        llc_misses = counters["misses"]
+        inclusion = counters["incl"]
+        llc_local = llc
+        l1_local = l1
+        k = start
+        for line, l1idx, w in zip(
+            merged_line[start:end],
+            merged_l1_index[start:end],
+            merged_write[start:end],
+        ):
+            l1s = l1_local[l1idx]
+            dirty = l1s.pop(line, missing)
+            if dirty is not missing:
+                # L1 hit: refresh LRU, OR the dirty bit (outcome stays
+                # OUT_L1).
+                l1s[line] = dirty or w
+                k += 1
+                continue
+            c = core_of[k]
+            # Stream prefetcher observes every L1 miss, before the LLC
+            # probe.
+            page = line >> 6
+            pfc = pf[c]
+            stream = pfc.pop(page, None)
+            prefetches = None
+            if stream is None:
+                if len(pfc) >= pf_streams:
+                    del pfc[next(iter(pfc))]
+                pfc[page] = [line, 0, line + pf_distance]
+            else:
+                pfc[page] = stream  # LRU refresh
+                last_line, confidence, next_prefetch = stream
+                if line == last_line + 1:
+                    confidence = confidence + 1 if confidence < 4 else 4
+                elif line != last_line:
+                    confidence = confidence - 1 if confidence > 0 else 0
+                stream[0] = line
+                stream[1] = confidence
+                if confidence >= 2:
+                    target = next_prefetch if next_prefetch > line + 1 else line + 1
+                    if (target + pf_degree - 1) >> 6 == page:
+                        # Whole burst inside the page (the common case).
+                        prefetches = range(target, target + pf_degree)
+                    else:
+                        prefetches = [
+                            t
+                            for t in range(target, target + pf_degree)
+                            if t >> 6 == page
+                        ]
+                    stream[2] = target + pf_degree
+            i = idx_of[k]
+            # Actions pack as (line << 3) | code — plain ints keep the
+            # event lists GC-cheap.
+            actions: Optional[List[int]] = None
+            ls = llc_local[line & llc_mask]
+            ldirty = ls.pop(line, missing)
+            if ldirty is not missing:
+                ls[line] = ldirty  # LRU refresh (read probe: dirty unchanged)
+                llc_hits += 1
+                outcome[c][i] = OUT_LLC
+            else:
+                llc_misses += 1
+                outcome[c][i] = OUT_DRAM
+                actions = [line << 3]  # A_DEMAND_READ
+                # Fill the LLC; the victim back-invalidates its owner's
+                # L1 (address ranges are per-core disjoint, so only the
+                # owner core can hold it) and writes back if dirty
+                # anywhere.
+                if len(ls) >= llc_ways:
+                    vline = next(iter(ls))
+                    vdirty = ls.pop(vline)
+                    if l1_local[((vline >> 28) << l1_bits) | (vline & l1_mask)].pop(
+                        vline, False
+                    ):
+                        vdirty = True
+                    if vdirty:
+                        actions.append((vline << 3) | A_VICTIM_WRITE)
+                ls[line] = False
+            # Fill the L1 (dirty if this is a store); a dirty L1 victim
+            # touches its LLC copy (counts as an LLC hit) or — impossible
+            # under inclusion, but never silently dropped — goes to DRAM.
+            if len(l1s) >= l1_ways:
+                vline = next(iter(l1s))
+                if l1s.pop(vline):
+                    vs = llc_local[vline & llc_mask]
+                    if vline in vs:
+                        vs.pop(vline)
+                        vs[vline] = True
+                        llc_hits += 1
+                    else:
+                        inclusion += 1
+                        if actions is None:
+                            actions = []
+                        actions.append((vline << 3) | A_INCL_WRITE)
+            l1s[line] = w
+            if prefetches:
+                for pline in prefetches:
+                    ps = llc_local[pline & llc_mask]
+                    if pline in ps:
+                        continue
+                    if actions is None:
+                        actions = []
+                    actions.append((pline << 3) | A_PF_READ)
+                    if len(ps) >= llc_ways:
+                        pvline = next(iter(ps))
+                        pvdirty = ps.pop(pvline)
+                        if l1_local[
+                            ((pvline >> 28) << l1_bits) | (pvline & l1_mask)
+                        ].pop(pvline, False):
+                            pvdirty = True
+                        if pvdirty:
+                            actions.append((pvline << 3) | A_PF_VICTIM_WRITE)
+                    ps[pline] = False
+            if actions:
+                events[c].append((i, k, actions))
+            k += 1
+        counters["hits"] = llc_hits
+        counters["misses"] = llc_misses
+        counters["incl"] = inclusion
+
+    replay(0, boundary)
+    hits_base, misses_base = counters["hits"], counters["misses"]
+    replay(boundary, len(merged_line))
+
+    arrays = []
+    for evs in events:
+        offsets = np.zeros(len(evs) + 1, dtype=np.int64)
+        if evs:
+            np.cumsum([len(e[2]) for e in evs], out=offsets[1:])
+        arrays.append(
+            (
+                np.array([e[0] for e in evs], dtype=np.int64),
+                np.array([e[1] for e in evs], dtype=np.int64),
+                offsets,
+                np.array([a for e in evs for a in e[2]], dtype=np.int64),
+            )
+        )
+    outcome_np = [np.frombuffer(out, dtype=np.uint8) for out in outcome]
+    return counters, outcome_np, arrays, hits_base, misses_base
+
+
 @dataclass
 class _CoreEvents:
     """One core's controller-facing events as a structured table.
 
-    Everything the batched timing tick needs per event is precomputed
-    here by the content pass (vectorized): the op index, merged
-    position, stall-free base clock, ROB window-crossing op, event kind
-    (0 = no demand latency to apply, 1 = serializing load, 2 = windowed
-    load) and warm-up membership, plus the packed actions as one flat
-    list with offsets. Plain lists of machine scalars — indexing them
-    in the tick is one ``list_subscript`` each, and the cyclic GC never
-    rescans their elements.
+    Everything the timing tick needs per event is precomputed here by
+    the content pass (vectorized): the op index, stall-free base clock,
+    ROB window-crossing op, event kind (0 = no demand latency to apply,
+    1 = serializing load, 2 = windowed load) and warm-up membership,
+    plus the packed actions as one flat list with offsets. Plain lists
+    of machine scalars — indexing them in the tick is one
+    ``list_subscript`` each, and the cyclic GC never rescans their
+    elements.
     """
 
     op: List[int]
-    pos: List[int]
     base_time: List[float]
     crossing: List[int]
     kind: List[int]
@@ -910,10 +1046,10 @@ class _CoreEvents:
 
 
 def _build_core_events(
-    op_arr,
-    pos_arr,
-    off_arr,
-    act_arr,
+    op: np.ndarray,
+    pos: np.ndarray,
+    off: np.ndarray,
+    act: np.ndarray,
     check_np: np.ndarray,
     instr_np: np.ndarray,
     is_write: np.ndarray,
@@ -921,12 +1057,13 @@ def _build_core_events(
     boundary: int,
     rob: int,
 ) -> _CoreEvents:
-    op = np.asarray(op_arr, dtype=np.int64)
-    pos = np.asarray(pos_arr, dtype=np.int64)
-    off = np.asarray(off_arr, dtype=np.int64)
-    act = np.asarray(act_arr, dtype=np.int64)
+    """One core's replay events ``(op, pos, off, act)`` as a table.
+
+    ``pos`` is each event's merged position in the replayed columns;
+    events before ``boundary`` (in those columns) belong to the warm-up.
+    """
     if len(op) == 0:
-        return _CoreEvents([], [], [], [], [], [], [0], [], 0, 0)
+        return _CoreEvents([], [], [], [], [], [0], [], 0, 0)
     base_time = check_np[op]
     crossing = np.searchsorted(instr_np, instr_np[op] + rob, side="left")
     # A demand read, when present, is always the event's first action.
@@ -936,7 +1073,6 @@ def _build_core_events(
     warm = pos < boundary
     return _CoreEvents(
         op.tolist(),
-        pos.tolist(),
         base_time.tolist(),
         crossing.tolist(),
         kind.tolist(),
@@ -971,8 +1107,6 @@ class _ContentResult:
     #: Sparse per-core event tables (actions packed as
     #: ``(line << 3) | code``); see :class:`_CoreEvents`.
     events: List[_CoreEvents]
-    #: Merged position before which an event belongs to the warm-up.
-    boundary_pos: int
     #: True when there is no warm-up phase at all (start stays at 0).
     no_warmup: bool
     llc_hits_window: int
@@ -995,11 +1129,6 @@ _CONTENT_MEMO: "OrderedDict[tuple, _ContentResult]" = OrderedDict()
 # to rescan.
 _CONTENT_MEMO_MAX = 2
 
-#: Private switch for the equivalence suite: when False the content pass
-#: always takes the exact uncollapsed replay (tests compare both modes;
-#: clear _CONTENT_MEMO when flipping it).
-_COLLAPSE_RUNS = True
-
 
 def _content_pass(
     prof: WorkloadProfile,
@@ -1008,15 +1137,7 @@ def _content_pass(
     instructions_per_core: int,
     warmup_instructions: int,
 ) -> Optional[_ContentResult]:
-    key = (
-        prof,
-        n_cores,
-        seed,
-        instructions_per_core,
-        warmup_instructions,
-        _content_mode,
-        _COLLAPSE_RUNS,
-    )
+    key = (prof, n_cores, seed, instructions_per_core, warmup_instructions)
     cached = _CONTENT_MEMO.get(key)
     if cached is not None:
         _CONTENT_MEMO.move_to_end(key)
@@ -1043,23 +1164,10 @@ def _content_pass_uncached(
     if any(t is None for t in traces):
         return None  # all-L1 profile: the caller reports an all-zero result
 
-    l1_ways = _L1_WAYS
-    l1_bits = _L1_SET_BITS
-    l1_mask = (1 << l1_bits) - 1
-    llc_ways, llc_sets_n = _LLC_WAYS, _LLC_SETS
-    llc_mask = llc_sets_n - 1
-    fill_lines, fill_dirty = _priming_fills(
-        prof, n_cores, seed, llc_sets_n * llc_ways
-    )
-    # Prefetcher stream tables: page -> [last_line, confidence, next_prefetch].
+    fill_lines, fill_dirty = _priming_fills(prof, n_cores, seed, _LLC_SETS * _LLC_WAYS)
     from repro.cache.prefetcher import StreamPrefetcher
 
     pf_proto = StreamPrefetcher()
-    pf_streams, pf_degree, pf_distance = (
-        pf_proto.n_streams,
-        pf_proto.degree,
-        pf_proto.distance,
-    )
 
     # Merged deterministic virtual-time order (see module docstring).
     all_instr = np.concatenate([t.instr_cum for t in traces])
@@ -1093,7 +1201,7 @@ def _content_pass_uncached(
 
     # Merged per-op columns, precomputed in numpy.
     np_line = np.concatenate([t.line for t in traces])[order]
-    np_l1idx = (all_core[order] << l1_bits) | (np_line & l1_mask)
+    np_l1idx = (all_core[order] << _L1_SET_BITS) | (np_line & ((1 << _L1_SET_BITS) - 1))
     np_write = np.concatenate([t.is_write for t in traces])[order]
     np_core = all_core[order]
     np_idx = all_idx[order]
@@ -1104,261 +1212,62 @@ def _content_pass_uncached(
     # stream are guaranteed L1 hits whose only effect is OR-ing the
     # line's dirty bit: the leader leaves it at L1 MRU and no same-set
     # access intervenes. Collapsing each run to its leader (carrying
-    # the run-ORed write bit) removes 65-80% of the replay loop on
+    # the run-ORed write bit) shrinks the replayed stream by 65-80% on
     # streaming workloads. The one thing that can break a run
     # mid-flight is an inclusion back-invalidation from another set
-    # evicting the line; replay counts successful back-invalidations
-    # and the pass reruns the exact uncollapsed replay if any occurred
-    # (never on the default geometry, where the LLC dwarfs the L1s).
+    # evicting the line; the batched replay detects any such event, and
+    # the pass then takes the exact uncollapsed scalar replay (never on
+    # the default geometry, where the LLC dwarfs the L1s).
     srt = np.argsort(np_l1idx, kind="stable")
     same = np.zeros(n_merged, dtype=bool)
     same[1:] = (np_l1idx[srt[1:]] == np_l1idx[srt[:-1]]) & (
         np_line[srt[1:]] == np_line[srt[:-1]]
     )
-    follower = np.zeros(n_merged, dtype=bool)
-    follower[srt] = same
+    leader = np.ones(n_merged, dtype=bool)
+    leader[srt] = ~same
     run_starts = np.nonzero(~same)[0]
-    eff_write = np.zeros(n_merged, dtype=np.int8)
+    eff_write = np.zeros(n_merged, dtype=bool)
     eff_write[srt[run_starts]] = np.logical_or.reduceat(
         np_write[srt], run_starts
     )
-    leader = ~follower
 
-    def make_columns(collapse: bool):
-        """Replay columns as array.array (not list) on purpose: their
-        elements are machine values, so the cyclic GC never rescans
-        them — with multi-hundred-k lists here, every gen-2 collection
-        would walk millions of pointers and dominate the pass."""
-        if collapse:
-            sel = leader
-            write = eff_write[sel]
-            boundary = int(np.count_nonzero(leader[:boundary_pos]))
-        else:
-            sel = slice(None)
-            write = np_write.astype(np.int8)
-            boundary = boundary_pos
-        return (
-            array("q", np_line[sel].tobytes()),
-            array("q", np_l1idx[sel].tobytes()),
-            array("b", write.tobytes()),
-            array("q", np_core[sel].tobytes()),
-            array("q", np_idx[sel].tobytes()),
-            boundary,
-        )
-
-    missing = object()  # dict-probe sentinel (single-lookup hit path)
-
-    def run(collapse: bool):
-        merged_line, merged_l1_index, merged_write, core_of, idx_of, boundary = (
-            make_columns(collapse)
-        )
-        llc = _initial_llc_sets(fill_lines, fill_dirty, llc_sets_n, llc_ways)
-        # Flat per-core L1 sets: index (core << l1_bits) | (line & l1_mask).
-        l1: List[dict] = [{} for _ in range(n_cores << l1_bits)]
-        pf: List[dict] = [{} for _ in range(n_cores)]
-        outcome = [bytearray(len(t.instr_cum)) for t in traces]
-        events: List[List[Tuple[int, int, List[int]]]] = [
-            [] for _ in range(n_cores)
-        ]
-        counters = {"hits": 0, "misses": 0, "incl": 0, "back_inval": 0}
-
-        def replay(start: int, end: int) -> None:
-            llc_hits = counters["hits"]
-            llc_misses = counters["misses"]
-            inclusion = counters["incl"]
-            back_inval = counters["back_inval"]
-            llc_local = llc
-            l1_local = l1
-            k = start
-            for line, l1idx, w in zip(
-                merged_line[start:end],
-                merged_l1_index[start:end],
-                merged_write[start:end],
-            ):
-                l1s = l1_local[l1idx]
-                dirty = l1s.pop(line, missing)
-                if dirty is not missing:
-                    # L1 hit: refresh LRU, OR the dirty bit (outcome
-                    # stays OUT_L1).
-                    l1s[line] = dirty or w
-                    k += 1
-                    continue
-                c = core_of[k]
-                # Stream prefetcher observes every L1 miss, before the
-                # LLC probe.
-                page = line >> 6
-                pfc = pf[c]
-                stream = pfc.pop(page, None)
-                prefetches = None
-                if stream is None:
-                    if len(pfc) >= pf_streams:
-                        del pfc[next(iter(pfc))]
-                    pfc[page] = [line, 0, line + pf_distance]
-                else:
-                    pfc[page] = stream  # LRU refresh
-                    last_line, confidence, next_prefetch = stream
-                    if line == last_line + 1:
-                        confidence = confidence + 1 if confidence < 4 else 4
-                    elif line != last_line:
-                        confidence = confidence - 1 if confidence > 0 else 0
-                    stream[0] = line
-                    stream[1] = confidence
-                    if confidence >= 2:
-                        target = (
-                            next_prefetch if next_prefetch > line + 1 else line + 1
-                        )
-                        if (target + pf_degree - 1) >> 6 == page:
-                            # Whole burst inside the page (the common case).
-                            prefetches = range(target, target + pf_degree)
-                        else:
-                            prefetches = [
-                                t
-                                for t in range(target, target + pf_degree)
-                                if t >> 6 == page
-                            ]
-                        stream[2] = target + pf_degree
-                i = idx_of[k]
-                # Actions pack as (line << 3) | code — plain ints keep
-                # the event lists GC-cheap.
-                actions: Optional[List[int]] = None
-                ls = llc_local[line & llc_mask]
-                ldirty = ls.pop(line, missing)
-                if ldirty is not missing:
-                    ls[line] = ldirty  # LRU refresh (read probe: dirty unchanged)
-                    llc_hits += 1
-                    outcome[c][i] = 1  # OUT_LLC
-                else:
-                    llc_misses += 1
-                    outcome[c][i] = 2  # OUT_DRAM
-                    actions = [line << 3]  # A_DEMAND_READ
-                    # Fill the LLC; the victim back-invalidates its
-                    # owner's L1 (address ranges are per-core disjoint,
-                    # so only the owner core can hold it) and writes
-                    # back if dirty anywhere.
-                    if len(ls) >= llc_ways:
-                        vline = next(iter(ls))
-                        vdirty = ls.pop(vline)
-                        binv = l1_local[
-                            ((vline >> 28) << l1_bits) | (vline & l1_mask)
-                        ].pop(vline, missing)
-                        if binv is not missing:
-                            back_inval += 1
-                            if binv:
-                                vdirty = True
-                        if vdirty:
-                            actions.append((vline << 3) | A_VICTIM_WRITE)
-                    ls[line] = False
-                # Fill the L1 (dirty if this is a store); a dirty L1
-                # victim touches its LLC copy (counts as an LLC hit) or
-                # — impossible under inclusion, but never silently
-                # dropped — goes to DRAM.
-                if len(l1s) >= l1_ways:
-                    vline = next(iter(l1s))
-                    if l1s.pop(vline):
-                        vs = llc_local[vline & llc_mask]
-                        if vline in vs:
-                            vs.pop(vline)
-                            vs[vline] = True
-                            llc_hits += 1
-                        else:
-                            inclusion += 1
-                            if actions is None:
-                                actions = []
-                            actions.append((vline << 3) | A_INCL_WRITE)
-                l1s[line] = w
-                if prefetches:
-                    for pline in prefetches:
-                        ps = llc_local[pline & llc_mask]
-                        if pline in ps:
-                            continue
-                        if actions is None:
-                            actions = []
-                        actions.append((pline << 3) | A_PF_READ)
-                        if len(ps) >= llc_ways:
-                            pvline = next(iter(ps))
-                            pvdirty = ps.pop(pvline)
-                            pbinv = l1_local[
-                                ((pvline >> 28) << l1_bits) | (pvline & l1_mask)
-                            ].pop(pvline, missing)
-                            if pbinv is not missing:
-                                back_inval += 1
-                                if pbinv:
-                                    pvdirty = True
-                            if pvdirty:
-                                actions.append((pvline << 3) | A_PF_VICTIM_WRITE)
-                        ps[pline] = False
-                if actions:
-                    events[c].append((i, k, actions))
-                k += 1
-            counters["hits"] = llc_hits
-            counters["misses"] = llc_misses
-            counters["incl"] = inclusion
-            counters["back_inval"] = back_inval
-
-        n_ops = len(merged_line)
-        if warmup_instructions == 0:
-            hits_base = misses_base = 0
-            replay(0, n_ops)
-        else:
-            replay(0, boundary)
-            hits_base, misses_base = counters["hits"], counters["misses"]
-            replay(boundary, n_ops)
-        return counters, outcome, events, hits_base, misses_base, boundary
-
-    batched = None
-    fell_back = False
-    if _content_mode == "batched":
-        if _COLLAPSE_RUNS:
-            sel = leader
-            col_write = eff_write[sel] != 0
-            col_boundary = int(np.count_nonzero(leader[:boundary_pos]))
-        else:
-            sel = slice(None)
-            col_write = np_write
-            col_boundary = boundary_pos
-        batched = _batched_replay(
-            np_line[sel],
-            np_l1idx[sel],
-            col_write,
-            np_core[sel],
-            np_idx[sel],
-            col_boundary,
-            [len(t.instr_cum) for t in traces],
-            fill_lines,
-            fill_dirty,
-            (pf_streams, pf_degree, pf_distance),
-        )
-        fell_back = batched is None
-    if batched is not None:
+    trace_lens = [len(t.instr_cum) for t in traces]
+    pf_params = (pf_proto.n_streams, pf_proto.degree, pf_proto.distance)
+    boundary = int(np.count_nonzero(leader[:boundary_pos]))
+    replayed = _batched_replay(
+        np_line[leader],
+        np_l1idx[leader],
+        eff_write[leader],
+        np_core[leader],
+        np_idx[leader],
+        boundary,
+        trace_lens,
+        fill_lines,
+        fill_dirty,
+        pf_params,
+    )
+    if replayed is not None:
         _BATCH_STATS["batched"] += 1
-        counters, outcome, raw_events, hits_base, misses_base = batched
-        boundary_used = col_boundary
-    elif fell_back:
+    else:
         # A would-be back-invalidation breaks the per-set decomposition
-        # (and any collapsed run): take the exact uncollapsed scalar
-        # replay directly (rare: needs an LLC small enough to
+        # (and possibly a collapsed run): take the exact uncollapsed
+        # scalar replay (rare: needs an LLC small enough to
         # back-invalidate still-hot L1 lines).
         _BATCH_STATS["fallbacks"] += 1
-        counters, outcome, raw_events, hits_base, misses_base, boundary_used = run(
-            False
+        boundary = boundary_pos
+        replayed = _scalar_replay(
+            np_line,
+            np_l1idx,
+            np_write,
+            np_core,
+            np_idx,
+            boundary,
+            trace_lens,
+            fill_lines,
+            fill_dirty,
+            pf_params,
         )
-    else:
-        counters, outcome, raw_events, hits_base, misses_base, boundary_used = run(
-            _COLLAPSE_RUNS
-        )
-        if _COLLAPSE_RUNS and counters["back_inval"]:
-            # A collapsed run may have been broken mid-flight; the exact
-            # uncollapsed replay settles it.
-            (
-                counters,
-                outcome,
-                raw_events,
-                hits_base,
-                misses_base,
-                boundary_used,
-            ) = run(False)
-    llc_hits, llc_misses = counters["hits"], counters["misses"]
-    inclusion_writebacks = counters["incl"]
+    counters, outcome, events, hits_base, misses_base = replayed
 
     # Per-core stall-free timelines: each op advances the clock by
     # gap * cpi (before the access) plus cpi (dispatch) plus, for
@@ -1367,54 +1276,31 @@ def _content_pass_uncached(
     cpi = prof.base_cpi
     l1_lat = float(CacheHierarchy.L1_HIT_CYCLES)
     llc_lat = float(CacheHierarchy.L1_HIT_CYCLES + CacheHierarchy.LLC_HIT_CYCLES)
+    rob = CoreConfig().rob_entries
     check_time: List[array] = []
-    check_np: List[np.ndarray] = []
     final_time: List[float] = []
+    core_events: List[_CoreEvents] = []
     for c, trace in enumerate(traces):
         serial_load = trace.serializing & ~trace.is_write
-        out_arr = outcome[c]
-        if not isinstance(out_arr, np.ndarray):
-            out_arr = np.frombuffer(out_arr, dtype=np.uint8)
         const_lat = np.where(
-            serial_load & (out_arr == OUT_L1),
+            serial_load & (outcome[c] == OUT_L1),
             l1_lat,
-            np.where(serial_load & (out_arr == OUT_LLC), llc_lat, 0.0),
+            np.where(serial_load & (outcome[c] == OUT_LLC), llc_lat, 0.0),
         )
         post = cpi + const_lat
         pre = trace.gap * cpi
         incl = np.cumsum(pre + post)
         check = incl - post
-        check_np.append(check)
         check_time.append(array("d", check.tobytes()))
         final_time.append(float(incl[-1]))
-
-    # Structured per-core event tables (both replay modes feed the same
-    # builder: the batched replay hands over arrays, the scalar replay
-    # legacy (op, pos, actions) tuples).
-    rob = CoreConfig().rob_entries
-    core_events: List[_CoreEvents] = []
-    for c, trace in enumerate(traces):
-        if batched is not None:
-            op_a, pos_a, off_a, act_a = raw_events[c]
-        else:
-            evs = raw_events[c]
-            op_a = [e[0] for e in evs]
-            pos_a = [e[1] for e in evs]
-            off_a = np.zeros(len(evs) + 1, dtype=np.int64)
-            if evs:
-                np.cumsum([len(e[2]) for e in evs], out=off_a[1:])
-            act_a = [a for e in evs for a in e[2]]
         core_events.append(
             _build_core_events(
-                op_a,
-                pos_a,
-                off_a,
-                act_a,
-                check_np[c],
+                *events[c],
+                check,
                 trace.instr_cum,
                 trace.is_write,
                 trace.serializing,
-                boundary_used,
+                boundary,
                 rob,
             )
         )
@@ -1429,12 +1315,11 @@ def _content_pass_uncached(
         final_time=final_time,
         warm_op=warm_op,
         events=core_events,
-        boundary_pos=boundary_used,
         no_warmup=warmup_instructions == 0,
-        llc_hits_window=llc_hits - hits_base,
-        llc_misses_window=llc_misses - misses_base,
+        llc_hits_window=counters["hits"] - hits_base,
+        llc_misses_window=counters["misses"] - misses_base,
         n_ops=n_merged,
-        inclusion_writebacks=inclusion_writebacks,
+        inclusion_writebacks=counters["incl"],
         coords={},
     )
 
@@ -1772,70 +1657,6 @@ class _ReferenceControllerAdapter:
 # -- pass 3: per-organization sparse timing --------------------------------------
 
 
-class _CoreTiming:
-    """One core's clock in the sparse timing pass.
-
-    ``check_time[i] + correction`` is the core's clock at op ``i``'s
-    access; ``correction`` accumulates DRAM latencies of serializing
-    loads and ROB-window stalls, each resolved at the op where it lands
-    (stalls at an outstanding load's precomputed window-crossing op).
-    """
-
-    __slots__ = (
-        "check_time",
-        "instr",
-        "events",
-        "event_pos",
-        "correction",
-        "outstanding",
-        "warm_op",
-        "start_cycle",
-        "marked",
-        "n_ops",
-    )
-
-    def __init__(self, check_time, instr, events, warm_op, premarked):
-        self.check_time = check_time
-        self.instr = instr
-        self.events = events
-        self.event_pos = 0
-        self.correction = 0.0
-        self.outstanding: deque = deque()
-        self.warm_op = warm_op
-        self.start_cycle = 0.0
-        # With no warm-up the reference never reassigns start_cycles;
-        # otherwise the mark lands at the first at-quota op (even op 0).
-        self.marked = premarked
-        self.n_ops = len(check_time)
-
-    def advance(self, upto: int) -> None:
-        """Resolve window stalls (and the warm-up mark) through op ``upto``."""
-        out = self.outstanding
-        check = self.check_time
-        while out and out[0][0] <= upto:
-            crossing, completion = out.popleft()
-            if not self.marked and self.warm_op < crossing:
-                # The mark precedes this stall point (stalls at the mark
-                # op itself apply first: drain happens before marking).
-                self.start_cycle = check[self.warm_op] + self.correction
-                self.marked = True
-            at = check[crossing] + self.correction
-            if completion > at:
-                self.correction += completion - at
-        if not self.marked and self.warm_op <= upto:
-            self.start_cycle = check[self.warm_op] + self.correction
-            self.marked = True
-
-    def next_event_time(self) -> Optional[float]:
-        """Clock of the next controller event, or None when drained."""
-        if self.event_pos < len(self.events):
-            op = self.events[self.event_pos][0]
-            self.advance(op)
-            return self.check_time[op] + self.correction
-        self.advance(self.n_ops - 1)
-        return None
-
-
 def _zero_result(prof: WorkloadProfile, organization, config) -> SystemResult:
     return SystemResult(
         workload=prof.name,
@@ -1852,174 +1673,21 @@ def _zero_result(prof: WorkloadProfile, organization, config) -> SystemResult:
     )
 
 
-def _legacy_events(table: _CoreEvents) -> List[Tuple[int, int, List[int]]]:
-    """A :class:`_CoreEvents` table as the scalar tick's legacy tuples."""
-    off = table.act_off
-    actions = table.actions
-    return [
-        (table.op[j], table.pos[j], actions[off[j] : off[j + 1]])
-        for j in range(table.n_ev)
-    ]
+def _timing_tick(content: _ContentResult, organization, controller):
+    """Walk every core's controller events in global clock order.
 
-
-def _timing_scalar(content: _ContentResult, organization, controller):
-    """The original per-event heap walk (the ``"scalar"`` timing mode).
-
-    Kept verbatim as the batched tick's equivalence oracle: both modes
-    must produce bit-identical results over the same content and
-    controller (``tests/test_perf_batched.py`` pins it).
-    """
-    cpi = content.base_cpi
-    rob = CoreConfig().rob_entries
-    l1_llc_lat = float(
-        CacheHierarchy.L1_HIT_CYCLES + CacheHierarchy.LLC_HIT_CYCLES
-    )
-    tail = organization.read_tail_cpu_cycles
-    extra_read = organization.extra_read_per_read
-    extra_write = organization.extra_write_per_writeback
-    meta_address = organization.metadata_address
-    cpm = CPU_CYCLES_PER_MEM_CYCLE
-
-    dram_reads = 0
-    dram_writes = 0
-    backpressure_stalls = 0
-    # Metadata MSHR coalescing / write-queue merging, exactly as in
-    # CacheHierarchy (_meta_read / _dram_write).
-    meta_inflight: "OrderedDict[int, float]" = OrderedDict()
-    meta_recent: "OrderedDict[int, float]" = OrderedDict()
-    merge_window = 1000.0  # CacheHierarchy._META_WRITE_MERGE_WINDOW
-
-    premarked = content.no_warmup
-    events = [_legacy_events(table) for table in content.events]
-    cores = [
-        _CoreTiming(
-            content.check_time[c],
-            content.instr[c],
-            events[c],
-            content.warm_op[c],
-            premarked,
-        )
-        for c in range(content.n_cores)
-    ]
-
-    def snapshot() -> Dict[str, float]:
-        return {
-            "dram_reads": dram_reads,
-            "dram_writes": dram_writes,
-            "row_hits": controller.row_hits,
-            "row_misses": controller.row_misses,
-            "row_conflicts": controller.row_conflicts,
-            "reads": controller.reads,
-            "read_latency": controller.total_read_latency,
-        }
-
-    warmup_events = sum(table.n_warm for table in content.events)
-    base = snapshot() if warmup_events == 0 else None
-
-    heap: List[Tuple[float, int]] = []
-    for c, core in enumerate(cores):
-        t = core.next_event_time()
-        if t is not None:
-            heap.append((t, c))
-    heapq.heapify(heap)
-
-    cread = controller.read
-    cwrite = controller.write
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    while heap:
-        now_cpu, c = heappop(heap)
-        core = cores[c]
-        op, merged_pos, actions = core.events[core.event_pos]
-        core.event_pos += 1
-        now_mem = now_cpu / cpm
-        demand_latency = 0.0
-        stall = 0.0
-        for packed in actions:
-            code = packed & 7
-            address = (packed >> 3) << 6
-            if code == A_DEMAND_READ or code == A_PF_READ:
-                ready = cread(address, now_mem)
-                dram_reads += 1
-                if extra_read:
-                    maddr = meta_address(address)
-                    completion = meta_inflight.get(maddr)
-                    if completion is None or completion <= now_mem:
-                        completion = cread(maddr, now_mem)
-                        dram_reads += 1
-                        meta_inflight[maddr] = completion
-                        meta_inflight.move_to_end(maddr)
-                        while len(meta_inflight) > 8:
-                            meta_inflight.popitem(last=False)
-                    ready = max(ready, completion)
-                if code == A_DEMAND_READ:
-                    demand_latency = (ready - now_mem) * cpm + tail
-            else:  # the three writeback flavours
-                accepted = cwrite(address, now_mem)
-                dram_writes += 1
-                if extra_write:
-                    maddr = meta_address(address)
-                    last = meta_recent.get(maddr)
-                    if last is None or now_mem - last >= merge_window:
-                        accepted = max(accepted, cwrite(maddr, now_mem))
-                        dram_writes += 1
-                        meta_recent[maddr] = now_mem
-                        meta_recent.move_to_end(maddr)
-                        while len(meta_recent) > 32:
-                            meta_recent.popitem(last=False)
-                if code == A_VICTIM_WRITE:
-                    stall = (accepted - now_mem) * cpm
-                    if stall:
-                        backpressure_stalls += 1
-        if merged_pos < content.boundary_pos:
-            warmup_events -= 1
-            if warmup_events == 0:
-                base = snapshot()
-        # The op's own timing (stores discard their latency entirely; the
-        # demand-victim backpressure stall rides the load's latency).
-        if not content.is_write[c][op] and demand_latency:
-            latency = l1_llc_lat + demand_latency + stall
-            if content.serializing[c][op]:
-                core.correction += latency
-            else:
-                crossing = bisect_left(core.instr, core.instr[op] + rob)
-                if crossing < core.n_ops:
-                    core.outstanding.append((crossing, now_cpu + cpi + latency))
-        # Inlined next_event_time: the common case (no pending stalls,
-        # warm-up mark placed) skips both method calls.
-        pos = core.event_pos
-        evs = core.events
-        if pos < len(evs):
-            nop = evs[pos][0]
-            if core.outstanding or not core.marked:
-                core.advance(nop)
-            heappush(heap, (core.check_time[nop] + core.correction, c))
-        elif core.outstanding or not core.marked:
-            core.advance(core.n_ops - 1)
-
-    if base is None:
-        base = snapshot()
-    measured = []
-    for c, core in enumerate(cores):
-        # next_event_time already drained the event list and resolved all
-        # remaining stalls/marks through the final op.
-        measured.append(content.final_time[c] + core.correction - core.start_cycle)
-    return measured, base, snapshot(), backpressure_stalls
-
-
-def _timing_batched(content: _ContentResult, organization, controller):
-    """The structured-array event tick (the default timing mode).
-
-    The same walk as :func:`_timing_scalar` with every per-event
-    derivation — stall-free base clock, ROB window-crossing op, event
-    kind, warm-up membership — precomputed by the content pass into the
-    :class:`_CoreEvents` tables, so the tick touches one table row per
-    event instead of re-deriving them (bisect, numpy bool indexing) per
-    event. Consecutive events of one core run inline without a heap
+    Core ``c``'s clock at op ``i``'s access is ``check_time[c][i] +
+    correction[c]``; ``correction`` accumulates DRAM latencies of
+    serializing loads and ROB-window stalls, each resolved at the op
+    where it lands (stalls at an outstanding load's precomputed
+    window-crossing op). Every per-event derivation — stall-free base
+    clock, window-crossing op, event kind, warm-up membership — comes
+    precomputed in the :class:`_CoreEvents` tables, so the tick touches
+    one table row per event. A heap of ``(time, core-id)`` orders the
+    cores; consecutive events of one core run inline without a heap
     round-trip whenever no other core's next event is earlier — exact,
-    because the (time, core-id) tuple order the heap would use is
-    checked against the heap head before short-circuiting.
+    because that tuple order is checked against the heap head before
+    short-circuiting.
     """
     cpi = content.base_cpi
     l1_llc_lat = float(
@@ -2062,7 +1730,8 @@ def _timing_batched(content: _ContentResult, organization, controller):
     ]
 
     def advance(c: int, upto: int) -> None:
-        # _CoreTiming.advance over the parallel per-core state lists.
+        # Resolve core c's window stalls (and its warm-up mark) through
+        # op `upto`; stalls at the mark op itself apply first.
         out = outstanding[c]
         ch = check[c]
         corr = correction[c]
@@ -2201,19 +1870,13 @@ def _timing_pass(
     config,
     diagnostics: Optional[dict] = None,
     reference_controller: bool = False,
-    mode: Optional[str] = None,
 ) -> SystemResult:
-    if mode is None:
-        mode = _timing_mode
-    elif mode not in VALID_PASS_MODES:
-        raise ValueError(f"pass mode {mode!r} is not one of {VALID_PASS_MODES}")
     controller = (
         _ReferenceControllerAdapter()
         if reference_controller
         else _FastController(content.coords)
     )
-    runner = _timing_batched if mode == "batched" else _timing_scalar
-    measured, base, now, backpressure_stalls = runner(
+    measured, base, now, backpressure_stalls = _timing_tick(
         content, organization, controller
     )
     delta = {key: now[key] - base[key] for key in now}
@@ -2263,8 +1926,8 @@ def run_workload_fast(
     """Fast-engine counterpart of :func:`repro.perf.model.run_workload`.
 
     ``diagnostics``, when given, is filled with rare-path counters
-    (drain episodes, backpressure stalls, inclusion writebacks) so tests
-    can assert the scalar-fallback paths actually ran.
+    (drain episodes, backpressure stalls, refreshes, inclusion
+    writebacks) so tests can assert those paths actually ran.
     """
     content = _content_pass(
         workload,

@@ -114,7 +114,6 @@ def profile_passes(
             "warmup_instructions": config.warmup_instructions,
             "seed": config.seed,
         },
-        "pass_modes": dict(zip(("content", "timing"), fastpath.pass_modes())),
         "passes": {
             name: {
                 "seconds": round(seconds[name], 4),

@@ -135,6 +135,28 @@ class TestClaims:
             finally:
                 timer.cancel()
 
+    def test_result_stored_right_after_a_miss_is_not_recomputed(self, server):
+        """The miss and the claim are one server step.
+
+        Were they two requests, the holder could store the cell (dropping
+        its claim) between them, and the second client would win a claim
+        on a finished cell and compute it again.
+        """
+        with RemoteResultStore(server.url) as a, RemoteResultStore(server.url) as b:
+            assert a.load("cell.json", FP) == (None, "absent")  # a now claims
+            request = b._conn.request
+
+            def store_after_first_load(payload):
+                response = request(payload)
+                if payload["op"] == "load":
+                    b._conn.request = request
+                    a.store("cell.json", FP, {"value": 4})
+                return response
+
+            b._conn.request = store_after_first_load
+            assert b.load("cell.json", FP) == (None, "inflight")
+            assert b.load_wait("cell.json", FP) == ({"value": 4}, None)
+
     def test_dead_client_releases_claims(self, server):
         a = RemoteResultStore(server.url)
         assert a.load("cell.json", FP) == (None, "absent")
@@ -290,3 +312,28 @@ class TestJobs:
                 with pytest.raises(RuntimeError, match="is (queued|running)"):
                     client.job_results(job)
             client.wait(job, poll_s=0.05)
+
+    def test_faultsim_jobs_on_other_engines_keep_their_checkpoints(self, server):
+        """A faultsim job never overwrites another engine's shard files.
+
+        fast -> reference -> fast: the reference job must not clobber
+        the fast job's checkpoint, so the second fast job resumes every
+        shard from it instead of recomputing.
+        """
+        params = {"scheme": "safeguard-secded", "n_modules": 2000, "seed": 5,
+                  "workers": 1}
+
+        def run(engine):
+            with CampaignClient(server.url) as client:
+                job = client.submit("faultsim", {**params, "engine": engine})
+                status = client.wait(job, poll_s=0.05)
+                assert status["state"] == "done", status
+                return status["progress"]["items_from_store"], client.job_results(job)
+
+        cold, fast_first = run("fast")
+        assert cold == 0
+        recomputed, _ = run("reference")
+        assert recomputed == 0
+        resumed, fast_again = run("fast")
+        assert resumed == 1
+        assert fast_again == fast_first

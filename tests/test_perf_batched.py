@@ -1,26 +1,29 @@
-"""Equivalence suite for the fast perf engine's batched kernels.
+"""Equivalence suite for the fast perf engine's batched content kernels.
 
-The batched content/timing passes (``REPRO_PERF_BATCH``) are exact
-rewrites of the scalar fast passes, pinned here from four directions:
+The content pass runs per-set batched kernels over same-line-collapsed
+columns and takes the exact per-access scalar replay
+(:func:`fastpath._scalar_replay`, uncollapsed) on its own when it
+detects an inclusion back-invalidation. Pinned from three directions:
 
-- **Pass-mode plumbing** — environment parsing, ``set_pass_modes``
-  validation, and the ``forced_passes`` test hook restoring state.
 - **Kernel properties** (hypothesis) — the per-set batched LRU kernels
   (:func:`fastpath._l1_kernel`, :func:`fastpath._llc_kernel`) replayed
   against straightforward dict/list LRU references over random access
   streams, including primed LLC state and all three probe kinds.
-- **Whole-pass equivalence** — batched and scalar content passes agree
-  field-for-field (outcomes, event tables, counters) across workloads,
-  seeds, and both run-collapse settings; the batched and scalar timing
-  ticks produce identical :class:`SystemResult`s and diagnostics, with
-  the fast and the reference (A/B) controller.
-- **Scalar fallback** (pinned) — shrinking the cache geometry until LLC
+- **Whole-pass equivalence** — the batched content pass agrees
+  field-for-field with the fallback replay (outcomes, event tables,
+  counters) across workloads, seeds and random cells, which also pins
+  the run collapse as exact. Tests force the fallback by patching
+  ``_batched_replay`` to return ``None``.
+- **Fallback** (pinned) — shrinking the cache geometry until LLC
   evictions back-invalidate live L1 lines makes ``_batched_replay``
-  return ``None`` and the pass take the exact scalar replay; results
-  still match the scalar mode bit-for-bit and the fallback counter
-  records the event.
+  return ``None`` and the pass take the scalar replay; the fallback
+  counter records the event, and the default geometry never takes it.
+
+The timing tick is pinned by the golden corpus's ``result_fast``
+records (``tests/test_perf_fastpath.py``).
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 from repro.cpu.workloads import profile
 from repro.perf import fastpath
 from repro.perf.model import PerfConfig
-from repro.perf.organizations import BASELINE_ECC, safeguard
+from repro.perf.organizations import safeguard
 
 #: Small but mechanism-covering scale for whole-pass comparisons.
 SCALE = dict(n_cores=2, instructions_per_core=8_000, warmup_instructions=2_000)
@@ -46,9 +49,13 @@ def _fresh_memo():
     fastpath._CONTENT_MEMO.clear()
 
 
-def _content(mode, workload, seed=0, **overrides):
+def _content(workload, seed=0, fallback=False, **overrides):
+    """One freshly computed content pass; ``fallback`` forces the scalar replay."""
     params = {**SCALE, **overrides}
-    with fastpath.forced_passes(content=mode):
+    fastpath._CONTENT_MEMO.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        if fallback:
+            patch.setattr(fastpath, "_batched_replay", lambda *args: None)
         return fastpath._content_pass(
             profile(workload),
             params["n_cores"],
@@ -59,73 +66,14 @@ def _content(mode, workload, seed=0, **overrides):
 
 
 def _assert_content_equal(a, b):
-    assert a.n_cores == b.n_cores
-    assert a.boundary_pos == b.boundary_pos
-    assert a.llc_hits_window == b.llc_hits_window
-    assert a.llc_misses_window == b.llc_misses_window
-    assert a.n_ops == b.n_ops
-    assert a.inclusion_writebacks == b.inclusion_writebacks
-    assert a.final_time == b.final_time
-    assert a.warm_op == b.warm_op
-    for c in range(a.n_cores):
-        assert a.check_time[c] == b.check_time[c]
-        ea, eb = a.events[c], b.events[c]
-        assert list(ea.op) == list(eb.op)
-        assert list(ea.pos) == list(eb.pos)
-        assert list(ea.base_time) == list(eb.base_time)
-        assert list(ea.crossing) == list(eb.crossing)
-        assert list(ea.kind) == list(eb.kind)
-        assert list(ea.warm) == list(eb.warm)
-        assert list(ea.act_off) == list(eb.act_off)
-        assert list(ea.actions) == list(eb.actions)
-        assert (ea.n_ev, ea.n_warm) == (eb.n_ev, eb.n_warm)
-
-
-# --- pass-mode plumbing ----------------------------------------------------
-
-
-class TestPassModePlumbing:
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv(fastpath.PASS_MODE_ENV, raising=False)
-        assert fastpath._pass_mode_from_env() == "batched"
-
-    def test_env_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv(fastpath.PASS_MODE_ENV, " Scalar ")
-        assert fastpath._pass_mode_from_env() == "scalar"
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(fastpath.PASS_MODE_ENV, "turbo")
-        with pytest.raises(ValueError, match="REPRO_PERF_BATCH"):
-            fastpath._pass_mode_from_env()
-
-    def test_set_pass_modes_validates(self):
-        with pytest.raises(ValueError):
-            fastpath.set_pass_modes(content="turbo")
-        with pytest.raises(ValueError):
-            fastpath.set_pass_modes(timing="turbo")
-
-    def test_forced_passes_restores_on_exit_and_error(self):
-        before = fastpath.pass_modes()
-        with fastpath.forced_passes("scalar", "scalar"):
-            assert fastpath.pass_modes() == ("scalar", "scalar")
-        assert fastpath.pass_modes() == before
-        with pytest.raises(RuntimeError):
-            with fastpath.forced_passes(content="scalar"):
-                raise RuntimeError("boom")
-        assert fastpath.pass_modes() == before
-
-    def test_forced_passes_partial_override(self):
-        before = fastpath.pass_modes()
-        with fastpath.forced_passes(timing="scalar"):
-            assert fastpath.pass_modes() == (before[0], "scalar")
-        assert fastpath.pass_modes() == before
-
-    def test_timing_pass_mode_argument_validates(self):
-        content = _content("batched", "gcc")
-        with pytest.raises(ValueError, match="pass mode"):
-            fastpath._timing_pass(
-                content, profile("gcc"), BASELINE_ECC, PerfConfig(**SCALE), mode="turbo"
-            )
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name in ("serializing", "is_write"):  # per-core numpy columns
+            assert len(x) == len(y)
+            for xc, yc in zip(x, y):
+                np.testing.assert_array_equal(xc, yc)
+        else:
+            assert x == y, field.name
 
 
 # --- kernel properties (hypothesis) ----------------------------------------
@@ -247,15 +195,8 @@ class TestContentPassEquivalence:
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batched_equals_scalar(self, workload, seed):
-        batched = _content("batched", workload, seed=seed)
-        scalar = _content("scalar", workload, seed=seed)
-        _assert_content_equal(batched, scalar)
-
-    @pytest.mark.parametrize("collapse", [True, False])
-    def test_equivalence_under_both_collapse_settings(self, monkeypatch, collapse):
-        monkeypatch.setattr(fastpath, "_COLLAPSE_RUNS", collapse)
-        batched = _content("batched", "mcf")
-        scalar = _content("scalar", "mcf")
+        batched = _content(workload, seed=seed)
+        scalar = _content(workload, seed=seed, fallback=True)
         _assert_content_equal(batched, scalar)
 
     @settings(max_examples=8, deadline=None)
@@ -271,52 +212,19 @@ class TestContentPassEquivalence:
     def test_batched_equals_scalar_random_cells(
         self, workload, seed, instructions, n_cores, warmup
     ):
-        fastpath._CONTENT_MEMO.clear()
         overrides = dict(
             n_cores=n_cores,
             instructions_per_core=instructions,
             warmup_instructions=warmup,
         )
-        batched = _content("batched", workload, seed=seed, **overrides)
-        scalar = _content("scalar", workload, seed=seed, **overrides)
+        batched = _content(workload, seed=seed, **overrides)
+        scalar = _content(workload, seed=seed, fallback=True, **overrides)
         _assert_content_equal(batched, scalar)
 
     def test_batched_counter_increments(self):
         before = fastpath._BATCH_STATS["batched"]
-        _content("batched", "gcc", seed=3)
+        _content("gcc", seed=3)
         assert fastpath._BATCH_STATS["batched"] == before + 1
-
-
-class TestTimingPassEquivalence:
-    @pytest.mark.parametrize("workload", ["gcc", "lbm"])
-    @pytest.mark.parametrize("organization", [BASELINE_ECC, safeguard()])
-    def test_batched_tick_equals_scalar_walk(self, workload, organization):
-        content = _content("batched", workload)
-        config = PerfConfig(**SCALE)
-        prof = profile(workload)
-        diag_b, diag_s = {}, {}
-        batched = fastpath._timing_pass(
-            content, prof, organization, config, diagnostics=diag_b, mode="batched"
-        )
-        scalar = fastpath._timing_pass(
-            content, prof, organization, config, diagnostics=diag_s, mode="scalar"
-        )
-        assert batched == scalar
-        assert diag_b == diag_s
-
-    def test_equivalence_holds_with_reference_controller(self):
-        content = _content("batched", "mcf")
-        config = PerfConfig(**SCALE)
-        prof = profile("mcf")
-        results = [
-            fastpath._timing_pass(
-                content, prof, safeguard(), config,
-                reference_controller=reference, mode=mode,
-            )
-            for mode in ("batched", "scalar")
-            for reference in (False, True)
-        ]
-        assert all(result == results[0] for result in results)
 
 
 # --- scalar fallback (pinned) ----------------------------------------------
@@ -339,18 +247,44 @@ class TestScalarFallback:
 
     def test_back_invalidation_triggers_fallback(self, tiny_llc):
         before = dict(fastpath._BATCH_STATS)
-        batched = _content("batched", "mcf", instructions_per_core=3_000,
-                           warmup_instructions=500)
+        automatic = _content("mcf", instructions_per_core=3_000,
+                             warmup_instructions=500)
         assert fastpath._BATCH_STATS["fallbacks"] == before["fallbacks"] + 1
         assert fastpath._BATCH_STATS["batched"] == before["batched"]
-        scalar = _content("scalar", "mcf", instructions_per_core=3_000,
+        forced = _content("mcf", fallback=True, instructions_per_core=3_000,
                           warmup_instructions=500)
-        _assert_content_equal(batched, scalar)
+        _assert_content_equal(automatic, forced)
+
+    def test_residency_check_misses_no_back_invalidation(self, monkeypatch):
+        """Near the back-invalidation threshold the batched pass stays exact.
+
+        At these shrunk geometries some cells fall back and some do not;
+        every cell the residency check lets through must still equal the
+        scalar replay, i.e. the check never misses a back-invalidation.
+        """
+        batched = fallbacks = 0
+        for l1_set_bits, llc_sets, llc_ways in [(1, 16, 4), (1, 64, 4), (1, 256, 2)]:
+            monkeypatch.setattr(fastpath, "_L1_SET_BITS", l1_set_bits)
+            monkeypatch.setattr(fastpath, "_LLC_SETS", llc_sets)
+            monkeypatch.setattr(fastpath, "_LLC_WAYS", llc_ways)
+            for workload in ("gcc", "mcf", "leela", "lbm"):
+                for seed in (0, 1):
+                    cell = dict(seed=seed, instructions_per_core=3_000,
+                                warmup_instructions=500)
+                    before = fastpath._BATCH_STATS["batched"]
+                    automatic = _content(workload, **cell)
+                    if fastpath._BATCH_STATS["batched"] > before:
+                        batched += 1
+                    else:
+                        fallbacks += 1
+                    forced = _content(workload, fallback=True, **cell)
+                    _assert_content_equal(automatic, forced)
+        assert batched > 0 and fallbacks > 0
 
     def test_default_geometry_never_falls_back(self):
         before = dict(fastpath._BATCH_STATS)
         for workload in WORKLOADS:
-            _content("batched", workload, seed=7)
+            _content(workload, seed=7)
         assert fastpath._BATCH_STATS["fallbacks"] == before["fallbacks"]
         assert fastpath._BATCH_STATS["batched"] == before["batched"] + len(WORKLOADS)
 
@@ -359,20 +293,6 @@ class TestScalarFallback:
 
 
 class TestIntegration:
-    def test_run_workload_is_mode_invariant(self):
-        from repro.perf.model import run_workload
-
-        config = PerfConfig(engine="fast", **SCALE)
-        prof = profile("gcc")
-        for organization in (BASELINE_ECC, safeguard()):
-            with fastpath.forced_passes("batched", "batched"):
-                fastpath._CONTENT_MEMO.clear()
-                batched = run_workload(prof, organization, config)
-            with fastpath.forced_passes("scalar", "scalar"):
-                fastpath._CONTENT_MEMO.clear()
-                scalar = run_workload(prof, organization, config)
-            assert batched == scalar
-
     def test_fingerprint_pins_kernel_revision(self):
         from repro.perf.campaign import cell_fingerprint, plan_grid
 

@@ -59,7 +59,9 @@ def atomic_write_json(path: str, payload: Any) -> None:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            # One json.dumps call: json.dump streams through the pure-Python
+            # encoder, dumps uses the C one. The bytes are the same.
+            handle.write(json.dumps(payload))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

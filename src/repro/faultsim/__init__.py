@@ -37,6 +37,7 @@ from repro.faultsim.evaluators import (
     SafeGuardChipkillEvaluator,
 )
 from repro.faultsim.montecarlo import (
+    FailureColumns,
     FailureRecord,
     MonteCarloConfig,
     ReliabilityResult,
@@ -76,6 +77,7 @@ __all__ = [
     "SafeGuardChipkillEvaluator",
     "MonteCarloConfig",
     "ReliabilityResult",
+    "FailureColumns",
     "FailureRecord",
     "merge_results",
     "simulate",

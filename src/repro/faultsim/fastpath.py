@@ -45,14 +45,14 @@ from __future__ import annotations
 import os
 import random
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faultsim.evaluators import Outcome
 from repro.faultsim.faults import place_fault
 from repro.faultsim.fit import FaultMode
 from repro.faultsim.geometry import ModuleGeometry
+from repro.faultsim.montecarlo import OUTCOME_CODES, SCOPE_CODES, FailureColumns
 from repro.utils.rng import child_seeds, derive_seed, unit_uniforms
 
 #: Recognized values of the ``REPRO_FAULTSIM`` environment variable.
@@ -126,10 +126,6 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 # -- derived outcome tables ------------------------------------------------------
 
-#: Outcome <-> small integer codes used in the classification arrays.
-OUTCOME_CODES = {Outcome.CORRECTED: 0, Outcome.DUE: 1, Outcome.SDC: 2}
-CODE_OUTCOMES = (Outcome.CORRECTED, Outcome.DUE, Outcome.SDC)
-
 #: Placements probed per table cell; a clean-module outcome that varies
 #: with position would make the table lookup unsound, so disagreement
 #: raises instead of silently mis-classifying.
@@ -143,7 +139,8 @@ def derive_outcome_table(
 ) -> np.ndarray:
     """Clean-module outcome codes, derived by probing the evaluator.
 
-    Returns a ``(len(categories), 2)`` uint8 array indexed by
+    Returns a ``(len(categories), 2)`` uint8 array of
+    :data:`~repro.faultsim.montecarlo.OUTCOME_CODES` indexed by
     ``[category, is_ecc_chip]``. The evaluator is the single source of
     truth: each cell is ``evaluator.classify([], fault)`` for a fault of
     that category placed on a data (resp. ECC) chip. Several random
@@ -188,20 +185,19 @@ def simulate_range_fast(
     fault_counts: np.ndarray,
     lo: int = 0,
     hi: Optional[int] = None,
-) -> List["FailureRecord"]:
+) -> FailureColumns:
     """Vectorized counterpart of :func:`simulate_range` (same contract).
 
     Single-fault modules are classified in one table lookup over batched
-    draws; modules with two or more faults run the exact scalar
-    per-module loop (their records are bit-identical to the reference
-    engine's). Deterministic in ``(seed, lo, hi)`` and shard-invariant:
-    disjoint ranges covering the population reproduce the full run.
+    draws and go straight into the failure columns; modules with two or
+    more faults run the exact scalar per-module loop (their records are
+    bit-identical to the reference engine's). Deterministic in
+    ``(seed, lo, hi)`` and shard-invariant: disjoint ranges covering the
+    population reproduce the full run.
     """
-    from repro.faultsim.montecarlo import (
-        FailureRecord,
-        _mode_categories,
-        _simulate_module,
-    )
+    # Looked up at call time, so a wrapped ``montecarlo._simulate_module``
+    # (instrumentation) sees every multi-fault module.
+    from repro.faultsim.montecarlo import _mode_categories, _simulate_module
     from repro.utils import units
 
     if hi is None:
@@ -214,8 +210,7 @@ def simulate_range_fast(
     categories, cumulative = _mode_categories(config)
     counts = np.asarray(fault_counts)
 
-    records: List[FailureRecord] = []
-
+    single = FailureColumns.from_records([])
     single_local = np.nonzero(counts == 1)[0]
     if single_local.size:
         indices = single_local.astype(np.uint64) + np.uint64(lo)
@@ -232,16 +227,15 @@ def simulate_range_fast(
         is_ecc = (chips >= np.uint64(geometry.data_chips_per_rank)).astype(np.intp)
         table = derive_outcome_table(evaluator, geometry, categories)
         codes = table[category, is_ecc]
-        scope_values = [mode.scope.value for mode, _ in categories]
-        for position in np.nonzero(codes)[0]:
-            records.append(
-                FailureRecord(
-                    float(times[position]),
-                    CODE_OUTCOMES[int(codes[position])],
-                    scope_values[int(category[position])],
-                )
-            )
+        scope_codes = np.array(
+            [SCOPE_CODES[mode.scope.value] for mode, _ in categories], dtype=np.uint8
+        )
+        failing = np.nonzero(codes)[0]
+        single = FailureColumns(
+            times[failing], codes[failing], scope_codes[category[failing]]
+        )
 
+    multi = []
     for local_index in np.nonzero(counts >= 2)[0]:
         record = _simulate_module(
             evaluator,
@@ -254,5 +248,5 @@ def simulate_range_fast(
             total_hours,
         )
         if record is not None:
-            records.append(record)
-    return records
+            multi.append(record)
+    return FailureColumns.concat([single, FailureColumns.from_records(multi)])

@@ -35,16 +35,17 @@ modules.
 
 from __future__ import annotations
 
+import base64
 import bisect
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.faultsim.evaluators import Outcome
 from repro.faultsim.faults import FaultInstance, place_fault
-from repro.faultsim.fit import FAULT_MODES, FaultMode
+from repro.faultsim.fit import FAULT_MODES, FaultMode, Scope
 from repro.faultsim.geometry import ModuleGeometry
 from repro.utils import units
 from repro.utils.rng import derive_seed
@@ -98,11 +99,12 @@ class MonteCarloConfig:
         Used to validate checkpoints: two runs with equal fingerprints
         produce identical results no matter how they are sharded. The
         resolved engine is included so a checkpoint written by one engine
-        can never be resumed by the other.
+        can never be resumed by the other, and every geometry field (not
+        just its name) so a resized module never reuses a checkpoint.
         """
         return {
             "scheme": scheme,
-            "geometry": geometry.name,
+            "geometry": asdict(geometry),
             "engine": self.resolved_engine(),
             "n_modules": self.n_modules,
             "years": self.years,
@@ -119,22 +121,98 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class FailureRecord:
-    """One module's first failure, reduced to what the statistics need.
-
-    Small and JSON-serializable so shard checkpoints stay lightweight.
-    """
+    """One module's first failure, as the scalar fault loop reports it."""
 
     time_hours: float
     outcome: Outcome
     scope: str  #: ``Scope.value`` of the triggering fault
 
-    def to_json(self) -> list:
-        return [self.time_hours, self.outcome.value, self.scope]
 
-    @staticmethod
-    def from_json(payload: Sequence) -> "FailureRecord":
-        time_hours, outcome, scope = payload
-        return FailureRecord(float(time_hours), Outcome(outcome), str(scope))
+#: Outcome <-> small integer codes of the failure columns and of the fast
+#: engine's classification arrays.
+OUTCOME_CODES = {Outcome.CORRECTED: 0, Outcome.DUE: 1, Outcome.SDC: 2}
+CODE_OUTCOMES = (Outcome.CORRECTED, Outcome.DUE, Outcome.SDC)
+
+#: Scope codes are indices into this tuple.
+SCOPES = tuple(Scope)
+SCOPE_CODES = {scope.value: code for code, scope in enumerate(SCOPES)}
+
+_DUE_CODE = OUTCOME_CODES[Outcome.DUE]
+_SDC_CODE = OUTCOME_CODES[Outcome.SDC]
+
+#: Column names and their little-endian dtypes (the cell layout too).
+_COLUMN_DTYPES = (("time_hours", "<f8"), ("outcome", "u1"), ("scope", "u1"))
+
+
+@dataclass(frozen=True, eq=False)
+class FailureColumns:
+    """Failing modules as three parallel numpy columns, one row each.
+
+    ``time_hours`` (float64) is the module's first-failure time,
+    ``outcome`` (uint8) its :data:`OUTCOME_CODES` code (DUE or SDC) and
+    ``scope`` (uint8) the triggering fault's index into :data:`SCOPES`.
+    Both engines return it and shard cells store it, so no per-failure
+    Python object exists between the simulation and :func:`build_result`.
+    Rows are in simulation order; :func:`build_result` relies on that
+    order only for the key order of ``failures_by_scope``.
+    """
+
+    time_hours: np.ndarray
+    outcome: np.ndarray
+    scope: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _COLUMN_DTYPES:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+        n = len(self.time_hours)
+        if len(self.outcome) != n or len(self.scope) != n:
+            raise ValueError(
+                f"ragged failure columns: {n} times, {len(self.outcome)} "
+                f"outcomes, {len(self.scope)} scopes"
+            )
+        if n and (
+            self.outcome.min() < _DUE_CODE
+            or self.outcome.max() > _SDC_CODE
+            or self.scope.max() >= len(SCOPES)
+        ):
+            raise ValueError("failure column holds an out-of-range code")
+
+    def __len__(self) -> int:
+        return len(self.time_hours)
+
+    @classmethod
+    def from_records(cls, records: Sequence[FailureRecord]) -> "FailureColumns":
+        return cls(
+            [r.time_hours for r in records],
+            [OUTCOME_CODES[r.outcome] for r in records],
+            [SCOPE_CODES[r.scope] for r in records],
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["FailureColumns"]) -> "FailureColumns":
+        return cls(
+            np.concatenate([p.time_hours for p in parts]),
+            np.concatenate([p.outcome for p in parts]),
+            np.concatenate([p.scope for p in parts]),
+        )
+
+    def to_cell(self) -> dict:
+        """The shard-cell payload: each column as base64 little-endian bytes."""
+        return {
+            name: base64.b64encode(getattr(self, name).tobytes()).decode("ascii")
+            for name, _ in _COLUMN_DTYPES
+        }
+
+    @classmethod
+    def from_cell(cls, payload: dict) -> "FailureColumns":
+        """Inverse of :meth:`to_cell`; ``ValueError`` on a damaged payload
+        (bad base64, ragged columns, an out-of-range code)."""
+        return cls(
+            *(
+                np.frombuffer(base64.b64decode(payload[name], validate=True), dtype)
+                for name, dtype in _COLUMN_DTYPES
+            )
+        )
 
 
 @dataclass
@@ -235,7 +313,7 @@ class ReliabilityResult:
             for scope, count in part.failures_by_scope.items():
                 by_scope[scope] = by_scope.get(scope, 0) + count
         fail_probability = [
-            bisect.bisect_right(fail_times, t) / n_modules
+            bisect.bisect_right(fail_times, t) / n_modules if n_modules else 0.0
             for t in head.grid_hours
         ]
         return cls(
@@ -355,7 +433,7 @@ def simulate_range(
     fault_counts: np.ndarray,
     lo: int = 0,
     hi: Optional[int] = None,
-) -> List[FailureRecord]:
+) -> FailureColumns:
     """Simulate modules with global indices ``[lo, hi)``.
 
     ``fault_counts`` is the slice ``draw_fault_counts(...)[lo:hi]`` (or
@@ -387,37 +465,40 @@ def simulate_range(
         )
         if record is not None:
             records.append(record)
-    return records
+    return FailureColumns.from_records(records)
 
 
 def build_result(
     scheme: str,
     config: MonteCarloConfig,
-    records: Sequence[FailureRecord],
+    failures: FailureColumns,
     n_modules: Optional[int] = None,
 ) -> ReliabilityResult:
-    """Fold failure records into a :class:`ReliabilityResult`.
+    """Fold failure columns into a :class:`ReliabilityResult`.
 
     ``n_modules`` defaults to ``config.n_modules``; shard results pass
     their own population slice size so that merging re-weights exactly.
+    An empty population gives an all-zero curve.
     """
     n_modules = config.n_modules if n_modules is None else n_modules
     total_hours = config.years * units.HOURS_PER_YEAR
     n_points = max(1, int(config.years * 12 / config.grid_months))
     grid_hours = [(i + 1) * total_hours / n_points for i in range(n_points)]
-    fail_times = sorted(r.time_hours for r in records)
+    fail_times = np.sort(failures.time_hours)
+    failed_by = np.searchsorted(fail_times, grid_hours, side="right").tolist()
     fail_probability = [
-        bisect.bisect_right(fail_times, t) / n_modules for t in grid_hours
+        count / n_modules if n_modules else 0.0 for count in failed_by
     ]
 
-    by_scope: Dict[str, int] = {}
-    n_due = n_sdc = 0
-    for record in records:
-        by_scope[record.scope] = by_scope.get(record.scope, 0) + 1
-        if record.outcome is Outcome.DUE:
-            n_due += 1
-        else:
-            n_sdc += 1
+    # Scope counts keyed in order of first appearance, as the records
+    # arrived from the simulation.
+    codes, first, counts = np.unique(
+        failures.scope, return_index=True, return_counts=True
+    )
+    by_scope = {
+        SCOPES[codes[i]].value: int(counts[i]) for i in np.argsort(first)
+    }
+    n_due = int(np.count_nonzero(failures.outcome == _DUE_CODE))
 
     return ReliabilityResult(
         scheme=scheme,
@@ -425,11 +506,11 @@ def build_result(
         years=config.years,
         grid_hours=grid_hours,
         fail_probability=fail_probability,
-        n_failed=len(records),
+        n_failed=len(failures),
         n_due=n_due,
-        n_sdc=n_sdc,
+        n_sdc=len(failures) - n_due,
         failures_by_scope=by_scope,
-        fail_times=fail_times,
+        fail_times=fail_times.tolist(),
     )
 
 
@@ -455,9 +536,9 @@ def simulate(
     config = config or MonteCarloConfig()
     fault_counts = draw_fault_counts(config, geometry)
     if config.resolved_engine() == "fast":
-        records = fastpath.simulate_range_fast(
+        failures = fastpath.simulate_range_fast(
             evaluator, geometry, config, fault_counts
         )
     else:
-        records = simulate_range(evaluator, geometry, config, fault_counts)
-    return build_result(scheme_name(evaluator), config, records)
+        failures = simulate_range(evaluator, geometry, config, fault_counts)
+    return build_result(scheme_name(evaluator), config, failures)

@@ -15,7 +15,10 @@ Robustness and observability (all supplied by the shared core):
 - ``checkpoint_dir`` writes one fingerprint-verified JSON file per
   completed shard through the unified :class:`repro.campaign.ResultStore`;
   a killed run restarted with the same config loads verified checkpoints
-  and only recomputes the missing (or corrupted / stale) shards.
+  and only recomputes the missing (or corrupted / stale) shards. A
+  shard's result is its :class:`FailureColumns`, stored as base64 column
+  bytes, and the population's Poisson counts are drawn only once some
+  shard actually has to run.
 - ``progress`` receives a :class:`ProgressStats` snapshot after every
   shard completes (modules/sec, ETA, failures so far, and — when a
   resume rejected checkpoints — why: corrupt vs. stale).
@@ -32,7 +35,7 @@ resume never mixes modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from repro.campaign.store import STORE_VERSION
 from repro.faultsim import fastpath
 from repro.faultsim.geometry import ModuleGeometry
 from repro.faultsim.montecarlo import (
-    FailureRecord,
+    FailureColumns,
     MonteCarloConfig,
     ReliabilityResult,
     build_result,
@@ -147,16 +150,45 @@ def plan_shards(n_modules: int, n_shards: int) -> List[Shard]:
     return shards
 
 
+class _Population:
+    """One run's per-module Poisson fault counts, drawn on first use.
+
+    Shared by the run's shard items, so a resume in which every shard
+    loads from the store never draws the population at all.
+    """
+
+    def __init__(self, config: MonteCarloConfig, geometry: ModuleGeometry):
+        self.config = config
+        self.geometry = geometry
+        self._counts: Optional[np.ndarray] = None
+
+    def counts(self, shard: Shard) -> np.ndarray:
+        if self._counts is None:
+            self._counts = draw_fault_counts(self.config, self.geometry)
+        return self._counts[shard.lo : shard.hi]
+
+
 @dataclass(frozen=True, eq=False)
 class _ShardItem:
-    """A shard plus its slice of the batched Poisson fault counts.
+    """A shard plus the source of its slice of the Poisson fault counts.
 
-    The counts ride on the item (not the campaign) so a pool task ships
-    only the modules it simulates, never the whole population's array.
+    ``source`` is the run's lazily drawn :class:`_Population` or, once
+    pickled, the shard's own slice: pickling materializes the slice, so
+    a pool task ships only the modules it simulates, never the whole
+    population's array.
     """
 
     shard: Shard
-    counts: np.ndarray
+    source: Union[_Population, np.ndarray]
+
+    @property
+    def counts(self) -> np.ndarray:
+        if isinstance(self.source, _Population):
+            return self.source.counts(self.shard)
+        return self.source
+
+    def __reduce__(self):
+        return (_ShardItem, (self.shard, self.counts))
 
     @property
     def index(self) -> int:
@@ -213,7 +245,7 @@ class _FaultSimCampaign(Campaign):
             return f"faultsim-{fingerprint_digest(fingerprint)}.json"
         return f"shard-{item.index:05d}.json"
 
-    def run_item(self, item: _ShardItem) -> List[FailureRecord]:
+    def run_item(self, item: _ShardItem) -> FailureColumns:
         # ``engine`` was resolved once by the coordinator and travels
         # with the campaign, so worker processes never re-consult
         # mutable process state (``REPRO_FAULTSIM`` / ``set_engine``).
@@ -231,17 +263,17 @@ class _FaultSimCampaign(Campaign):
             item.shard.hi,
         )
 
-    def serialize_result(self, item, records: Sequence[FailureRecord]):
-        return [record.to_json() for record in records]
+    def serialize_result(self, item, failures: FailureColumns) -> dict:
+        return failures.to_cell()
 
-    def deserialize_result(self, item, payload) -> List[FailureRecord]:
-        return [FailureRecord.from_json(entry) for entry in payload]
+    def deserialize_result(self, item, payload) -> FailureColumns:
+        return FailureColumns.from_cell(payload)
 
     def item_units(self, item: _ShardItem) -> int:
         return item.shard.n_modules
 
-    def result_failures(self, records) -> int:
-        return len(records)
+    def result_failures(self, failures: FailureColumns) -> int:
+        return len(failures)
 
 
 def simulate_parallel(
@@ -281,7 +313,6 @@ def simulate_parallel(
     engine = config.resolved_engine()
     fingerprint = config.science_fingerprint(scheme, geometry)
     plan = plan_shards(config.n_modules, shards)
-    fault_counts = draw_fault_counts(config, geometry)
 
     campaign = _FaultSimCampaign(
         evaluator,
@@ -291,9 +322,8 @@ def simulate_parallel(
         fingerprint,
         shared_store=store is not None,
     )
-    items = [
-        _ShardItem(shard, fault_counts[shard.lo : shard.hi]) for shard in plan
-    ]
+    population = _Population(config, geometry)
+    items = [_ShardItem(shard, population) for shard in plan]
 
     def translate(snap: CampaignProgress) -> None:
         progress(
@@ -310,7 +340,7 @@ def simulate_parallel(
             )
         )
 
-    shard_records = run_campaign(
+    shard_failures = run_campaign(
         campaign,
         items,
         workers=workers,
@@ -320,7 +350,7 @@ def simulate_parallel(
     )
 
     parts = [
-        build_result(scheme, config, shard_records[s.index], n_modules=s.n_modules)
+        build_result(scheme, config, shard_failures[s.index], n_modules=s.n_modules)
         for s in plan
     ]
     merged = ReliabilityResult.merge(parts)

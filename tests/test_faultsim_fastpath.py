@@ -17,6 +17,7 @@ oracle pattern:
   (scope, transient, chip) combination (hypothesis-driven placements).
 """
 
+import hashlib
 import math
 import random
 
@@ -26,10 +27,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faultsim import fastpath
-from repro.faultsim.evaluators import _EVALUATORS, SafeGuardSECDEDEvaluator
+from repro.faultsim.evaluators import (
+    _EVALUATORS,
+    ChipkillEvaluator,
+    SafeGuardSECDEDEvaluator,
+    SECDEDEvaluator,
+)
 from repro.faultsim.faults import place_fault
 from repro.faultsim.geometry import X4_CHIPKILL_16GB, X8_SECDED_16GB
 from repro.faultsim.montecarlo import (
+    CODE_OUTCOMES,
+    FailureColumns,
     MonteCarloConfig,
     _mode_categories,
     simulate,
@@ -37,7 +45,7 @@ from repro.faultsim.montecarlo import (
 )
 from repro.faultsim.parallel import simulate_parallel
 from repro.utils.rng import derive_seed
-from tests.test_montecarlo_parallel import assert_identical
+from tests.test_montecarlo_parallel import assert_identical, failure_rows
 
 #: Busy-module-rich population that still runs in well under a second.
 STAT = dict(n_modules=6_000, fit_multiplier=5.0)
@@ -166,9 +174,6 @@ class TestFastDeterminism:
 class TestMultiFaultFallbackExact:
     """Modules with >= 2 faults are bit-identical to the reference loop."""
 
-    def _records(self, records):
-        return sorted(r.to_json() for r in records)
-
     def test_all_multi_fault_modules_match_scalar(self):
         config = MonteCarloConfig(seed=9, n_modules=200)
         evaluator = SafeGuardSECDEDEvaluator(X8_SECDED_16GB)
@@ -180,7 +185,7 @@ class TestMultiFaultFallbackExact:
             evaluator, X8_SECDED_16GB, config, counts, lo=17, hi=217
         )
         assert len(scalar) > 0
-        assert self._records(fast) == self._records(scalar)
+        assert failure_rows(fast) == failure_rows(scalar)
 
     def test_mixed_population_decomposes(self):
         """fast(all) == fast(singles only) + scalar(multis only)."""
@@ -193,10 +198,15 @@ class TestMultiFaultFallbackExact:
         combined = fastpath.simulate_range_fast(
             evaluator, X8_SECDED_16GB, config, counts
         )
-        decomposed = fastpath.simulate_range_fast(
-            evaluator, X8_SECDED_16GB, config, singles
-        ) + simulate_range(evaluator, X8_SECDED_16GB, config, multis)
-        assert self._records(combined) == self._records(decomposed)
+        decomposed = FailureColumns.concat(
+            [
+                fastpath.simulate_range_fast(
+                    evaluator, X8_SECDED_16GB, config, singles
+                ),
+                simulate_range(evaluator, X8_SECDED_16GB, config, multis),
+            ]
+        )
+        assert failure_rows(combined) == failure_rows(decomposed)
 
     def test_slice_validation(self):
         config = MonteCarloConfig(seed=3, **STAT)
@@ -209,6 +219,88 @@ class TestMultiFaultFallbackExact:
                 0,
                 20,
             )
+
+
+class TestPinnedResults:
+    """Exact results at 20K modules and 10x FIT, pinned per engine.
+
+    The fast engine's multi-fault fallback and the reference engine call
+    the same scalar loop, so comparing them cannot catch a change to that
+    loop's draw order; these fixed numbers can. Chipkill corrects every
+    single-chip fault, so its failures all come from the multi-fault loop
+    and both engines agree exactly.
+    """
+
+    CONFIG = dict(n_modules=20_000, seed=7, fit_multiplier=10.0)
+    CHIPKILL = (
+        1695,
+        1432,
+        263,
+        [
+            ("multirank", 713),
+            ("bit", 375),
+            ("row", 114),
+            ("bank", 172),
+            ("column", 110),
+            ("multibank", 190),
+            ("word", 21),
+        ],
+        "3d6f5a78beefe43fcc76bf02ddd3096555d11a155b0809dbc58dc0568ad57833",
+        [583.273745515169, 987.3852816020742],
+    )
+    EXPECTED = {
+        ("secded", "reference"): (
+            5098,
+            8,
+            5090,
+            [
+                ("multibank", 311),
+                ("row", 1629),
+                ("bank", 2102),
+                ("word", 361),
+                ("multirank", 687),
+                ("column", 3),
+                ("bit", 5),
+            ],
+            "bf57a0a8540a3701a93831ceffbd05bc2fb0bebdcf46bbe07ee8838632872466",
+            [9.633906178116384, 15.950570668887533],
+        ),
+        ("secded", "fast"): (
+            5064,
+            8,
+            5056,
+            [
+                ("row", 1598),
+                ("bank", 2057),
+                ("word", 349),
+                ("multirank", 712),
+                ("multibank", 340),
+                ("column", 3),
+                ("bit", 5),
+            ],
+            "4d8533b0ba4e97eede9caac534bb14b7bc4e5f6cc10fbf7c769a9f76cad7bec7",
+            [3.3361696010178754, 5.375127490470142],
+        ),
+        ("chipkill", "reference"): CHIPKILL,
+        ("chipkill", "fast"): CHIPKILL,
+    }
+
+    @pytest.mark.parametrize("scheme,engine", sorted(EXPECTED))
+    def test_exact_result(self, scheme, engine):
+        if scheme == "chipkill":
+            evaluator, geometry = ChipkillEvaluator(X4_CHIPKILL_16GB), X4_CHIPKILL_16GB
+        else:
+            evaluator, geometry = SECDEDEvaluator(X8_SECDED_16GB), X8_SECDED_16GB
+        config = MonteCarloConfig(engine=engine, **self.CONFIG)
+        result = simulate(evaluator, geometry, config)
+        n_failed, n_due, n_sdc, by_scope, times_sha256, first = self.EXPECTED[
+            (scheme, engine)
+        ]
+        assert (result.n_failed, result.n_due, result.n_sdc) == (n_failed, n_due, n_sdc)
+        assert list(result.failures_by_scope.items()) == by_scope
+        assert result.fail_times[:2] == first
+        digest = hashlib.sha256(np.asarray(result.fail_times, "<f8").tobytes())
+        assert digest.hexdigest() == times_sha256
 
 
 # --- statistical fast == reference equivalence ------------------------------
@@ -299,7 +391,7 @@ class TestDerivedOutcomeTables:
         )
         expected = evaluator.classify([], fault)
         is_ecc = int(geometry.is_ecc_chip(chip))
-        assert fastpath.CODE_OUTCOMES[int(table[category, is_ecc])] is expected
+        assert CODE_OUTCOMES[int(table[category, is_ecc])] is expected
 
     def test_exhaustive_over_chips(self):
         """Every (scheme, category, chip) cell, no sampling."""
@@ -317,7 +409,7 @@ class TestDerivedOutcomeTables:
                     )
                     expected = evaluator.classify([], fault)
                     code = int(table[index, int(geometry.is_ecc_chip(chip))])
-                    assert fastpath.CODE_OUTCOMES[code] is expected, (
+                    assert CODE_OUTCOMES[code] is expected, (
                         scheme, mode.scope, chip,
                     )
 

@@ -12,10 +12,12 @@ Three pillars:
   pinned so refactors cannot silently reseed the science.
 """
 
+import base64
 import dataclasses
 import json
 import math
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,13 @@ from repro.faultsim.evaluators import (
     SafeGuardSECDEDEvaluator,
     SECDEDEvaluator,
 )
+from repro.faultsim import parallel
 from repro.faultsim.geometry import X8_SECDED_16GB
 from repro.faultsim.montecarlo import (
-    FailureRecord,
+    OUTCOME_CODES,
+    SCOPE_CODES,
+    SCOPES,
+    FailureColumns,
     MonteCarloConfig,
     ReliabilityResult,
     build_result,
@@ -38,6 +44,9 @@ from repro.faultsim.montecarlo import (
     simulate_range,
 )
 from repro.faultsim.parallel import (
+    Shard,
+    _Population,
+    _ShardItem,
     plan_shards,
     resolve_workers,
     simulate_parallel,
@@ -60,6 +69,17 @@ def assert_identical(a: ReliabilityResult, b: ReliabilityResult) -> None:
     assert a.fail_probability == b.fail_probability
     assert (a.n_failed, a.n_due, a.n_sdc) == (b.n_failed, b.n_due, b.n_sdc)
     assert a.failures_by_scope == b.failures_by_scope
+
+
+def failure_rows(failures: FailureColumns) -> list:
+    """The failure columns as sorted (time, outcome, scope) rows."""
+    return sorted(
+        zip(
+            failures.time_hours.tolist(),
+            failures.outcome.tolist(),
+            failures.scope.tolist(),
+        )
+    )
 
 
 class TestShardPlanning:
@@ -198,17 +218,39 @@ class TestCheckpointResume:
         assert events[-1].shards_from_checkpoint == 3
 
     def test_corrupted_checkpoint_recomputed(self, tmp_path):
-        reference = self._run(tmp_path)
+        reference = self._run(tmp_path, shards=7)
         (tmp_path / "shard-00002.json").write_text("{ not json")
         (tmp_path / "shard-00003.json").write_text(json.dumps({"version": 1}))
+
+        def damage(name, column, mangle):
+            path = tmp_path / name
+            cell = json.loads(path.read_text())
+            raw = base64.b64decode(cell["result"][column])
+            assert raw  # the shard has failures to damage
+            cell["result"][column] = mangle(raw)
+            path.write_text(json.dumps(cell))
+
+        def encode(raw):
+            return base64.b64encode(raw).decode("ascii")
+
+        # Well-formed JSON under the right fingerprint, damaged columns:
+        # ragged, not base64, and an out-of-range scope code.
+        damage("shard-00000.json", "outcome", lambda raw: encode(raw[:-1]))
+        damage("shard-00001.json", "time_hours", lambda raw: "@@" + encode(raw))
+        damage(
+            "shard-00005.json",
+            "scope",
+            lambda raw: encode(bytes([len(SCOPES)]) + raw[1:]),
+        )
         events = []
-        resumed = self._run(tmp_path, progress=events.append)
+        resumed = self._run(tmp_path, shards=7, progress=events.append)
         assert_identical(reference, resumed)
-        assert events[-1].shards_from_checkpoint == 3
+        assert events[-1].shards_from_checkpoint == 2
+        assert events[-1].rejected_corrupt == 5
         # The recomputed checkpoints are valid again.
         events = []
-        self._run(tmp_path, progress=events.append)
-        assert events[-1].shards_from_checkpoint == 5
+        self._run(tmp_path, shards=7, progress=events.append)
+        assert events[-1].shards_from_checkpoint == 7
 
     def test_stale_fingerprint_ignored(self, tmp_path):
         self._run(tmp_path)
@@ -234,6 +276,127 @@ class TestCheckpointResume:
         resumed = self._run(tmp_path, config=dataclasses.replace(config), shards=4)
         assert_identical(pooled, resumed)
 
+    def test_other_geometry_ignores_checkpoints(self, tmp_path):
+        """Same geometry name, other dimensions: every shard is stale."""
+        config = MonteCarloConfig(
+            n_modules=20_000, seed=5, fit_multiplier=50.0, engine="fast"
+        )
+        small = dataclasses.replace(X8_SECDED_16GB, ranks=1, rows=64)
+
+        def run(geometry, **kwargs):
+            return simulate_parallel(
+                SafeGuardSECDEDEvaluator(geometry),
+                geometry,
+                config,
+                workers=1,
+                shards=2,
+                checkpoint_dir=str(tmp_path),
+                **kwargs,
+            )
+
+        run(X8_SECDED_16GB)
+        events = []
+        resumed = run(small, progress=events.append)
+        assert events[-1].shards_from_checkpoint == 0
+        assert events[-1].rejected_stale == 2
+        fresh = simulate(SafeGuardSECDEDEvaluator(small), small, config)
+        assert_identical(fresh, resumed)
+
+    def test_verified_resume_draws_no_fault_counts(self, tmp_path, monkeypatch):
+        self._run(tmp_path)
+        calls = []
+
+        def counting_draw(config, geometry):
+            calls.append(config.n_modules)
+            return draw_fault_counts(config, geometry)
+
+        def no_draw(config, geometry):
+            raise AssertionError("a fully cached resume drew the population")
+
+        monkeypatch.setattr(parallel, "draw_fault_counts", no_draw)
+        events = []
+        self._run(tmp_path, progress=events.append)
+        assert events[-1].shards_from_checkpoint == 5
+        # With shards to recompute, the population is drawn exactly once.
+        (tmp_path / "shard-00001.json").unlink()
+        (tmp_path / "shard-00003.json").unlink()
+        monkeypatch.setattr(parallel, "draw_fault_counts", counting_draw)
+        self._run(tmp_path)
+        assert calls == [FAST["n_modules"]]
+
+    def test_parent_list_cells_recomputed(self, tmp_path):
+        """Cells in the old list-of-records layout never load as columns.
+
+        That layout was written under a fingerprint that recorded only
+        the geometry's name, so it is stale; a list payload under the
+        current fingerprint is corrupt.
+        """
+        reference = self._run(tmp_path)
+        for index in range(5):
+            path = tmp_path / f"shard-{index:05d}.json"
+            cell = json.loads(path.read_text())
+            failures = FailureColumns.from_cell(cell["result"])
+            cell["result"] = [
+                [t, ["corrected", "due", "sdc"][o], SCOPES[s].value]
+                for t, o, s in failure_rows(failures)
+            ]
+            if index:
+                cell["fingerprint"]["geometry"] = X8_SECDED_16GB.name
+            path.write_text(json.dumps(cell))
+        events = []
+        resumed = self._run(tmp_path, progress=events.append)
+        assert_identical(reference, resumed)
+        assert events[-1].shards_from_checkpoint == 0
+        assert events[-1].rejected_stale == 4
+        assert events[-1].rejected_corrupt == 1
+
+
+class TestEmptyPopulation:
+    """Zero modules give an all-zero curve, not a ZeroDivisionError."""
+
+    def _check(self, result):
+        assert result.n_modules == 0
+        assert (result.n_failed, result.n_due, result.n_sdc) == (0, 0, 0)
+        assert result.fail_times == [] and result.failures_by_scope == {}
+        assert len(result.fail_probability) == len(result.grid_hours) == 14
+        assert set(result.fail_probability) == {0.0}
+        assert result.confidence_interval() == (0.0, 0.0)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_simulate(self, engine):
+        config = MonteCarloConfig(n_modules=0, engine=engine)
+        self._check(simulate(SECDEDEvaluator(X8_SECDED_16GB), X8_SECDED_16GB, config))
+
+    def test_simulate_parallel(self, tmp_path):
+        config = MonteCarloConfig(n_modules=0)
+        self._check(
+            simulate_parallel(
+                SECDEDEvaluator(X8_SECDED_16GB),
+                X8_SECDED_16GB,
+                config,
+                workers=1,
+                shards=3,
+                checkpoint_dir=str(tmp_path),
+            )
+        )
+
+
+class TestPoolItems:
+    def test_pickled_item_ships_only_its_slice(self):
+        """A pool task's size does not grow with the population."""
+        shard = Shard(index=0, lo=1000, hi=2000)
+        sizes = []
+        for n_modules in (2_000, 1_000_000):
+            config = MonteCarloConfig(n_modules=n_modules, seed=3)
+            item = _ShardItem(shard, _Population(config, X8_SECDED_16GB))
+            blob = pickle.dumps(item)
+            sizes.append(len(blob))
+            shipped = pickle.loads(blob)
+            expected = draw_fault_counts(config, X8_SECDED_16GB)[1000:2000]
+            assert shipped.shard == shard
+            assert (shipped.counts == expected).all()
+        assert sizes[0] == sizes[1] < 8 * shard.n_modules + 1000
+
 
 # --- merge algebra ---------------------------------------------------------
 
@@ -242,27 +405,30 @@ _TOTAL_HOURS = _CONFIG.years * units.HOURS_PER_YEAR
 _SCOPES = ["bit", "column", "row", "bank"]
 
 
+_NO_FAILURES = FailureColumns([], [], [])
+
+
 @st.composite
 def shard_results(draw):
     """A plausible per-shard ReliabilityResult built via build_result."""
     n_modules = draw(st.integers(min_value=1, max_value=500))
-    n_failed = draw(st.integers(min_value=0, max_value=min(40, n_modules)))
-    records = [
-        FailureRecord(
-            time_hours=draw(
+    rows = draw(
+        st.lists(
+            st.tuples(
                 st.floats(
                     min_value=0.0,
                     max_value=_TOTAL_HOURS,
                     allow_nan=False,
                     exclude_max=True,
-                )
+                ),
+                st.sampled_from([OUTCOME_CODES[Outcome.DUE], OUTCOME_CODES[Outcome.SDC]]),
+                st.sampled_from([SCOPE_CODES[scope] for scope in _SCOPES]),
             ),
-            outcome=draw(st.sampled_from([Outcome.DUE, Outcome.SDC])),
-            scope=draw(st.sampled_from(_SCOPES)),
+            max_size=min(40, n_modules),
         )
-        for _ in range(n_failed)
-    ]
-    return build_result("scheme", _CONFIG, records, n_modules=n_modules)
+    )
+    failures = FailureColumns(*([row[i] for row in rows] for i in range(3)))
+    return build_result("scheme", _CONFIG, failures, n_modules=n_modules)
 
 
 class TestMergeProperties:
@@ -304,18 +470,18 @@ class TestMergeProperties:
         part = build_result(
             "scheme",
             _CONFIG,
-            [FailureRecord(5.0, Outcome.DUE, "bit")],
+            FailureColumns([5.0], [OUTCOME_CODES[Outcome.DUE]], [SCOPE_CODES["bit"]]),
             n_modules=10,
         )
         assert_identical(part, merge_results([part]))
 
     def test_merge_rejects_mismatches(self):
-        a = build_result("a", _CONFIG, [], n_modules=10)
-        b = build_result("b", _CONFIG, [], n_modules=10)
+        a = build_result("a", _CONFIG, _NO_FAILURES, n_modules=10)
+        b = build_result("b", _CONFIG, _NO_FAILURES, n_modules=10)
         with pytest.raises(ValueError):
             merge_results([a, b])
         coarse = build_result(
-            "a", dataclasses.replace(_CONFIG, grid_months=12), [], n_modules=10
+            "a", dataclasses.replace(_CONFIG, grid_months=12), _NO_FAILURES, n_modules=10
         )
         with pytest.raises(ValueError):
             merge_results([a, coarse])
@@ -365,9 +531,8 @@ class TestSeedStreamRegression:
             evaluator, X8_SECDED_16GB, config, counts[lo:], lo, config.n_modules
         )
         head = simulate_range(evaluator, X8_SECDED_16GB, config, counts[:lo], 0, lo)
-        assert sorted(r.time_hours for r in full) == sorted(
-            r.time_hours for r in head + tail
-        )
+        assert len(full) > 0
+        assert failure_rows(full) == failure_rows(FailureColumns.concat([head, tail]))
 
     def test_simulate_range_validates_slice(self):
         config = MonteCarloConfig(seed=3, **FAST)

@@ -12,7 +12,7 @@ checkpointed, so a killed run resumes where it left off::
     PYTHONPATH=src python scripts/paper_scale_reliability.py \
         --workers 8 --checkpoint-dir /tmp/mc-ckpt
 
-Worker default: --workers > REPRO_MC_WORKERS > all cores.
+Worker default: --workers > REPRO_WORKERS > all cores.
 
 ``--engine fast`` (or ``REPRO_FAULTSIM=fast``) switches to the
 vectorized Monte-Carlo engine — order-of-magnitude faster at these
@@ -35,7 +35,8 @@ from repro.faultsim.evaluators import (
 )
 from repro.faultsim.geometry import X4_CHIPKILL_16GB, X8_SECDED_16GB
 from repro.faultsim.montecarlo import MonteCarloConfig
-from repro.faultsim.parallel import WORKERS_ENV, simulate_parallel
+from repro.faultsim.parallel import simulate_parallel
+from repro.switches import WORKERS
 
 SECDED_MODULES = 10_000_000
 CHIPKILL_MODULES = 2_000_000
@@ -137,7 +138,7 @@ def parse_args(argv=None):
         "--workers",
         type=int,
         default=None,
-        help=f"worker processes (default: ${WORKERS_ENV} or all cores)",
+        help=f"worker processes (default: ${WORKERS.env} or all cores)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -167,7 +168,7 @@ def parse_args(argv=None):
         "--quiet", action="store_true", help="suppress the progress line"
     )
     args = parser.parse_args(argv)
-    if args.workers is None and not os.environ.get(WORKERS_ENV):
+    if args.workers is None and not os.environ.get(WORKERS.env, "").strip():
         args.workers = os.cpu_count() or 1
     return args
 

@@ -23,47 +23,54 @@ Usage::
     python -m repro campaign-status --remote HOST:7797
     python -m repro all                      # everything (interactive scale)
 
-``--workers N`` fans the Monte-Carlo reliability experiments
-(``REPRO_MC_WORKERS`` environment fallback) and the cycle-level
-performance campaigns (``REPRO_PERF_WORKERS`` fallback) across N
-processes; results are bit-identical to the sequential run in both
-engines. ``--scheme NAME`` (a name from ``python -m repro schemes``)
-restricts scheme-aware experiments (fig1c/fig6/fig7/fig10/fig11) to a
-single memory organization. ``--engine fast|reference`` selects the
-simulation engine for the engine-aware experiments: the Monte-Carlo
-reliability figures fig6/fig10 (``REPRO_FAULTSIM`` fallback) and the
-cycle-level performance figures fig7/fig11/fig12/fig13 (``REPRO_PERF``
-fallback). Both vectorized fast paths are statistically equivalent to
-their reference loops, not bit-identical, and campaign caches /
-checkpoints never cross engines. ``--cache-dir PATH`` persists one verified JSON
-result per campaign cell (the performance figures fig7/fig11/fig12/fig13
-and the ``hammer-sweep`` attack campaign): a killed or re-scoped campaign
-recomputes only the cells it is missing. ``campaign-status DIR`` reads the
-store's append-only index and prints per-campaign completion and
-failure counts (``--remote HOST:PORT`` asks a running campaign server
-instead). The
-generic ``REPRO_WORKERS`` parallelizes every campaign family at once; the
-engine-specific variables above take precedence over it. ``--profile
-PATH`` (fig7/fig11) additionally writes a per-pass cProfile breakdown of
-the fast perf engine — synthesis vs. content vs. timing, top functions
-by cumulative time — as JSON (see ``scripts/profile_fastpath.py``).
+Global options, accepted by the commands whose runner declares them (any
+other command rejects them with exit code 2): ``--workers N`` fans a
+campaign (fig6/fig7/fig10-13, hammer-sweep, ``playbook run``, ``all``,
+``serve``'s job default) across N processes with bit-identical results.
+``--scheme NAME`` (a name from ``python -m repro schemes``) restricts
+fig1c/fig6/fig7/fig10/fig11/hammer-sweep/``playbook run`` to one memory
+organization. ``--engine fast|reference`` selects the Monte-Carlo engine
+of fig6/fig10 or the perf engine of fig7/fig11/fig12/fig13; both fast
+paths are statistically equivalent to their reference loops, not
+bit-identical, and campaign caches / checkpoints never cross engines.
+``--cache-dir PATH`` persists one verified JSON result per campaign cell
+(perf figures, hammer-sweep, ``playbook run``): a killed or re-scoped
+campaign recomputes only the cells it is missing; ``--store-url
+HOST:PORT`` shares the cells through a campaign server instead (the two
+are mutually exclusive). ``--profile PATH`` (fig7/fig11) additionally
+writes a per-pass cProfile breakdown of the fast perf engine as JSON
+(see ``scripts/profile_fastpath.py``). ``campaign-status DIR`` prints
+per-campaign completion and failure counts from a store's index
+(``--remote HOST:PORT`` asks a running campaign server instead).
+
+Switches (``repro.switches``) — one rule for all five: the explicit flag
+or config field > an ``override()`` (tests) > the environment variable
+(read once at start-up) > the default:
+
+    REPRO_KERNELS    fast | reference   codec kernels (default fast)
+    REPRO_PERF       fast | reference   perf engine (default reference)
+    REPRO_FAULTSIM   fast | reference   Monte-Carlo engine (default reference)
+    REPRO_SCHEDULER  pool | steal       campaign fan-out (default pool)
+    REPRO_WORKERS    N >= 1             campaign workers (default 1)
 
 Distributed serving: ``python -m repro serve --store-dir DIR`` starts
 the asyncio campaign server (shared fingerprint-verified result store +
-async job API; see ``repro.campaign.server``); ``--store-url HOST:PORT``
-on the campaign experiments (fig6/fig7/fig11/fig12/fig13/hammer-sweep)
-routes their cells through that shared store so concurrent runs divide
-a grid instead of recomputing it; ``python -m repro submit HOST:PORT
-KIND`` enqueues a server-side campaign job (``hammer-sweep`` / ``perf``
-/ ``faultsim``), ``--watch`` streaming its progress events.
-``REPRO_SCHEDULER=steal`` switches campaign fan-out to the work-stealing
-scheduler (persistent workers; same bit-identical results).
+async job API; see ``repro.campaign.server``); ``python -m repro submit
+HOST:PORT KIND`` enqueues a server-side campaign job (``hammer-sweep`` /
+``perf`` / ``faultsim``; the job's worker count goes in ``--params``),
+``--watch`` streaming its progress events.
 """
 
 import sys
 
 from repro.core import registry
-from repro.experiments.runner import experiment_names, run_all, run_experiment
+from repro.experiments.runner import (
+    FLAGS,
+    check_options,
+    experiment_names,
+    run_all,
+    run_experiment,
+)
 
 
 def _parse_option(argv, flag, parse):
@@ -88,28 +95,38 @@ def _parse_option(argv, flag, parse):
     return value, remaining
 
 
-def _parse_workers(argv):
-    workers, remaining = _parse_option(argv, "--workers", int)
-    if workers is not None and workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
-    return workers, remaining
+def _parse_global_options(argv):
+    """Pop every global option (:data:`FLAGS`) from argv."""
+    options = {}
+    for option, flag in FLAGS.items():
+        options[option], argv = _parse_option(
+            argv, flag, int if option == "workers" else str
+        )
+    if options["workers"] is not None and options["workers"] < 1:
+        raise ValueError(f"--workers must be >= 1, got {options['workers']}")
+    return options, argv
 
 
-def _print_campaign_status(
-    directory=None, store_url=None
-) -> int:
+def _campaign_status(argv) -> int:
     """Summarize a campaign store (local index or a remote server's)."""
-    if store_url is not None:
+    remote, rest = _parse_option(argv, "--remote", str)
+    if remote is not None and not rest:
         from repro.campaign import CampaignClient
 
-        with CampaignClient(store_url) as client:
+        with CampaignClient(remote) as client:
             summary = client.status()
-        source = f"server {store_url}"
-    else:
+        source = f"server {remote}"
+    elif remote is None and len(rest) == 1:
         from repro.campaign import summarize_index
 
-        summary = summarize_index(directory)
-        source = repr(directory)
+        summary = summarize_index(rest[0])
+        source = repr(rest[0])
+    else:
+        print(
+            "usage: python -m repro campaign-status CACHE_DIR | --remote HOST:PORT",
+            file=sys.stderr,
+        )
+        return 2
     if not summary:
         print(f"no campaign index found in {source}", file=sys.stderr)
         return 1
@@ -122,13 +139,15 @@ def _print_campaign_status(
     return 0
 
 
-def _serve(argv) -> int:
-    """``python -m repro serve``: the asyncio campaign server."""
+def _serve(argv, workers=None) -> int:
+    """``python -m repro serve``: the asyncio campaign server; the global
+    ``--workers`` is the default worker count for submitted jobs."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
-        description="Serve a shared campaign result store + job API.",
+        description="Serve a shared campaign result store + job API "
+        "(the global --workers N sets submitted jobs' default worker count).",
     )
     parser.add_argument(
         "--store-dir",
@@ -139,18 +158,10 @@ def _serve(argv) -> int:
     from repro.campaign.wire import DEFAULT_PORT
 
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="default worker count for submitted jobs",
-    )
     args = parser.parse_args(argv)
     from repro.campaign.server import run_server
 
-    run_server(
-        args.store_dir, host=args.host, port=args.port, workers=args.workers
-    )
+    run_server(args.store_dir, host=args.host, port=args.port, workers=workers)
     return 0
 
 
@@ -208,9 +219,9 @@ def _playbook(argv, workers=None, scheme=None, cache_dir=None,
               store_url=None) -> int:
     """``python -m repro playbook``: the declarative attack-playbook engine.
 
-    Generic options (``--workers`` / ``--scheme`` / ``--cache-dir`` /
-    ``--store-url``) arrive pre-parsed from :func:`main`, same as for
-    the figure experiments.
+    Global options (``--workers`` / ``--scheme`` / ``--cache-dir`` /
+    ``--store-url``) arrive pre-parsed from :func:`main`, checked against
+    this signature like the figure experiments' runners.
     """
     import argparse
     import json
@@ -323,28 +334,42 @@ def _playbook(argv, workers=None, scheme=None, cache_dir=None,
     return 0
 
 
-def _print_schemes() -> None:
+def _print_schemes(argv) -> int:
     """The registry listing: name, capability flags, description."""
     for info in registry.schemes():
         flags = ",".join(info.capabilities) or "-"
         print(f"{info.name:28} {flags:36} {info.display}: {info.summary}")
+    return 0
+
+
+def _list(argv) -> int:
+    for experiment in experiment_names():
+        print(experiment)
+    return 0
+
+
+def _all(argv, workers=None) -> int:
+    run_all(workers=workers)
+    return 0
+
+
+#: Commands other than the experiments; each takes its own arguments plus
+#: the global options its signature declares.
+COMMANDS = {
+    "list": _list,
+    "schemes": _print_schemes,
+    "playbook": _playbook,
+    "serve": _serve,
+    "submit": _submit,
+    "campaign-status": _campaign_status,
+    "all": _all,
+}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        workers, argv = _parse_workers(argv)
-        scheme, argv = _parse_option(argv, "--scheme", str)
-        engine, argv = _parse_option(argv, "--engine", str)
-        cache_dir, argv = _parse_option(argv, "--cache-dir", str)
-        profile_to, argv = _parse_option(argv, "--profile", str)
-        store_url, argv = _parse_option(argv, "--store-url", str)
-        if engine is not None:
-            # Both engine switches recognize the same names; the runner
-            # resolves against the right module per experiment.
-            from repro.faultsim import fastpath
-
-            engine = fastpath.resolve_engine(engine)  # validates the name
+        options, argv = _parse_global_options(argv)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
@@ -354,59 +379,16 @@ def main(argv=None) -> int:
         print("Schemes:", ", ".join(registry.names()))
         return 0
     name = argv[0]
-    if name == "list":
-        for experiment in experiment_names():
-            print(experiment)
-        return 0
-    if name == "schemes":
-        _print_schemes()
-        return 0
-    if name == "playbook":
-        try:
-            return _playbook(
-                argv[1:],
-                workers=workers,
-                scheme=scheme,
-                cache_dir=cache_dir,
-                store_url=store_url,
-            )
-        except (OSError, ValueError) as error:
-            print(error, file=sys.stderr)
-            return 2
-    if name == "serve":
-        return _serve(argv[1:])
-    if name == "submit":
-        return _submit(argv[1:])
-    if name == "campaign-status":
-        remote, rest = _parse_option(argv[1:], "--remote", str)
-        if remote is not None and not rest:
-            return _print_campaign_status(store_url=remote)
-        if remote is None and len(rest) == 1:
-            return _print_campaign_status(rest[0])
-        print(
-            "usage: python -m repro campaign-status CACHE_DIR | "
-            "--remote HOST:PORT",
-            file=sys.stderr,
-        )
-        return 2
-    if name == "all":
-        run_all(workers=workers)
-        return 0
+    command = COMMANDS.get(name)
     try:
-        run_experiment(
-            name,
-            workers=workers,
-            scheme=scheme,
-            engine=engine,
-            cache_dir=cache_dir,
-            profile_to=profile_to,
-            store_url=store_url,
-        )
-    except (KeyError, ValueError) as error:
-        message = error.args[0] if error.args else error
-        print(message, file=sys.stderr)
+        if command is None:
+            run_experiment(name, **options)
+            return 0
+        return command(argv[1:], **check_options(f"command {name!r}", command, options))
+    except (KeyError, OSError, ValueError) as error:
+        keyed = isinstance(error, KeyError) and error.args
+        print(error.args[0] if keyed else error, file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ package:
   (:func:`run_campaign`);
 - :mod:`repro.campaign.scheduler` — the work-stealing alternative
   fan-out (persistent workers, heartbeat supervision), selected by
-  ``run_campaign(..., scheduler="steal")`` / ``REPRO_SCHEDULER``;
+  ``run_campaign(..., scheduler="steal")`` / ``REPRO_SCHEDULER``
+  (:mod:`repro.switches`);
 - :mod:`repro.campaign.store` — the atomic, fingerprint-verified JSON
   :class:`ResultStore` with its append-only completion index;
 - :mod:`repro.campaign.server` / :mod:`repro.campaign.client` — the
@@ -19,7 +20,7 @@ package:
   async job front door (``python -m repro serve`` / ``submit``);
 - :mod:`repro.campaign.progress` — shared rate/ETA/fraction progress
   accounting and the repo-wide worker-count resolution
-  (``REPRO_WORKERS`` generic fallback).
+  (``REPRO_WORKERS``; :mod:`repro.switches`).
 
 See the "campaign layer" section of ``docs/architecture.md`` for the
 adapter diagram, the add-a-campaign recipe, and the distributed
@@ -28,15 +29,12 @@ adapter diagram, the add-a-campaign recipe, and the distributed
 
 from repro.campaign.client import CampaignClient, RemoteResultStore
 from repro.campaign.engine import (
-    SCHEDULER_ENV,
-    SCHEDULERS,
     Campaign,
     CampaignError,
     resolve_scheduler,
     run_campaign,
 )
 from repro.campaign.progress import (
-    GENERIC_WORKERS_ENV,
     CampaignProgress,
     ProgressBase,
     ProgressCallback,
@@ -60,8 +58,6 @@ __all__ = [
     "run_campaign",
     "run_campaign_stealing",
     "resolve_scheduler",
-    "SCHEDULER_ENV",
-    "SCHEDULERS",
     "RemoteResultStore",
     "CampaignClient",
     "CampaignServer",
@@ -70,7 +66,6 @@ __all__ = [
     "CampaignProgress",
     "ProgressBase",
     "ProgressCallback",
-    "GENERIC_WORKERS_ENV",
     "resolve_workers",
     "ResultStore",
     "STORE_VERSION",

@@ -45,7 +45,6 @@ the items themselves.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from concurrent.futures import (
@@ -58,14 +57,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 from repro.campaign.progress import CampaignProgress
 from repro.campaign.store import ResultStore, fingerprint_digest
-
-#: Environment fallback for the fan-out scheduler when the call does not
-#: pin one: ``pool`` (fresh executor per retry round) or ``steal``
-#: (persistent work-stealing workers; :mod:`repro.campaign.scheduler`).
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-
-#: The fan-out schedulers :func:`run_campaign` can dispatch to.
-SCHEDULERS = ("pool", "steal")
+from repro.switches import SCHEDULER
 
 
 class CampaignError(RuntimeError):
@@ -145,14 +137,10 @@ def _run_group(campaign: Campaign, items: Sequence[Any]) -> List[Any]:
 
 
 def resolve_scheduler(scheduler: Optional[str] = None) -> str:
-    """Explicit argument > ``REPRO_SCHEDULER`` > ``"pool"``."""
-    if scheduler is None:
-        scheduler = os.environ.get(SCHEDULER_ENV, "").strip() or "pool"
-    if scheduler not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; known: {', '.join(SCHEDULERS)}"
-        )
-    return scheduler
+    """The fan-out scheduler (:data:`repro.switches.SCHEDULER`): ``"pool"``
+    (fresh executor per retry round) or ``"steal"`` (persistent
+    work-stealing workers; :mod:`repro.campaign.scheduler`)."""
+    return SCHEDULER.get(scheduler)
 
 
 class _CampaignRun:
@@ -321,7 +309,7 @@ def run_campaign(
     :class:`repro.campaign.client.RemoteResultStore` sharing cells over
     the network); ``store_dir`` builds a local directory store.
     ``scheduler`` picks the fan-out strategy (``"pool"``/``"steal"``;
-    default ``REPRO_SCHEDULER`` or ``"pool"``). Pool-scheduler crash
+    default: :func:`resolve_scheduler`). Pool-scheduler crash
     retries back off exponentially, stretched by a bounded random
     jitter in ``[1, 1 + backoff_jitter]`` — seedable via
     ``jitter_seed`` so tests are deterministic — so simultaneous group

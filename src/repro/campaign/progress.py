@@ -11,9 +11,8 @@ the domain modules only declare their field *names* (``shards_done`` vs
 ``cells_done``) as thin dataclass subclasses, so a refactor of the
 accounting cannot drift between engines.
 
-Worker-count resolution is likewise shared: explicit argument > config
-field > domain-specific environment variable (``REPRO_MC_WORKERS``,
-``REPRO_PERF_WORKERS``) > the generic ``REPRO_WORKERS`` > 1.
+Worker-count resolution is likewise shared: the explicit argument, else
+the :data:`repro.switches.WORKERS` switch (``REPRO_WORKERS``), else 1.
 """
 
 from __future__ import annotations
@@ -25,48 +24,24 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-#: Generic worker-count fallback consulted by *every* campaign engine
-#: when neither the call, the config, nor the engine's own environment
-#: variable pins a count. Lets one shell export parallelize all three
-#: campaign families at once.
-GENERIC_WORKERS_ENV = "REPRO_WORKERS"
+from repro.switches import WORKERS
 
 #: Every campaign's progress callback receives one snapshot per
 #: completed (or store-loaded) work item.
 ProgressCallback = Callable[["ProgressBase"], None]
 
 
-def _env_workers(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else None
-
-
-def resolve_workers(
-    workers: Optional[int] = None,
-    config_workers: Optional[int] = None,
-    env: Optional[str] = None,
-    strict: bool = False,
-) -> int:
-    """Resolve a worker count with the repo-wide precedence.
-
-    Explicit argument > ``config_workers`` > the engine's own ``env``
-    variable > :data:`GENERIC_WORKERS_ENV` > 1 (in-process, no pool).
+def resolve_workers(workers: Optional[int] = None, strict: bool = False) -> int:
+    """Resolve a worker count through :data:`repro.switches.WORKERS`:
+    explicit argument > override > ``REPRO_WORKERS`` > 1 (in-process).
 
     Counts above ``os.cpu_count()`` are clamped with a one-line warning:
     every campaign worker is CPU-bound, so oversubscription only adds
-    scheduler thrash (BENCH_perf.json measured workers=4 on a 1-CPU
-    host at ~4x *slower* than sequential). Pass ``strict=True`` to keep
-    the requested count anyway (e.g. to measure that penalty).
+    scheduler thrash (workers=4 on a 1-CPU host once measured ~4x
+    *slower* than sequential on the Figure 7 grid). Pass ``strict=True``
+    to keep the requested count anyway (e.g. to measure that penalty).
     """
-    if workers is None:
-        workers = config_workers
-    if workers is None and env:
-        workers = _env_workers(env)
-    if workers is None:
-        workers = _env_workers(GENERIC_WORKERS_ENV)
-    workers = 1 if workers is None else int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = WORKERS.get(workers)
     cpus = os.cpu_count() or 1
     if workers > cpus and not strict:
         warnings.warn(

@@ -129,7 +129,7 @@ def _job_hammer_sweep(server: "CampaignServer", params: dict, progress):
     )
     outcomes = sweep.run_sweep(
         cells,
-        workers=resolve_workers(params.get("workers"), config_workers=server.workers),
+        workers=server.job_workers(params),
         cache_dir=server.store_dir,
         progress=progress,
     )
@@ -159,7 +159,7 @@ def _job_perf(server: "CampaignServer", params: dict, progress):
         [org],
         workloads=params.get("workloads"),
         config=config,
-        workers=resolve_workers(params.get("workers"), config_workers=server.workers),
+        workers=server.job_workers(params),
         cache_dir=server.store_dir,
         progress=progress,
     )
@@ -200,7 +200,7 @@ def _job_faultsim(server: "CampaignServer", params: dict, progress):
         evaluator_for(scheme, geometry),
         geometry,
         config,
-        workers=resolve_workers(params.get("workers"), config_workers=server.workers),
+        workers=server.job_workers(params),
         checkpoint_dir=checkpoint_dir,
         progress=progress,
     )
@@ -260,8 +260,7 @@ class CampaignServer:
         self.store = ResultStore(store_dir)
         self.host = host
         self.port = port
-        #: Default worker count for jobs that don't pin one (resolved
-        #: through the standard precedence at job time).
+        #: Default worker count for jobs that don't pin one.
         self.workers = workers
         self.lease_s = lease_s
         self.activity = ServerActivity()
@@ -273,6 +272,12 @@ class CampaignServer:
         self._job_tasks: Set[asyncio.Task] = set()
         self._next_conn = 0
         self._next_job = 0
+
+    def job_workers(self, params: dict) -> int:
+        """A job's worker count: its own, else the server's default, else
+        the ``WORKERS`` switch (:func:`repro.campaign.resolve_workers`)."""
+        workers = params.get("workers")
+        return resolve_workers(self.workers if workers is None else workers)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -64,7 +64,7 @@ class ChipkillCode:
 
     def __init__(self):
         self._rs = ReedSolomon(GF256, self.N_CHIPS, self.DATA_CHIPS)
-        self._fast = kernels.use_fast()
+        self._fast = kernels.kernel_mode() == "fast"
 
     # -- symbol packing -------------------------------------------------------
 

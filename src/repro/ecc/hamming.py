@@ -103,7 +103,7 @@ class HammingSEC:
                 tuple(self._data_positions),
                 tuple(self._check_positions),
             )
-            if kernels.use_fast()
+            if kernels.kernel_mode() == "fast"
             else None
         )
 

@@ -29,70 +29,31 @@ loops:
 
 Every kernel is bit-exact with the reference implementation it replaces;
 the references remain in their home modules as the oracle and are selected
-with ``REPRO_KERNELS=reference`` (see ``docs/performance.md``). The
+with ``REPRO_KERNELS=reference`` or ``KERNELS.override("reference")`` (see
+:mod:`repro.switches` and ``docs/performance.md``). The
 equivalence suite (``tests/test_kernel_equivalence.py``) and the
 golden-parity corpus pin the equivalence.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Recognized values of the ``REPRO_KERNELS`` environment variable.
-VALID_MODES = ("fast", "reference")
-
-_ENV_VAR = "REPRO_KERNELS"
-
-
-def _mode_from_env() -> str:
-    mode = os.environ.get(_ENV_VAR, "fast").strip().lower() or "fast"
-    if mode not in VALID_MODES:
-        raise ValueError(
-            f"{_ENV_VAR}={mode!r} is not recognized; use one of {VALID_MODES}"
-        )
-    return mode
-
-
-_mode = _mode_from_env()
+from repro.switches import KERNELS
 
 
 def kernel_mode() -> str:
-    """The active kernel mode: ``"fast"`` (default) or ``"reference"``."""
-    return _mode
+    """The active kernel mode (:data:`repro.switches.KERNELS`): ``"fast"``
+    (default) or ``"reference"``.
 
-
-def use_fast() -> bool:
-    """True when the table-driven kernels are active."""
-    return _mode == "fast"
-
-
-def set_mode(mode: str) -> None:
-    """Select the kernel mode for codecs constructed *from now on*.
-
-    Codecs bind their kernel at construction, so an existing instance keeps
-    the mode it was built under (that property is what lets the equivalence
-    tests hold a fast and a reference codec side by side).
+    Codecs read it when they are constructed and keep that kernel, so an
+    existing instance holds its mode across an override (that is what lets
+    the equivalence tests hold a fast and a reference codec side by side).
     """
-    global _mode
-    if mode not in VALID_MODES:
-        raise ValueError(f"mode {mode!r} is not one of {VALID_MODES}")
-    _mode = mode
-
-
-@contextmanager
-def forced_mode(mode: str) -> Iterator[None]:
-    """Temporarily force a kernel mode (tests and benchmarks)."""
-    previous = _mode
-    set_mode(mode)
-    try:
-        yield
-    finally:
-        set_mode(previous)
+    return KERNELS.get()
 
 
 # -- Hamming kernels -------------------------------------------------------------

@@ -33,7 +33,7 @@ CHIP_CONTRIBUTION_BITS = 32  #: 4 bits x 8 beats per line
 
 def column_parity(line: int) -> int:
     """8-bit XOR of the 64 pin symbols of a 512-bit line."""
-    if kernels.use_fast():
+    if kernels.kernel_mode() == "fast":
         # Bit ``b`` of the XOR of all pin symbols is the parity of beat
         # word ``b`` — no symbol extraction needed.
         parity = 0
@@ -53,7 +53,7 @@ def recover_pin(line: int, pin: int, parity: int) -> int:
     Returns the repaired line assuming the failure is confined to that pin
     (the caller verifies the guess with the MAC).
     """
-    if kernels.use_fast():
+    if kernels.kernel_mode() == "fast":
         # XOR of all *other* symbols = full column parity with the target
         # pin's own symbol cancelled back out.
         own = 0

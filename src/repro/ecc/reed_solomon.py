@@ -63,7 +63,7 @@ class ReedSolomon:
         # None under REPRO_KERNELS=reference.
         self._kernel = (
             kernels.rs_kernel(field, n, k, fcr, gen)
-            if kernels.use_fast() and field.m <= 8
+            if kernels.kernel_mode() == "fast" and field.m <= 8
             else None
         )
 

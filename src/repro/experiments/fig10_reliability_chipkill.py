@@ -30,7 +30,7 @@ def run(
     schemes: Tuple[str, ...] = SCHEMES,
     engine: Optional[str] = None,
 ) -> Dict[float, List[ReliabilityResult]]:
-    """``workers``/``REPRO_MC_WORKERS`` parallelize without changing output.
+    """``workers``/``REPRO_WORKERS`` parallelize without changing output.
 
     ``engine`` picks the Monte-Carlo engine (``"fast"``/``"reference"``;
     default: ``REPRO_FAULTSIM`` or reference).
@@ -42,12 +42,15 @@ def run(
             n_modules=n_modules,
             seed=seed,
             fit_multiplier=multiplier,
-            workers=workers,
             engine=engine,
         )
         out[multiplier] = [
             simulate_parallel(
-                evaluator_for(name, geometry), geometry, config, progress=progress
+                evaluator_for(name, geometry),
+                geometry,
+                config,
+                workers=workers,
+                progress=progress,
             )
             for name in schemes
         ]

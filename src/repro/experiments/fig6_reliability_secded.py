@@ -32,7 +32,7 @@ def run(
     engine: Optional[str] = None,
     store=None,
 ) -> List[ReliabilityResult]:
-    """``workers``/``REPRO_MC_WORKERS`` parallelize without changing output.
+    """``workers``/``REPRO_WORKERS`` parallelize without changing output.
 
     ``engine`` picks the Monte-Carlo engine (``"fast"``/``"reference"``;
     default: ``REPRO_FAULTSIM`` or reference) — statistically equivalent
@@ -40,14 +40,17 @@ def run(
     through a ready store object (e.g. a networked
     :class:`repro.campaign.RemoteResultStore`).
     """
-    config = MonteCarloConfig(
-        n_modules=n_modules, seed=seed, workers=workers, engine=engine
-    )
+    config = MonteCarloConfig(n_modules=n_modules, seed=seed, engine=engine)
     geometry = X8_SECDED_16GB
     evaluators = [evaluator_for(name, geometry) for name in schemes]
     return [
         simulate_parallel(
-            evaluator, geometry, config, store=store, progress=progress
+            evaluator,
+            geometry,
+            config,
+            workers=workers,
+            store=store,
+            progress=progress,
         )
         for evaluator in evaluators
     ]

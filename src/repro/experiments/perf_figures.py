@@ -55,8 +55,8 @@ def _run(
 ) -> PerfFigure:
     """All perf figures go through the campaign engine.
 
-    With the default ``workers=None`` (resolving to 1, absent an env or
-    config override) and no cache the engine degenerates to the
+    With the default ``workers=None`` (resolving to 1, absent a
+    ``REPRO_WORKERS`` value or override) and no cache the engine degenerates to the
     sequential loop of :func:`repro.perf.model.run_comparison` with
     bit-identical results; ``workers``/``cache_dir`` only change how fast
     the grid is covered. ``engine`` (``"fast"``/``"reference"``, the

@@ -6,13 +6,16 @@ Used by the CLI (``python -m repro <experiment>``) and handy from a REPL::
     run_experiment("fig6")
     run_experiment("fig6", workers=8)   # parallel Monte-Carlo, same output
 
-Every runner accepts an optional ``workers`` count; the Monte-Carlo
-experiments (fig6/fig10) fan their module population across that many
-processes (see :mod:`repro.faultsim.parallel`), the rest ignore it.
+Each runner declares the options it accepts as keyword parameters —
+``workers``, ``scheme``, ``engine``, ``cache_dir``, ``profile_to``,
+``store_url`` — and :func:`check_options` rejects any other from its
+signature. The campaign experiments (fig6/fig7/fig10-13, hammer-sweep)
+fan their cells across ``workers`` processes with bit-identical output.
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -74,31 +77,31 @@ def _print_progress(stats: ProgressBase) -> None:
     print(f"  {stats.describe()}", end=end, file=sys.stderr, flush=True)
 
 
-def _table1(workers: Optional[int] = None) -> None:
+def _table1() -> None:
     table1_thresholds.report()
 
 
-def _table2(workers: Optional[int] = None) -> None:
+def _table2() -> None:
     table2_table3_config.report_table2()
 
 
-def _table3(workers: Optional[int] = None) -> None:
+def _table3() -> None:
     table2_table3_config.report_table3()
 
 
-def _table4(workers: Optional[int] = None) -> None:
+def _table4() -> None:
     table4_resiliency.report(table4_resiliency.run(trials=60))
 
 
-def _table5(workers: Optional[int] = None) -> None:
+def _table5() -> None:
     table5_storage.report()
 
 
-def _fig1b(workers: Optional[int] = None) -> None:
+def _fig1b() -> None:
     fig1b_attacks.report(fig1b_attacks.run())
 
 
-def _fig1c(workers: Optional[int] = None, scheme: Optional[str] = None) -> None:
+def _fig1c(scheme: Optional[str] = None) -> None:
     schemes = (scheme,) if scheme else fig1c_detection.SCHEMES
     fig1c_detection.report(fig1c_detection.run(schemes=schemes))
 
@@ -248,19 +251,19 @@ def _hammer_sweep(
         )
 
 
-def _sec4b(workers: Optional[int] = None) -> None:
+def _sec4b() -> None:
     sec4b_birthday.report()
 
 
-def _sec4c(workers: Optional[int] = None) -> None:
+def _sec4c() -> None:
     sec4c_column_recovery.report()
 
 
-def _sec7(workers: Optional[int] = None) -> None:
+def _sec7() -> None:
     sec7_security.report()
 
 
-def _sec7e(workers: Optional[int] = None) -> None:
+def _sec7e() -> None:
     sec7e_mac_escape.report()
 
 
@@ -289,36 +292,38 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
 }
 
 
-#: Experiments that accept ``--scheme NAME`` (they instantiate one or
-#: more organizations from the scheme registry).
-SCHEME_AWARE = frozenset({"fig1c", "fig6", "fig7", "fig10", "fig11", "hammer-sweep"})
+#: The CLI flag of each runner option.
+FLAGS = {
+    "workers": "--workers",
+    "scheme": "--scheme",
+    "engine": "--engine",
+    "cache_dir": "--cache-dir",
+    "profile_to": "--profile",
+    "store_url": "--store-url",
+}
 
-#: Experiments that accept ``--engine fast|reference``: the Monte-Carlo
-#: reliability experiments (``REPRO_FAULTSIM``;
-#: :mod:`repro.faultsim.fastpath`) and the cycle-level performance
-#: campaigns (``REPRO_PERF``; :mod:`repro.perf.fastpath`).
-ENGINE_AWARE = frozenset({"fig6", "fig7", "fig10", "fig11", "fig12", "fig13"})
 
-#: The subset of :data:`ENGINE_AWARE` whose engine is the perf one.
-_PERF_ENGINE = frozenset({"fig7", "fig11", "fig12", "fig13"})
+def check_options(label: str, target: Callable, options: Dict[str, object]) -> Dict[str, object]:
+    """The given (non-None) ``options``, if ``target`` accepts them all.
 
-#: Experiments that accept ``--cache-dir PATH`` (the cycle-level
-#: performance campaigns and the Row-Hammer attack sweep; see
-#: :mod:`repro.perf.campaign` and :mod:`repro.rowhammer.sweep`).
-CACHE_AWARE = frozenset({"fig7", "fig11", "fig12", "fig13", "hammer-sweep"})
-
-#: Experiments that accept ``--store-url HOST:PORT``: their campaign
-#: cells go through a shared networked result store served by ``python
-#: -m repro serve`` instead of a local cache directory (see
-#: :mod:`repro.campaign.server`). Mutually exclusive with --cache-dir.
-STORE_URL_AWARE = frozenset(
-    {"fig6", "fig7", "fig11", "fig12", "fig13", "hammer-sweep"}
-)
-
-#: Experiments that accept ``--profile PATH``: after the figure runs,
-#: the fast perf engine's passes are cProfiled per pass over the same
-#: grid and the breakdown written as JSON (repro.perf.profiling).
-PROFILE_AWARE = frozenset({"fig7", "fig11"})
+    Raises ``ValueError`` naming the first option missing from
+    ``target``'s signature (``label`` names the experiment or command),
+    or when ``--store-url`` and ``--cache-dir`` are combined.
+    """
+    accepted = inspect.signature(target).parameters
+    given = {option: value for option, value in options.items() if value is not None}
+    for option in given:
+        if option not in accepted:
+            takes = ", ".join(FLAGS[name] for name in accepted if name in FLAGS)
+            raise ValueError(
+                f"{label} does not take {FLAGS[option]}; it takes {takes or 'no options'}"
+            )
+    if "store_url" in given and "cache_dir" in given:
+        raise ValueError(
+            "--store-url and --cache-dir are mutually exclusive: the "
+            "networked store replaces the local cache directory"
+        )
+    return given
 
 
 def experiment_names() -> List[str]:
@@ -336,13 +341,13 @@ def run_experiment(
 ) -> None:
     """Run one experiment by name; raises KeyError for unknown names.
 
-    ``scheme`` (a registry name) restricts scheme-aware experiments to a
-    single organization; ``engine`` selects the Monte-Carlo engine for
-    the reliability experiments; ``cache_dir`` persists per-cell results
-    for the performance campaigns; ``store_url`` routes those results
-    through a shared networked store instead; ``profile_to``
-    additionally writes a per-pass cProfile dump of the fast perf
-    engine; other experiments reject them.
+    The options (None means absent) go to the experiment's runner, which
+    must accept each given one (:func:`check_options`): ``scheme`` (a registry name) restricts
+    scheme-aware experiments to a single organization; ``engine``
+    selects the Monte-Carlo or perf engine; ``cache_dir`` persists
+    per-cell campaign results; ``store_url`` routes them through a
+    shared networked store instead; ``profile_to`` additionally writes a
+    per-pass cProfile dump of the fast perf engine.
     """
     try:
         runner = EXPERIMENTS[name]
@@ -350,61 +355,26 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {name!r}; available: {', '.join(experiment_names())}"
         ) from None
-    kwargs = {"workers": workers}
-    if scheme is not None:
-        if name not in SCHEME_AWARE:
-            raise ValueError(
-                f"experiment {name!r} does not take --scheme; "
-                f"scheme-aware: {', '.join(sorted(SCHEME_AWARE))}"
-            )
-        registry.scheme(scheme)  # unknown scheme names fail with the full list
-        kwargs["scheme"] = scheme
-    if engine is not None:
-        if name not in ENGINE_AWARE:
-            raise ValueError(
-                f"experiment {name!r} does not take --engine; "
-                f"engine-aware: {', '.join(sorted(ENGINE_AWARE))}"
-            )
-        if name in _PERF_ENGINE:
-            from repro.perf import fastpath
-        else:
-            from repro.faultsim import fastpath
-
-        kwargs["engine"] = fastpath.resolve_engine(engine)
-    if cache_dir is not None:
-        if name not in CACHE_AWARE:
-            raise ValueError(
-                f"experiment {name!r} does not take --cache-dir; "
-                f"cache-aware: {', '.join(sorted(CACHE_AWARE))}"
-            )
-        kwargs["cache_dir"] = cache_dir
-    if store_url is not None:
-        if name not in STORE_URL_AWARE:
-            raise ValueError(
-                f"experiment {name!r} does not take --store-url; "
-                f"store-url-aware: {', '.join(sorted(STORE_URL_AWARE))}"
-            )
-        if cache_dir is not None:
-            raise ValueError(
-                "--store-url and --cache-dir are mutually exclusive: the "
-                "networked store replaces the local cache directory"
-            )
-        kwargs["store_url"] = store_url
-    if profile_to is not None:
-        if name not in PROFILE_AWARE:
-            raise ValueError(
-                f"experiment {name!r} does not take --profile; "
-                f"profile-aware: {', '.join(sorted(PROFILE_AWARE))}"
-            )
-        kwargs["profile_to"] = profile_to
+    options = dict(
+        workers=workers,
+        scheme=scheme,
+        engine=engine,
+        cache_dir=cache_dir,
+        profile_to=profile_to,
+        store_url=store_url,
+    )
+    kwargs = check_options(f"experiment {name!r}", runner, options)
+    if "scheme" in kwargs:
+        registry.scheme(kwargs["scheme"])  # unknown scheme names fail with the full list
     runner(**kwargs)
 
 
 def run_all(workers: Optional[int] = None) -> None:
-    """Run every experiment at interactive scale."""
+    """Run every experiment at interactive scale (``workers`` where taken)."""
     seen = set()
     for name, runner in EXPERIMENTS.items():
         if runner in seen:
             continue
         seen.add(runner)
-        run_experiment(name, workers=workers)
+        takes_workers = "workers" in inspect.signature(runner).parameters
+        run_experiment(name, workers=workers if takes_workers else None)

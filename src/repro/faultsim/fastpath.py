@@ -35,17 +35,16 @@ single-fault draws come from different streams. The engine is recorded
 in :meth:`MonteCarloConfig.science_fingerprint`, so checkpoints never
 resume across modes.
 
-Mode resolution: ``MonteCarloConfig.engine`` > :func:`set_engine` /
-``REPRO_FAULTSIM`` environment variable > ``"reference"`` (the default,
-preserving PR 1's bit-identical sequential/parallel contract).
+Mode resolution: ``MonteCarloConfig.engine``, else the
+:data:`repro.switches.FAULTSIM` switch (an override, then
+``REPRO_FAULTSIM``, then ``"reference"`` — the default, preserving the
+reference engine's bit-identical sequential/parallel contract).
 """
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,69 +54,9 @@ from repro.faultsim.geometry import ModuleGeometry
 from repro.faultsim.montecarlo import OUTCOME_CODES, SCOPE_CODES, FailureColumns
 from repro.utils.rng import child_seeds, derive_seed, unit_uniforms
 
-#: Recognized values of the ``REPRO_FAULTSIM`` environment variable.
-VALID_ENGINES = ("fast", "reference")
-
-ENGINE_ENV = "REPRO_FAULTSIM"
-
 #: Salt of the fast engine's counter-based draw stream (disjoint from the
 #: reference streams 0xFA017 / 0x51A7 by construction of derive_seed).
 FAST_STREAM_SALT = 0xFA57
-
-
-def _engine_from_env() -> str:
-    engine = os.environ.get(ENGINE_ENV, "reference").strip().lower() or "reference"
-    if engine not in VALID_ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV}={engine!r} is not recognized; use one of {VALID_ENGINES}"
-        )
-    return engine
-
-
-_engine = _engine_from_env()
-
-
-def engine_mode() -> str:
-    """The active engine: ``"reference"`` (default) or ``"fast"``."""
-    return _engine
-
-
-def use_fast() -> bool:
-    """True when the vectorized engine is active."""
-    return _engine == "fast"
-
-
-def set_engine(engine: str) -> None:
-    """Select the Monte-Carlo engine for runs started *from now on*."""
-    global _engine
-    if engine not in VALID_ENGINES:
-        raise ValueError(f"engine {engine!r} is not one of {VALID_ENGINES}")
-    _engine = engine
-
-
-@contextmanager
-def forced_mode(engine: str) -> Iterator[None]:
-    """Temporarily force an engine (tests and benchmarks)."""
-    previous = _engine
-    set_engine(engine)
-    try:
-        yield
-    finally:
-        set_engine(previous)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an explicit/config engine against the process-wide mode.
-
-    ``engine`` (usually ``MonteCarloConfig.engine``) wins when set;
-    otherwise the process mode (``set_engine`` / ``REPRO_FAULTSIM``)
-    applies. Always returns a member of :data:`VALID_ENGINES`.
-    """
-    if engine is None:
-        return _engine
-    if engine not in VALID_ENGINES:
-        raise ValueError(f"engine {engine!r} is not one of {VALID_ENGINES}")
-    return engine
 
 
 # child_seeds / unit_uniforms live in repro.utils.rng (shared with the

@@ -47,6 +47,7 @@ from repro.faultsim.evaluators import Outcome
 from repro.faultsim.faults import FaultInstance, place_fault
 from repro.faultsim.fit import FAULT_MODES, FaultMode, Scope
 from repro.faultsim.geometry import ModuleGeometry
+from repro.switches import FAULTSIM
 from repro.utils import units
 from repro.utils.rng import derive_seed
 
@@ -67,31 +68,19 @@ class MonteCarloConfig:
     modes: Sequence[FaultMode] = field(default_factory=lambda: list(FAULT_MODES))
     #: Evaluation grid resolution in months.
     grid_months: int = 6
-    #: Worker processes for :func:`repro.faultsim.parallel.simulate_parallel`.
-    #: None defers to the ``REPRO_MC_WORKERS`` environment variable (and
-    #: finally to 1 = in-process). Never changes the science output.
-    workers: Optional[int] = None
-    #: Shard count for the parallel engine; None picks a multiple of the
-    #: worker count. Never changes the science output.
-    shards: Optional[int] = None
-    #: Directory for per-shard checkpoint files; None disables
-    #: checkpointing. A re-run with the same config resumes, skipping
-    #: shards whose checkpoints verify.
-    checkpoint_dir: Optional[str] = None
     #: Monte-Carlo engine: ``"reference"`` (the scalar loop, bit-identical
     #: to PR 1) or ``"fast"`` (the vectorized single-fault path of
-    #: :mod:`repro.faultsim.fastpath`). None defers to
-    #: ``fastpath.set_engine`` / the ``REPRO_FAULTSIM`` environment
-    #: variable, and finally to ``"reference"``. Unlike workers/shards
-    #: this *does* change the science output (statistically equivalent,
-    #: not bit-identical), so it is part of the fingerprint.
+    #: :mod:`repro.faultsim.fastpath`). None defers to the
+    #: :data:`repro.switches.FAULTSIM` switch (``REPRO_FAULTSIM``). Unlike
+    #: the worker and shard counts of
+    #: :func:`repro.faultsim.parallel.simulate_parallel` this *does*
+    #: change the science output (statistically equivalent, not
+    #: bit-identical), so it is part of the fingerprint.
     engine: Optional[str] = None
 
     def resolved_engine(self) -> str:
-        """The engine this config runs under (config > env > reference)."""
-        from repro.faultsim import fastpath
-
-        return fastpath.resolve_engine(self.engine)
+        """The engine this config runs under (config > switch)."""
+        return FAULTSIM.get(self.engine)
 
     def science_fingerprint(self, scheme: str, geometry: ModuleGeometry) -> dict:
         """The output-determining knobs, as a JSON-friendly dict.
@@ -527,7 +516,7 @@ def simulate(
     """Run the Monte-Carlo reliability simulation for one scheme.
 
     Dispatches to the scalar reference loop or the vectorized fast
-    engine according to ``config.engine`` / ``REPRO_FAULTSIM`` (see
+    engine according to ``config.engine`` / the ``FAULTSIM`` switch (see
     :mod:`repro.faultsim.fastpath`). Both engines draw the module
     population from the same batched Poisson stream.
     """

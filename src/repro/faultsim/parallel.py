@@ -23,8 +23,9 @@ Robustness and observability (all supplied by the shared core):
   shard completes (modules/sec, ETA, failures so far, and — when a
   resume rejected checkpoints — why: corrupt vs. stale).
 
-Worker-count resolution order: explicit argument > ``config.workers`` >
-``REPRO_MC_WORKERS`` > the generic ``REPRO_WORKERS`` > 1 (in-process).
+The worker count is the ``workers`` argument, else the
+:data:`repro.switches.WORKERS` switch (``REPRO_WORKERS``), else 1
+(in-process).
 
 The engine (scalar reference loop vs. the vectorized fast path of
 :mod:`repro.faultsim.fastpath`) is resolved once per run and recorded in
@@ -44,9 +45,9 @@ from repro.campaign import (
     CampaignProgress,
     ProgressBase,
     fingerprint_digest,
+    resolve_workers,
     run_campaign,
 )
-from repro.campaign import resolve_workers as _resolve_workers
 from repro.campaign.store import STORE_VERSION
 from repro.faultsim import fastpath
 from repro.faultsim.geometry import ModuleGeometry
@@ -59,11 +60,6 @@ from repro.faultsim.montecarlo import (
     scheme_name,
     simulate_range,
 )
-
-#: Environment variable consulted when neither the call nor the config
-#: pins a worker count (see the CLI's ``--workers``); the generic
-#: ``REPRO_WORKERS`` is the next fallback.
-WORKERS_ENV = "REPRO_MC_WORKERS"
 
 #: Checkpoint schema version (the unified store's cell version).
 CHECKPOINT_VERSION = STORE_VERSION
@@ -115,20 +111,6 @@ class ProgressStats(ProgressBase):
 
     def _trailer(self) -> str:
         return f"failures {self.failures_so_far}"
-
-
-def resolve_workers(
-    workers: Optional[int] = None,
-    config: Optional[MonteCarloConfig] = None,
-    strict: bool = False,
-) -> int:
-    """Explicit > config > ``REPRO_MC_WORKERS`` > ``REPRO_WORKERS`` > 1."""
-    return _resolve_workers(
-        workers,
-        config.workers if config is not None else None,
-        env=WORKERS_ENV,
-        strict=strict,
-    )
 
 
 def plan_shards(n_modules: int, n_shards: int) -> List[Shard]:
@@ -247,8 +229,8 @@ class _FaultSimCampaign(Campaign):
 
     def run_item(self, item: _ShardItem) -> FailureColumns:
         # ``engine`` was resolved once by the coordinator and travels
-        # with the campaign, so worker processes never re-consult
-        # mutable process state (``REPRO_FAULTSIM`` / ``set_engine``).
+        # with the campaign, so worker processes never re-consult the
+        # ``FAULTSIM`` switch.
         simulate_fn = (
             fastpath.simulate_range_fast
             if self.engine == "fast"
@@ -289,25 +271,22 @@ def simulate_parallel(
 ) -> ReliabilityResult:
     """Sharded equivalent of :func:`simulate`; identical output.
 
-    Keyword overrides take precedence over the corresponding
-    ``MonteCarloConfig`` fields. With ``workers == 1`` the shards run
-    in-process (no pool), which still exercises checkpointing and
-    progress reporting. ``store`` accepts a ready store object (e.g. a
-    networked :class:`repro.campaign.RemoteResultStore`); it takes
-    precedence over ``checkpoint_dir`` and switches the campaign to
-    digest-based cell names so shards from different runs share one
-    namespace safely.
+    Neither ``workers`` nor ``shards`` (None: a few per worker) changes
+    the science output. ``checkpoint_dir`` keeps one checkpoint file per
+    shard, so a re-run with the same config resumes, skipping shards whose
+    checkpoints verify. With ``workers == 1`` the shards run in-process
+    (no pool), which still exercises checkpointing and progress
+    reporting. ``store`` accepts a ready store object (e.g. a networked
+    :class:`repro.campaign.RemoteResultStore`); it takes precedence over
+    ``checkpoint_dir`` and switches the campaign to digest-based cell
+    names so shards from different runs share one namespace safely.
     """
     config = config or MonteCarloConfig()
-    workers = resolve_workers(workers, config)
-    if shards is None:
-        shards = config.shards
+    workers = resolve_workers(workers)
     if shards is None:
         # A few shards per worker keeps the pool busy through stragglers
         # and gives checkpoint/progress useful granularity.
         shards = workers * 4 if workers > 1 else 1
-    if checkpoint_dir is None:
-        checkpoint_dir = config.checkpoint_dir
 
     scheme = scheme_name(evaluator)
     engine = config.resolved_engine()

@@ -56,8 +56,8 @@ class Speck64:
             raise ValueError("SPECK-64/128 requires a 16-byte key")
         self._round_keys = self._expand_key(key)
         # Kernel mode is captured at construction (keeps instances usable
-        # from both sides of a forced_mode() switch in tests).
-        self._fast = kernels.use_fast()
+        # from both sides of a kernel-switch override in tests).
+        self._fast = kernels.kernel_mode() == "fast"
         self._packed_keys = (
             kernels.pack_round_keys8(self._round_keys) if self._fast else None
         )

@@ -24,8 +24,8 @@ Robustness and observability (all supplied by the shared core):
   cell completes (cells/sec, ETA, cache hits so far, and — when cells
   were rejected — why: corrupt vs. stale).
 
-Worker-count resolution order: explicit argument > ``config.workers`` >
-``REPRO_PERF_WORKERS`` > the generic ``REPRO_WORKERS`` > 1 (in-process).
+The worker count is the ``workers`` argument, else the
+:data:`repro.switches.WORKERS` switch (``REPRO_WORKERS``), else 1.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from repro.campaign import (
     CampaignProgress,
     ProgressBase,
     fingerprint_digest,
+    resolve_workers,
     run_campaign,
 )
-from repro.campaign import resolve_workers as _resolve_workers
 from repro.campaign.store import STORE_VERSION
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetcher import StreamPrefetcher
@@ -61,11 +61,7 @@ from repro.perf.model import (
     run_workload,
 )
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization
-
-#: Environment variable consulted when neither the call nor the config
-#: pins a worker count (see the CLI's ``--workers``); the generic
-#: ``REPRO_WORKERS`` is the next fallback.
-WORKERS_ENV = "REPRO_PERF_WORKERS"
+from repro.switches import PERF
 
 #: Cell-cache schema version (the unified store's cell version).
 CACHE_VERSION = STORE_VERSION
@@ -123,20 +119,6 @@ class ProgressStats(ProgressBase):
     cells_per_sec = property(lambda self: self.rate)
 
 
-def resolve_workers(
-    workers: Optional[int] = None,
-    config: Optional[PerfConfig] = None,
-    strict: bool = False,
-) -> int:
-    """Explicit > config > ``REPRO_PERF_WORKERS`` > ``REPRO_WORKERS`` > 1."""
-    return _resolve_workers(
-        workers,
-        config.workers if config is not None else None,
-        env=WORKERS_ENV,
-        strict=strict,
-    )
-
-
 # -- science fingerprint ---------------------------------------------------------
 
 
@@ -155,7 +137,7 @@ def cell_fingerprint(cell: CampaignCell, config: PerfConfig) -> dict:
     prof = profile(cell.workload)
     defaults = CoreConfig()
     pf = StreamPrefetcher()
-    engine = fastpath.resolve_engine(config.engine)
+    engine = PERF.get(config.engine)
     return {
         "model_version": MODEL_VERSION,
         # The engines are statistically equivalent, not bit-identical, so
@@ -219,7 +201,7 @@ def _run_cell(cell: CampaignCell, config: PerfConfig) -> SystemResult:
     on picklable inputs; the cell's own seed overrides the campaign
     default (multi-seed campaigns put every seed in the same grid).
     ``config.engine`` arrives already resolved by :func:`run_cells`, so a
-    pool worker never consults its own process-wide mode.
+    pool worker never consults its own ``PERF`` switch.
     """
     cell_config = PerfConfig(
         n_cores=config.n_cores,
@@ -288,14 +270,10 @@ def run_cells(
     """
     config = config or PerfConfig()
     # Resolve the engine once, here in the parent: fingerprints, the
-    # in-process path, and every pool worker then agree on it even if the
-    # process-wide mode changes mid-campaign (or differs in a worker).
-    config = dataclasses.replace(
-        config, engine=fastpath.resolve_engine(config.engine)
-    )
-    workers = resolve_workers(workers, config)
-    if cache_dir is None:
-        cache_dir = config.cache_dir
+    # in-process path, and every pool worker then agree on it even if an
+    # override ends mid-campaign (or a worker sees another mode).
+    config = dataclasses.replace(config, engine=PERF.get(config.engine))
+    workers = resolve_workers(workers)
 
     def translate(snap: CampaignProgress) -> None:
         progress(

@@ -58,19 +58,18 @@ deterministic and pinned by its own golden corpus values, and the
 campaign fingerprint records the engine so cached cells never cross
 modes.
 
-Mode resolution: ``PerfConfig.engine`` > :func:`set_engine` /
-``REPRO_PERF`` environment variable > ``"reference"`` (the default).
+Mode resolution: ``PerfConfig.engine``, else the
+:data:`repro.switches.PERF` switch (an override, then ``REPRO_PERF``, then
+``"reference"``, the default).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from array import array
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,11 +81,6 @@ from repro.cpu.workloads import WorkloadProfile
 from repro.dram.controller import MemoryController
 from repro.dram.timing import CPU_CYCLES_PER_MEM_CYCLE, DDR4_3200
 from repro.utils.rng import child_seeds, derive_seed, unit_uniforms
-
-#: Recognized values of the ``REPRO_PERF`` environment variable.
-VALID_ENGINES = ("fast", "reference")
-
-ENGINE_ENV = "REPRO_PERF"
 
 #: Generation counter for the fast engine's replay/timing kernels,
 #: pinned into every perf-campaign cell fingerprint. Kernel rewrites
@@ -101,61 +95,6 @@ KERNEL_REVISION = 1
 #: Salt of the fast engine's counter-based draw streams (disjoint from
 #: the reference trace streams 0x7ACE / 0x5EED by derive_seed mixing).
 FAST_STREAM_SALT = 0x9EAF
-
-
-def _engine_from_env() -> str:
-    engine = os.environ.get(ENGINE_ENV, "reference").strip().lower() or "reference"
-    if engine not in VALID_ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV}={engine!r} is not recognized; use one of {VALID_ENGINES}"
-        )
-    return engine
-
-
-_engine = _engine_from_env()
-
-
-def engine_mode() -> str:
-    """The active engine: ``"reference"`` (default) or ``"fast"``."""
-    return _engine
-
-
-def use_fast() -> bool:
-    """True when the vectorized engine is active."""
-    return _engine == "fast"
-
-
-def set_engine(engine: str) -> None:
-    """Select the perf engine for runs started *from now on*."""
-    global _engine
-    if engine not in VALID_ENGINES:
-        raise ValueError(f"engine {engine!r} is not one of {VALID_ENGINES}")
-    _engine = engine
-
-
-@contextmanager
-def forced_mode(engine: str) -> Iterator[None]:
-    """Temporarily force an engine (tests and benchmarks)."""
-    previous = _engine
-    set_engine(engine)
-    try:
-        yield
-    finally:
-        set_engine(previous)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an explicit/config engine against the process-wide mode.
-
-    ``engine`` (usually ``PerfConfig.engine``) wins when set; otherwise
-    the process mode (``set_engine`` / ``REPRO_PERF``) applies. Always
-    returns a member of :data:`VALID_ENGINES`.
-    """
-    if engine is None:
-        return _engine
-    if engine not in VALID_ENGINES:
-        raise ValueError(f"engine {engine!r} is not one of {VALID_ENGINES}")
-    return engine
 
 
 def pass_modes() -> Tuple[str, str]:

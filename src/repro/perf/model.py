@@ -17,6 +17,7 @@ from repro.cpu.system import System, SystemResult
 from repro.cpu.workloads import SPEC2017_PROFILES, WorkloadProfile, profile
 from repro.perf import fastpath
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization
+from repro.switches import PERF
 
 
 @dataclass
@@ -33,15 +34,10 @@ class PerfConfig:
     warmup_instructions: int = 100_000
     seed: int = 0
     #: Simulation engine: ``"fast"`` / ``"reference"``, or None to follow
-    #: the process-wide mode (``REPRO_PERF`` / ``fastpath.set_engine``).
+    #: the :data:`repro.switches.PERF` switch (``REPRO_PERF``).
     #: Science-relevant — the engines are statistically equivalent but
     #: not bit-identical — so it is part of the campaign fingerprint.
     engine: Optional[str] = None
-    #: Execution knobs for the campaign engine (repro.perf.campaign).
-    #: Not part of the science fingerprint: they change how fast a
-    #: campaign runs, never what it computes.
-    workers: Optional[int] = None
-    cache_dir: Optional[str] = None
 
 
 @dataclass
@@ -68,14 +64,12 @@ def run_workload(
     """Simulate one workload under one memory organization.
 
     Dispatches to the vectorized engine when ``config.engine`` (or the
-    process-wide ``REPRO_PERF`` mode) selects ``"fast"`` and the fast
+    :data:`repro.switches.PERF` switch) selects ``"fast"`` and the fast
     engine's timing decomposition applies to the profile; otherwise runs
     the reference :class:`System`.
     """
     config = config or PerfConfig()
-    if fastpath.resolve_engine(config.engine) == "fast" and fastpath.supports(
-        workload
-    ):
+    if PERF.get(config.engine) == "fast" and fastpath.supports(workload):
         return fastpath.run_workload_fast(workload, organization, config)
     system = System(
         workload, organization, n_cores=config.n_cores, seed=config.seed

@@ -109,7 +109,7 @@ def extract_pin_symbols(line: int, n_pins: int = 64, n_beats: int = BEATS_PER_LI
     # Imported lazily: repro.ecc depends on this module at import time.
     from repro.ecc import kernels
 
-    if kernels.use_fast() and kernels.supports_pin_transpose(n_pins, n_beats):
+    if kernels.kernel_mode() == "fast" and kernels.supports_pin_transpose(n_pins, n_beats):
         return kernels.extract_pin_symbols_fast(line, n_pins, n_beats)
     symbols = []
     for pin in range(n_pins):
@@ -138,7 +138,7 @@ def pin_symbols_to_int(symbols: Sequence[int], n_beats: int = BEATS_PER_LINE) ->
     from repro.ecc import kernels
 
     n_pins = len(symbols)
-    if kernels.use_fast() and kernels.supports_pin_transpose(n_pins, n_beats):
+    if kernels.kernel_mode() == "fast" and kernels.supports_pin_transpose(n_pins, n_beats):
         return kernels.pin_symbols_to_int_fast(symbols, n_beats)
     line = 0
     for pin, symbol in enumerate(symbols):

@@ -2,7 +2,7 @@
 
 The domain suites (test_montecarlo_parallel, test_perf_campaign,
 test_hammer_sweep) pin each adapter's behavior; this suite pins the
-shared machinery itself — worker resolution precedence, the
+shared machinery itself — worker resolution and its CPU clamp, the
 fingerprint-verified store and its rejection taxonomy, the append-only
 index, atomic writes under racing writers, crash retry, and the
 progress protocol — once, for every campaign family at a time.
@@ -19,7 +19,6 @@ from repro.campaign import (
     Campaign,
     CampaignError,
     CampaignProgress,
-    GENERIC_WORKERS_ENV,
     INDEX_NAME,
     ResultStore,
     STORE_VERSION,
@@ -30,20 +29,37 @@ from repro.campaign import (
     run_campaign,
     summarize_index,
 )
-from repro.faultsim.parallel import (
-    WORKERS_ENV as MC_WORKERS_ENV,
-    resolve_workers as mc_resolve_workers,
-)
-from repro.perf.campaign import (
-    WORKERS_ENV as PERF_WORKERS_ENV,
-    resolve_workers as perf_resolve_workers,
-)
+from repro.switches import WORKERS
+from tests.test_switches import python_with_env
 
 
-# -- worker resolution precedence ------------------------------------------------
+# -- worker resolution -----------------------------------------------------------
+
+
+def _resolve_with_env(raw, cpus=64):
+    """``resolve_workers()`` in a fresh interpreter whose ``REPRO_WORKERS``
+    is ``raw`` (None: unset) on a ``cpus``-CPU host: (count, warnings)."""
+    script = (
+        "import os, warnings\n"
+        f"os.cpu_count = lambda: {cpus}\n"
+        "from repro.campaign import resolve_workers\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    print(resolve_workers())\n"
+        "for warning in caught:\n"
+        "    print(warning.message)\n"
+    )
+    out = python_with_env(script, REPRO_WORKERS=raw)
+    assert out.returncode == 0, out.stderr
+    count, *messages = out.stdout.splitlines()
+    return int(count), messages
 
 
 class TestResolveWorkers:
+    """``resolve_workers`` reads the shared ``WORKERS`` switch; the
+    switch's precedence is pinned with every other switch in
+    ``test_switches.py``."""
+
     @pytest.fixture(autouse=True)
     def _many_cpus(self, monkeypatch):
         # Precedence tests pick counts like 6/8; pin the host's CPU
@@ -51,57 +67,25 @@ class TestResolveWorkers:
         # (it has its own tests below).
         monkeypatch.setattr("repro.campaign.progress.os.cpu_count", lambda: 64)
 
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(GENERIC_WORKERS_ENV, raising=False)
-        assert resolve_workers() == 1
+    def test_default_is_one(self):
+        assert _resolve_with_env(None) == (1, [])
 
-    def test_explicit_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "8")
-        monkeypatch.setenv("REPRO_TEST_WORKERS", "6")
-        assert resolve_workers(3, 4, env="REPRO_TEST_WORKERS") == 3
+    def test_explicit_beats_everything(self):
+        with WORKERS.override(8):
+            assert resolve_workers() == 8
+            assert resolve_workers(3) == 3
 
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "8")
-        monkeypatch.setenv("REPRO_TEST_WORKERS", "6")
-        assert resolve_workers(None, 4, env="REPRO_TEST_WORKERS") == 4
+    def test_generic_env_is_the_last_fallback(self):
+        assert _resolve_with_env("8") == (8, [])
 
-    def test_specific_env_beats_generic(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "8")
-        monkeypatch.setenv("REPRO_TEST_WORKERS", "6")
-        assert resolve_workers(env="REPRO_TEST_WORKERS") == 6
+    def test_blank_env_values_are_ignored(self):
+        assert _resolve_with_env("  ") == (1, [])
 
-    def test_generic_env_is_the_last_fallback(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "8")
-        monkeypatch.delenv("REPRO_TEST_WORKERS", raising=False)
-        assert resolve_workers(env="REPRO_TEST_WORKERS") == 8
-
-    def test_blank_env_values_are_ignored(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "  ")
-        assert resolve_workers() == 1
-
-    def test_invalid_counts_raise(self, monkeypatch):
-        monkeypatch.delenv(GENERIC_WORKERS_ENV, raising=False)
+    def test_invalid_counts_raise(self):
         with pytest.raises(ValueError):
             resolve_workers(0)
         with pytest.raises(ValueError):
-            resolve_workers(None, -2)
-
-    @pytest.mark.parametrize(
-        "domain_resolve,specific_env",
-        [
-            (mc_resolve_workers, MC_WORKERS_ENV),
-            (perf_resolve_workers, PERF_WORKERS_ENV),
-        ],
-    )
-    def test_domain_wrappers_honor_generic_fallback(
-        self, monkeypatch, domain_resolve, specific_env
-    ):
-        monkeypatch.delenv(specific_env, raising=False)
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "5")
-        assert domain_resolve() == 5
-        # ...and the engine-specific variable still wins over it.
-        monkeypatch.setenv(specific_env, "2")
-        assert domain_resolve() == 2
+            resolve_workers(-2)
 
 
 class TestResolveWorkersClamp:
@@ -109,7 +93,6 @@ class TestResolveWorkersClamp:
 
     @pytest.fixture(autouse=True)
     def _two_cpus(self, monkeypatch):
-        monkeypatch.delenv(GENERIC_WORKERS_ENV, raising=False)
         monkeypatch.setattr("repro.campaign.progress.os.cpu_count", lambda: 2)
 
     def test_clamps_with_one_warning(self):
@@ -128,21 +111,13 @@ class TestResolveWorkersClamp:
             warnings.simplefilter("error")
             assert resolve_workers(8, strict=True) == 8
 
-    def test_clamp_applies_to_env_resolution_too(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "16")
-        with pytest.warns(RuntimeWarning, match="16 campaign workers"):
-            assert resolve_workers() == 2
-
-    @pytest.mark.parametrize(
-        "domain_resolve",
-        [mc_resolve_workers, perf_resolve_workers],
-    )
-    def test_domain_wrappers_clamp_and_pass_strict(self, domain_resolve):
-        with pytest.warns(RuntimeWarning):
-            assert domain_resolve(5) == 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert domain_resolve(5, strict=True) == 5
+    def test_clamp_applies_to_env_resolution_too(self):
+        count, messages = _resolve_with_env("16", cpus=2)
+        assert count == 2
+        assert len(messages) == 1 and "16 campaign workers" in messages[0]
+        with WORKERS.override(16):
+            with pytest.warns(RuntimeWarning, match="16 campaign workers"):
+                assert resolve_workers() == 2
 
     def test_unknown_cpu_count_clamps_to_one(self, monkeypatch):
         monkeypatch.setattr(
@@ -244,7 +219,7 @@ class TestResultStore:
     def test_cross_engine_results_never_substitute(self, tmp_path):
         """A cell computed under one engine is stale under the other.
 
-        This is the REPRO_FAULTSIM / REPRO_PERF resume contract: the
+        This is the ``FAULTSIM`` / ``PERF`` switch resume contract: the
         engines are statistically equivalent, not bit-identical, so the
         fingerprint's ``engine`` field must gate every load.
         """

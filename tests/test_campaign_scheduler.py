@@ -12,7 +12,7 @@ Pins the scheduler half of the distributed-campaign contract:
   workers exhausts its attempt budget into :class:`CampaignError`;
   deterministic item exceptions propagate unchanged;
 - **integration** — ``run_campaign(..., scheduler="steal")`` and the
-  ``REPRO_SCHEDULER`` environment switch reach the same code path.
+  ``SCHEDULER`` switch (``REPRO_SCHEDULER``) reach the same code path.
 
 Reuses the module-level campaigns of ``tests/test_campaign_core.py``
 (they must live at module scope to pickle into workers).
@@ -26,18 +26,19 @@ import pytest
 
 from repro.campaign import (
     CampaignError,
-    SCHEDULER_ENV,
     ResultStore,
     resolve_scheduler,
     run_campaign,
     run_campaign_stealing,
 )
+from repro.switches import SCHEDULER
 from tests.test_campaign_core import (
     AlwaysCrashCampaign,
     CrashOnceCampaign,
     SquareCampaign,
     _items,
 )
+from tests.test_switches import python_with_env
 
 
 class HangOnceCampaign(SquareCampaign):
@@ -207,26 +208,27 @@ class TestEngineIntegration:
         )
         assert _squares(stolen) == reference
 
-    def test_env_selects_scheduler(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        assert resolve_scheduler() == "pool"
-        monkeypatch.setenv(SCHEDULER_ENV, "steal")
-        assert resolve_scheduler() == "steal"
-        # Explicit argument beats the environment.
-        assert resolve_scheduler("pool") == "pool"
-
-    def test_unknown_scheduler_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler("magic")
-        monkeypatch.setenv(SCHEDULER_ENV, "bogus")
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            run_campaign(SquareCampaign(), _items(1))
-
-    def test_steal_env_reaches_run_campaign(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(SCHEDULER_ENV, "steal")
-        results = run_campaign(
-            SquareCampaign(), _items(4), workers=2, store_dir=str(tmp_path)
+    def test_env_selects_scheduler(self):
+        script = (
+            "from repro.campaign import resolve_scheduler; "
+            # Explicit argument beats the environment.
+            "print(resolve_scheduler(), resolve_scheduler('pool'))"
         )
+        out = python_with_env(script, REPRO_SCHEDULER="steal")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["steal", "pool"]
+
+    def test_unknown_scheduler_rejected(self):
+        with pytest.raises(ValueError, match="REPRO_SCHEDULER"):
+            resolve_scheduler("magic")
+        with pytest.raises(ValueError, match="REPRO_SCHEDULER"):
+            run_campaign(SquareCampaign(), _items(1), scheduler="bogus")
+
+    def test_steal_env_reaches_run_campaign(self, tmp_path):
+        with SCHEDULER.override("steal"):
+            results = run_campaign(
+                SquareCampaign(), _items(4), workers=2, store_dir=str(tmp_path)
+            )
         assert _squares(results) == {0: 1, 1: 4, 2: 9, 3: 16}
         store = ResultStore(str(tmp_path))
         cell = f"square-{_cell_digest(1)}.json"

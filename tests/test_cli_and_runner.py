@@ -74,3 +74,91 @@ class TestCLI:
     def test_scheme_flag_rejected_by_scheme_unaware_experiment(self, capsys):
         assert main(["table1", "--scheme", "secded"]) == 2
         assert "does not take --scheme" in capsys.readouterr().err
+
+
+class TestGlobalOptions:
+    """Global options reach the commands that declare them and are
+    rejected (exit 2) everywhere else, never dropped silently."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Stub every long-running command body; records its arguments."""
+        import repro.__main__ as cli
+        from repro.campaign import server
+        from repro.rowhammer import playbook
+
+        calls = []
+
+        def record(name):
+            def stub(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return {} if name == "run_playbook" else None
+
+            return stub
+
+        monkeypatch.setattr(server, "run_server", record("run_server"))
+        monkeypatch.setattr(cli, "run_all", record("run_all"))
+        monkeypatch.setattr(playbook, "run_playbook", record("run_playbook"))
+        monkeypatch.setattr(playbook, "report_playbook", record("report_playbook"))
+        return calls
+
+    def test_serve_receives_workers(self, calls, tmp_path):
+        assert main(["serve", "--store-dir", str(tmp_path), "--workers", "4"]) == 0
+        (name, args, kwargs), = calls
+        assert name == "run_server" and args == (str(tmp_path),)
+        assert kwargs["workers"] == 4
+
+    def test_submit_rejects_workers(self, calls, monkeypatch, capsys):
+        import repro.campaign
+
+        monkeypatch.setattr(repro.campaign, "CampaignClient", None)
+        assert main(["submit", "127.0.0.1:7797", "perf", "--workers", "4"]) == 2
+        assert "command 'submit' does not take --workers" in capsys.readouterr().err
+
+    def test_all_rejects_options_it_does_not_take(self, calls, tmp_path, capsys):
+        argv = ["all", "--engine", "fast", "--scheme", "secded", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "command 'all' does not take --scheme" in capsys.readouterr().err
+        assert calls == []
+        assert main(["all", "--workers", "2"]) == 0
+        assert calls == [("run_all", (), {"workers": 2})]
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--engine", "fast"], "does not take --engine"),
+            (["--profile", "p.json"], "does not take --profile"),
+            (
+                ["--store-url", "127.0.0.1:7797", "--cache-dir", "cells"],
+                "mutually exclusive",
+            ),
+        ],
+    )
+    def test_playbook_run_rejects_dropped_options(self, calls, capsys, flags, message):
+        assert main(["playbook", "run", "--scenario", "edge-double"] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+
+    def test_playbook_run_receives_its_options(self, calls, tmp_path):
+        argv = ["playbook", "run", "--scenario", "edge-double", "--workers", "2",
+                "--scheme", "secded", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        (name, _, kwargs), _ = calls
+        assert name == "run_playbook"
+        assert kwargs["workers"] == 2 and kwargs["cache_dir"] == str(tmp_path)
+
+    def test_experiment_without_workers_rejects_it(self, capsys):
+        assert main(["table1", "--workers", "2"]) == 2
+        assert "experiment 'table1' does not take --workers" in capsys.readouterr().err
+
+    def test_accepted_options_come_from_the_runner_signature(self, monkeypatch):
+        seen = {}
+
+        def runner(workers=None, engine=None):
+            seen.update(workers=workers, engine=engine)
+
+        monkeypatch.setitem(EXPERIMENTS, "probe", runner)
+        run_experiment("probe", workers=3, engine="fast")
+        assert seen == {"workers": 3, "engine": "fast"}
+        with pytest.raises(ValueError, match="does not take --scheme; it takes --workers, --engine"):
+            run_experiment("probe", scheme="secded")

@@ -3,9 +3,10 @@
 Four pillars, mirroring the kernel-equivalence suite's fast/reference
 oracle pattern:
 
-- **Mode plumbing** — ``REPRO_FAULTSIM`` resolution order
-  (config > ``set_engine``/env > reference default), the ``forced_mode``
-  test hook, and the engine field in the science fingerprint.
+- **Mode plumbing** — ``MonteCarloConfig.engine`` beats the
+  ``FAULTSIM`` switch (override, then ``REPRO_FAULTSIM``, then the
+  reference default; the switch itself is pinned in
+  ``test_switches.py``), and the engine field in the science fingerprint.
 - **Exact equivalence where promised** — multi-fault modules fall back
   to the scalar loop and are bit-identical to the reference engine; the
   fast engine is deterministic per seed and shard/worker-invariant.
@@ -44,6 +45,7 @@ from repro.faultsim.montecarlo import (
     simulate_range,
 )
 from repro.faultsim.parallel import simulate_parallel
+from repro.switches import FAULTSIM
 from repro.utils.rng import derive_seed
 from tests.test_montecarlo_parallel import assert_identical, failure_rows
 
@@ -60,35 +62,28 @@ def geometry_for(scheme: str):
 
 class TestEnginePlumbing:
     def test_default_is_reference(self):
-        assert fastpath.resolve_engine(None) in fastpath.VALID_ENGINES
-        with fastpath.forced_mode("reference"):
-            assert fastpath.engine_mode() == "reference"
-            assert not fastpath.use_fast()
+        assert FAULTSIM.default == "reference"
+        with FAULTSIM.override("reference"):
             assert MonteCarloConfig().resolved_engine() == "reference"
 
     def test_config_beats_process_mode(self):
-        with fastpath.forced_mode("reference"):
+        with FAULTSIM.override("reference"):
             assert MonteCarloConfig(engine="fast").resolved_engine() == "fast"
-        with fastpath.forced_mode("fast"):
-            assert fastpath.use_fast()
+        with FAULTSIM.override("fast"):
             assert MonteCarloConfig(engine="reference").resolved_engine() == (
                 "reference"
             )
             assert MonteCarloConfig().resolved_engine() == "fast"
 
-    def test_forced_mode_restores(self):
-        before = fastpath.engine_mode()
-        with fastpath.forced_mode("fast"):
-            assert fastpath.engine_mode() == "fast"
-        assert fastpath.engine_mode() == before
-
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError):
-            fastpath.set_engine("turbo")
-        with pytest.raises(ValueError):
-            fastpath.resolve_engine("turbo")
-        with pytest.raises(ValueError):
             MonteCarloConfig(engine="turbo").resolved_engine()
+        with pytest.raises(ValueError):
+            simulate(
+                SECDEDEvaluator(X8_SECDED_16GB),
+                X8_SECDED_16GB,
+                MonteCarloConfig(engine="turbo", n_modules=10),
+            )
 
     def test_fingerprint_records_engine(self):
         fast = MonteCarloConfig(engine="fast", **STAT)
@@ -165,7 +160,7 @@ class TestFastDeterminism:
         ambient = MonteCarloConfig(seed=3, **STAT)
         evaluator = SafeGuardSECDEDEvaluator(X8_SECDED_16GB)
         expected = simulate(evaluator, X8_SECDED_16GB, explicit)
-        with fastpath.forced_mode("fast"):
+        with FAULTSIM.override("fast"):
             assert_identical(
                 expected, simulate(evaluator, X8_SECDED_16GB, ambient)
             )

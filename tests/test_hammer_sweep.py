@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.campaign import GENERIC_WORKERS_ENV, summarize_index
+from repro.campaign import summarize_index
 from repro.rowhammer.sweep import (
     DEFAULT_MITIGATIONS,
     SweepCell,
@@ -14,6 +14,7 @@ from repro.rowhammer.sweep import (
     plan_sweep,
     run_sweep,
 )
+from repro.switches import WORKERS
 
 
 #: Small enough to run in seconds, large enough that an unmitigated
@@ -64,13 +65,12 @@ class TestDeterminism:
             run_sweep(cells, TINY, workers=2)
         )
 
-    def test_generic_workers_env_is_honored(self, monkeypatch):
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "2")
+    def test_generic_workers_env_is_honored(self):
         cells = tiny_cells()[:4]
-        monkeypatch.delenv(GENERIC_WORKERS_ENV)
-        expected = as_json(run_sweep(cells, TINY))
-        monkeypatch.setenv(GENERIC_WORKERS_ENV, "2")
-        assert as_json(run_sweep(cells, TINY)) == expected
+        with WORKERS.override(1):
+            expected = as_json(run_sweep(cells, TINY))
+        with WORKERS.override(2):
+            assert as_json(run_sweep(cells, TINY)) == expected
 
 
 class TestScience:
@@ -206,15 +206,13 @@ class TestCLI:
         assert main(["campaign-status", str(tmp_path / "missing")]) == 1
 
     def test_hammer_sweep_is_wired_into_the_dispatcher(self):
-        from repro.experiments.runner import (
-            CACHE_AWARE,
-            EXPERIMENTS,
-            SCHEME_AWARE,
-        )
+        import inspect
+
+        from repro.experiments.runner import EXPERIMENTS
 
         assert "hammer-sweep" in EXPERIMENTS
-        assert "hammer-sweep" in SCHEME_AWARE
-        assert "hammer-sweep" in CACHE_AWARE
+        options = inspect.signature(EXPERIMENTS["hammer-sweep"]).parameters
+        assert {"workers", "scheme", "cache_dir", "store_url"} <= set(options)
 
     def test_rejects_misplaced_options(self):
         from repro.experiments.runner import run_experiment

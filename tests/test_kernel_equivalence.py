@@ -30,19 +30,19 @@ from hypothesis import strategies as st
 
 from repro.core.config import SafeGuardConfig
 from repro.core.registry import create, names
-from repro.ecc import kernels
 from repro.ecc.chipkill import ChipkillCode
 from repro.ecc.hamming import HammingSEC, HammingSECDED
 from repro.ecc.parity import N_DATA_PINS, column_parity, recover_pin
 from repro.ecc.secded import LineECC1, WordSECDEDLine
 from repro.mac.linemac import LineMAC
 from repro.mac.speck import Speck64
+from repro.switches import KERNELS
 
 KEY = b"equivalence-key!"
 
 # Codec/MAC instances capture the kernel mode at construction, so a pair
 # built under forced modes can be compared side by side afterwards.
-with kernels.forced_mode("fast"):
+with KERNELS.override("fast"):
     FAST = {
         "sec64": HammingSEC(64),
         "sec566": HammingSEC(566),
@@ -53,7 +53,7 @@ with kernels.forced_mode("fast"):
         "mac": LineMAC(KEY, 46),
         "speck": Speck64(KEY),
     }
-with kernels.forced_mode("reference"):
+with KERNELS.override("reference"):
     REF = {
         "sec64": HammingSEC(64),
         "sec566": HammingSEC(566),
@@ -179,10 +179,10 @@ def test_chipkill_equivalent(line, chip, pattern):
 @COMMON
 @given(line=st.integers(0, (1 << 512) - 1), pin=st.integers(0, N_DATA_PINS - 1))
 def test_column_parity_equivalent(line, pin):
-    with kernels.forced_mode("fast"):
+    with KERNELS.override("fast"):
         fast_parity = column_parity(line)
         fast_recovered = recover_pin(line, pin, fast_parity)
-    with kernels.forced_mode("reference"):
+    with KERNELS.override("reference"):
         ref_parity = column_parity(line)
         ref_recovered = recover_pin(line, pin, ref_parity)
     assert fast_parity == ref_parity
@@ -197,15 +197,15 @@ def test_column_parity_equivalent(line, pin):
 )
 def test_pin_recovery_equivalent_under_damage(line, pin, symbol_error):
     """A damaged pin is reconstructed identically by both paths."""
-    with kernels.forced_mode("reference"):
+    with KERNELS.override("reference"):
         parity = column_parity(line)
     damaged = line
     for beat in range(8):
         if (symbol_error >> beat) & 1:
             damaged ^= 1 << (beat * N_DATA_PINS + pin)
-    with kernels.forced_mode("fast"):
+    with KERNELS.override("fast"):
         fast_recovered = recover_pin(damaged, pin, parity)
-    with kernels.forced_mode("reference"):
+    with KERNELS.override("reference"):
         ref_recovered = recover_pin(damaged, pin, parity)
     assert fast_recovered == ref_recovered == line
 
@@ -227,9 +227,9 @@ def test_speck_official_test_vector():
     key = bytes.fromhex("00010203" "08090a0b" "10111213" "18191a1b")
     plaintext = (0x3B726574 << 32) | 0x7475432D
     expected = (0x8C6FA548 << 32) | 0x454E028B
-    with kernels.forced_mode("fast"):
+    with KERNELS.override("fast"):
         assert Speck64(key).encrypt_block(plaintext) == expected
-    with kernels.forced_mode("reference"):
+    with KERNELS.override("reference"):
         assert Speck64(key).encrypt_block(plaintext) == expected
 
 
@@ -372,7 +372,7 @@ _CORPUS_KEY = bytes.fromhex(_CORPUS["key"])
 @pytest.mark.parametrize("scheme_name", sorted(_CORPUS["schemes"]))
 def test_golden_parity_replays_under_fast_kernels(scheme_name):
     entry = _CORPUS["schemes"][scheme_name]
-    with kernels.forced_mode("fast"):
+    with KERNELS.override("fast"):
         controller = create(scheme_name, key=_CORPUS_KEY)
         reads = iter(entry["reads"])
         for op in entry["ops"]:

@@ -51,8 +51,10 @@ from repro.faultsim.parallel import (
     resolve_workers,
     simulate_parallel,
 )
+from repro.switches import WORKERS
 from repro.utils import units
 from repro.utils.rng import derive_seed
+from tests.test_switches import python_with_env
 
 #: Small population with boosted FIT so every run has plenty of failures
 #: while staying fast enough for 7-shard sweeps.
@@ -103,32 +105,54 @@ class TestShardPlanning:
 
 
 class TestResolveWorkers:
+    """``simulate_parallel`` takes its worker count from the argument, else
+    the shared ``WORKERS`` switch; a few shards per worker by default."""
+
     @pytest.fixture(autouse=True)
     def _many_cpus(self, monkeypatch):
-        # Keep the precedence assertions host-independent: the
-        # oversubscription clamp (tested in test_campaign_core) would
-        # otherwise rewrite 5/9 on small hosts.
+        # Keep the assertions host-independent: the oversubscription
+        # clamp (tested in test_campaign_core) would otherwise rewrite
+        # worker counts on small hosts.
         monkeypatch.setattr("repro.campaign.progress.os.cpu_count", lambda: 64)
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_WORKERS", "9")
-        assert resolve_workers(3, MonteCarloConfig(workers=5)) == 3
+    @staticmethod
+    def _shards_planned(**kwargs):
+        events = []
+        simulate_parallel(
+            SECDEDEvaluator(X8_SECDED_16GB),
+            X8_SECDED_16GB,
+            MonteCarloConfig(n_modules=400, seed=1),
+            progress=events.append,
+            **kwargs,
+        )
+        return events[-1].shards_total
 
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_WORKERS", "9")
-        assert resolve_workers(None, MonteCarloConfig(workers=5)) == 5
+    def test_explicit_wins(self):
+        with WORKERS.override(2):
+            assert self._shards_planned(workers=1) == 1
+            assert resolve_workers(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_WORKERS", "9")
-        assert resolve_workers(None, MonteCarloConfig()) == 9
+    def test_env_fallback(self):
+        script = (
+            "import os\n"
+            "os.cpu_count = lambda: 64\n"
+            "from tests.test_montecarlo_parallel import TestResolveWorkers\n"
+            "print(TestResolveWorkers._shards_planned())\n"
+        )
+        out = python_with_env(script, REPRO_WORKERS="2")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["8"]  # 4 shards per resolved worker
 
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MC_WORKERS", raising=False)
-        assert resolve_workers() == 1
+    def test_default_is_sequential(self):
+        assert WORKERS.default == 1
+        with WORKERS.override(WORKERS.default):
+            assert self._shards_planned() == 1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resolve_workers(0)
+        with pytest.raises(ValueError):
+            self._shards_planned(workers=0)
 
 
 class TestShardedEquivalence:
@@ -157,12 +181,14 @@ class TestShardedEquivalence:
         assert_identical(sequential, pooled)
 
     def test_config_fields_drive_engine(self):
-        config = MonteCarloConfig(seed=5, workers=1, shards=3, **FAST)
+        """The config alone decides the result; execution is keywords."""
         evaluator = SECDEDEvaluator(X8_SECDED_16GB)
-        assert_identical(
-            simulate(evaluator, X8_SECDED_16GB, config),
-            simulate_parallel(evaluator, X8_SECDED_16GB, config),
-        )
+        for engine in ("reference", "fast"):
+            config = MonteCarloConfig(seed=5, engine=engine, **FAST)
+            assert_identical(
+                simulate(evaluator, X8_SECDED_16GB, config),
+                simulate_parallel(evaluator, X8_SECDED_16GB, config, shards=3),
+            )
 
     def test_scrubbing_survives_sharding(self):
         config = MonteCarloConfig(seed=2, scrub_interval_hours=24.0, **FAST)

@@ -26,13 +26,11 @@ import pytest
 from repro.cpu.system import SystemResult
 from repro.cpu.workloads import profile
 from repro.perf.campaign import (
-    WORKERS_ENV,
     CampaignCell,
     ProgressStats,
     _cache_path,
     cell_fingerprint,
     plan_grid,
-    resolve_workers,
     run_cells,
     run_comparison_multiseed_parallel,
     run_comparison_parallel,
@@ -52,6 +50,7 @@ from repro.perf.organizations import (
     safeguard,
     sgx_style,
 )
+from repro.switches import SCHEDULER, WORKERS
 
 #: Small but mechanism-covering scale (prefetch trains, LLC churn,
 #: posted-write drains all fire) so the grid sweeps stay fast.
@@ -224,16 +223,10 @@ def test_fingerprint_distinguishes_science_knobs():
     ]
     for variant in variants:
         assert variant != base
-    # Execution knobs are not science: a different worker count or cache
-    # location must still hit the same cached cells.
-    exec_only = PerfConfig(
-        n_cores=FAST.n_cores,
-        instructions_per_core=FAST.instructions_per_core,
-        warmup_instructions=FAST.warmup_instructions,
-        workers=7,
-        cache_dir="/elsewhere",
-    )
-    assert cell_fingerprint(cell, exec_only) == base
+    # Execution knobs are not science: a different worker count or
+    # scheduler must still hit the same cached cells.
+    with WORKERS.override(7), SCHEDULER.override("steal"):
+        assert cell_fingerprint(cell, FAST) == base
 
 
 def test_fingerprint_pins_code_constants():
@@ -259,22 +252,6 @@ def test_plan_grid_indexes_are_dense():
 
 
 # -- workers / progress ----------------------------------------------------------
-
-
-def test_resolve_workers_precedence(monkeypatch):
-    # Pin the CPU count high so the oversubscription clamp (pinned in
-    # test_campaign_core) never rewrites the precedence picks here.
-    monkeypatch.setattr("repro.campaign.progress.os.cpu_count", lambda: 64)
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert resolve_workers() == 1
-    assert resolve_workers(3) == 3
-    assert resolve_workers(None, PerfConfig(workers=2)) == 2
-    monkeypatch.setenv(WORKERS_ENV, "5")
-    assert resolve_workers() == 5
-    assert resolve_workers(2) == 2  # explicit beats env
-    assert resolve_workers(None, PerfConfig(workers=4)) == 4  # config beats env
-    with pytest.raises(ValueError):
-        resolve_workers(0)
 
 
 def test_progress_stats_shape():

@@ -2,10 +2,10 @@
 
 Five pillars, mirroring ``test_faultsim_fastpath.py``:
 
-- **Mode plumbing** — ``REPRO_PERF`` resolution order
-  (``PerfConfig.engine`` > ``set_engine``/env > reference default), the
-  ``forced_mode`` test hook, and the engine field in the campaign
-  fingerprint (cached cells never cross engines).
+- **Mode plumbing** — ``PerfConfig.engine`` beats the ``PERF`` switch
+  (override, then ``REPRO_PERF``, then the reference default; the switch
+  itself is pinned in ``test_switches.py``), and the engine field in the
+  campaign fingerprint (cached cells never cross engines).
 - **Exact determinism where promised** — the fast engine replays the
   golden corpus's ``result_fast`` records bit-for-bit, and that corpus
   drives the timing tick through its rare paths (write drains,
@@ -60,7 +60,9 @@ from repro.perf.organizations import (
     safeguard,
     sgx_style,
 )
+from repro.switches import PERF
 from repro.utils.rng import derive_seed
+from tests.test_switches import python_with_env
 
 _CORPUS_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_perf.json")
 
@@ -84,45 +86,37 @@ def _config(engine, seed=0, scale=GOLDEN_SCALE):
 
 
 class TestEnginePlumbing:
+    def _cell(self):
+        return plan_grid([safeguard(8)], ["gcc"], [0])[0]
+
     def test_default_is_reference(self):
-        assert fastpath.resolve_engine(None) in fastpath.VALID_ENGINES
-        with fastpath.forced_mode("reference"):
-            assert fastpath.engine_mode() == "reference"
-            assert not fastpath.use_fast()
-            assert fastpath.resolve_engine(None) == "reference"
+        assert PERF.default == "reference"
+        with PERF.override("reference"):
+            assert cell_fingerprint(self._cell(), _config(None))["engine"] == "reference"
 
     def test_config_beats_process_mode(self):
-        with fastpath.forced_mode("reference"):
-            assert fastpath.resolve_engine("fast") == "fast"
-        with fastpath.forced_mode("fast"):
-            assert fastpath.use_fast()
-            assert fastpath.resolve_engine("reference") == "reference"
-            assert fastpath.resolve_engine(None) == "fast"
-
-    def test_forced_mode_restores(self):
-        before = fastpath.engine_mode()
-        with fastpath.forced_mode("fast"):
-            assert fastpath.engine_mode() == "fast"
-        assert fastpath.engine_mode() == before
+        cell = self._cell()
+        with PERF.override("reference"):
+            assert cell_fingerprint(cell, _config("fast"))["engine"] == "fast"
+        with PERF.override("fast"):
+            assert cell_fingerprint(cell, _config("reference"))["engine"] == "reference"
+            assert cell_fingerprint(cell, _config(None))["engine"] == "fast"
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError):
-            fastpath.set_engine("turbo")
+            cell_fingerprint(self._cell(), _config("turbo"))
         with pytest.raises(ValueError):
-            fastpath.resolve_engine("turbo")
+            run_workload(profile("gcc"), BASELINE_ECC, _config("turbo"))
 
     def test_env_selects_fast(self):
-        env = {**os.environ, "REPRO_PERF": "fast", "PYTHONPATH": "src"}
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.perf import fastpath; print(fastpath.engine_mode())",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
+        script = (
+            "from repro.perf.campaign import cell_fingerprint, plan_grid\n"
+            "from repro.perf.model import PerfConfig\n"
+            "from repro.perf.organizations import safeguard\n"
+            "cell = plan_grid([safeguard(8)], ['gcc'], [0])[0]\n"
+            "print(cell_fingerprint(cell, PerfConfig())['engine'])"
         )
+        out = python_with_env(script, REPRO_PERF="fast")
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "fast"
 
@@ -138,13 +132,13 @@ class TestEnginePlumbing:
         assert "REPRO_PERF" in out.stderr
 
     def test_fingerprint_records_engine(self):
-        cell = plan_grid([safeguard(8)], ["gcc"], [0])[0]
+        cell = self._cell()
         fp_fast = cell_fingerprint(cell, _config("fast"))
         fp_ref = cell_fingerprint(cell, _config("reference"))
         assert fp_fast["engine"] == "fast"
         assert fp_ref["engine"] == "reference"
         assert fp_fast != fp_ref
-        with fastpath.forced_mode("fast"):
+        with PERF.override("fast"):
             assert cell_fingerprint(cell, _config(None))["engine"] == "fast"
 
 

@@ -19,6 +19,7 @@ import math
 import os
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from repro.faultsim.evaluators import (
     SafeGuardSECDEDEvaluator,
     SECDEDEvaluator,
 )
-from repro.faultsim import parallel
+from repro.faultsim import montecarlo, parallel
 from repro.faultsim.geometry import X8_SECDED_16GB
 from repro.faultsim.montecarlo import (
     OUTCOME_CODES,
@@ -545,6 +546,25 @@ class TestSeedStreamRegression:
             MonteCarloConfig(n_modules=64, seed=42), X8_SECDED_16GB
         )
         assert (counts == again).all()
+
+    @pytest.mark.parametrize("fit_multiplier", [1.0, 3290.0])
+    def test_chunked_fault_counts_equal_one_draw(self, fit_multiplier, monkeypatch):
+        """Counts are drawn in chunks, one byte each, and widened when a
+        count exceeds 255 (here at module 3 under a ~240 faults/module
+        rate), yet equal one Poisson call over the whole population."""
+        config = MonteCarloConfig(
+            n_modules=2_500, seed=42, fit_multiplier=fit_multiplier
+        )
+        monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", config.n_modules)
+        whole = draw_fault_counts(config, X8_SECDED_16GB)
+        monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", 1)
+        chunked = draw_fault_counts(config, X8_SECDED_16GB)
+        assert chunked.tolist() == whole.tolist()
+        if fit_multiplier == 1.0:
+            assert chunked.dtype == whole.dtype == np.uint8
+        else:
+            assert chunked[:3].max() <= 255 < chunked[3]
+            assert chunked.dtype == whole.dtype == np.int64
 
     def test_simulate_range_uses_global_indices(self):
         """Shifting lo shifts which per-module streams are consumed."""

@@ -342,8 +342,8 @@ def draw_fault_counts(
     one generator, which yields the same values as a single call. So the
     population never exists as 8 bytes per module: every run redraws it,
     and an 8 MB array per million modules, allocated and freed once per
-    run, left a campaign's peak memory to the luck of heap fragmentation
-    (6.5 MiB apart between identical runs of Figures 6 and 10).
+    run, leaves a campaign's peak memory to heap fragmentation (6.5 MiB
+    apart between identical runs of Figures 6 and 10).
     """
     total_hours = config.years * units.HOURS_PER_YEAR
     # Per-chip arrival rate across all modes (events per hour).

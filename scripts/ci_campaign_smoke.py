@@ -9,14 +9,14 @@ grew out of:
 2. **Performance cells** (both perf engines): the 2-worker grid is
    bit-identical to ``run_comparison``, and a second run reloads every
    cell from the shared store.
-3. **Row-Hammer sweep**: 2-worker run matches sequential, resumes from
+3. **Attack playbooks**: the library lints (every scenario compiles),
+   and a 2-worker playbook campaign matches sequential and resumes from
    the shared store.
-4. **Attack playbooks**: the library lints (every scenario compiles),
-   and a 2-worker playbook campaign matches sequential, resumes from
-   the shared store, and survives a mid-campaign kill.
-5. **Kill-and-resume**: a child process running the sweep is killed
-   mid-campaign; the parent resumes from the partial store, recomputes
-   only what is missing, and ends with identical results.
+4. **Figure 1c** (a playbook grid) at the test scale: 2 workers, the
+   sequential run and a fully cached rerun print the same table.
+5. **Kill-and-resume**: a child process running the playbook grid is
+   killed mid-campaign; the parent resumes from the partial store,
+   recomputes only what is missing, and ends with identical results.
 6. **Kill-and-resume over the network**: the same death, but through a
    live campaign server — the child's claims die with its socket, and
    the parent's 2-worker resume through a fresh
@@ -35,6 +35,7 @@ import sys
 import tempfile
 
 from repro.campaign import summarize_index
+from repro.experiments import fig1c_detection
 from repro.faultsim.evaluators import SafeGuardSECDEDEvaluator, SECDEDEvaluator
 from repro.faultsim.geometry import X8_SECDED_16GB
 from repro.faultsim.montecarlo import MonteCarloConfig, simulate
@@ -48,7 +49,6 @@ from repro.rowhammer.playbook import (
     plan_playbook,
     run_playbook,
 )
-from repro.rowhammer.sweep import SweepConfig, plan_sweep, run_sweep
 
 
 def check_faultsim(store: str) -> None:
@@ -110,34 +110,18 @@ def check_perf(store: str) -> None:
         )
 
 
-SWEEP_CONFIG = SweepConfig(budget=6_000)
-
-
-def sweep_cells():
-    return plan_sweep(
-        attacks=["double-sided", "half-double"],
-        mitigations=["none", "graphene"],
-        schemes=["secded", "safeguard-secded"],
-        seeds=[3],
-    )
-
-
-def check_sweep(store: str) -> None:
-    cells = sweep_cells()
-    sequential = run_sweep(cells, SWEEP_CONFIG)
-    parallel = run_sweep(cells, SWEEP_CONFIG, workers=2, cache_dir=store)
-    stats = []
-    cached = run_sweep(cells, SWEEP_CONFIG, cache_dir=store, progress=stats.append)
-    as_json = lambda results: {k: v.to_json() for k, v in results.items()}  # noqa: E731
-    assert as_json(sequential) == as_json(parallel) == as_json(cached)
-    assert stats[-1].items_from_store == len(cells)
-    print(
-        f"hammer-sweep OK: 2-worker sweep identical to sequential, "
-        f"all {len(cells)} points reloaded from the shared store"
-    )
-
-
 PLAYBOOK_CONFIG = PlaybookConfig(budget=6_000)
+
+
+def as_json(results):
+    return {k: v.to_json() for k, v in results.items()}
+
+
+def _env():
+    return dict(
+        os.environ,
+        PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""),
+    )
 
 
 def playbook_cells():
@@ -150,10 +134,57 @@ def playbook_cells():
     )
 
 
-#: Child payload for the playbook kill-and-resume: runs the playbook
-#: grid into the store at argv[1] and hard-exits after the third point.
-_PLAYBOOK_CHILD = """
+def check_playbook(store: str):
+    """Lint, then sequential = 2-worker = cached; returns the sequential
+    results as the resume legs' reference."""
+    for line in lint_scenarios():
+        print(f"  lint {line}")
+    cells = playbook_cells()
+    sequential = run_playbook(cells, PLAYBOOK_CONFIG)
+    parallel = run_playbook(cells, PLAYBOOK_CONFIG, workers=2, cache_dir=store)
+    stats = []
+    cached = run_playbook(
+        cells, PLAYBOOK_CONFIG, cache_dir=store, progress=stats.append
+    )
+    assert as_json(sequential) == as_json(parallel) == as_json(cached)
+    assert stats[-1].items_from_store == len(cells)
+    print(
+        f"playbook OK: library lints, 2-worker grid identical to "
+        f"sequential, all {len(cells)} points reloaded from the shared store"
+    )
+    return sequential
+
+
+#: Figure 1c's test scale (tests/test_experiments.py).
+FIG1C_SCALE = dict(rh_threshold=600, budget=120_000)
+
+
+def check_fig1c(store: str) -> None:
+    # 2 workers first: the sequential run then computes every attack in
+    # this process instead of reusing a memo the workers inherited.
+    parallel = fig1c_detection.run(**FIG1C_SCALE, workers=2, cache_dir=store)
+    sequential = fig1c_detection.run(**FIG1C_SCALE)
+    stats = []
+    cached = fig1c_detection.run(
+        **FIG1C_SCALE, cache_dir=store, progress=stats.append
+    )
+    assert parallel == sequential == cached
+    assert stats[-1].items_from_store == stats[-1].items_total == 24
+    assert not any(o.security_risk for o in sequential if "SafeGuard" in o.organization)
+    print(
+        "fig1c OK: 2-worker table identical to sequential, all 24 points "
+        "reloaded from the shared store"
+    )
+
+
+#: Child payload for the kill-and-resume checks: runs the playbook grid
+#: into the store at argv[1] (a directory, or a campaign server's
+#: HOST:PORT with argv[2] == "remote") and hard-exits after the third
+#: completed point — mid-campaign, like a CI timeout or an operator's
+#: Ctrl-C; a remote child abandons its claims mid-lease.
+_CHILD = """
 import os, sys
+from repro.campaign import RemoteResultStore
 from repro.rowhammer.playbook import PlaybookConfig, plan_playbook, run_playbook
 
 config = PlaybookConfig(budget=6_000)
@@ -169,171 +200,69 @@ def die_after_three(snap):
     if snap.items_done >= 3:
         os._exit(1)
 
-run_playbook(cells, config, cache_dir=sys.argv[1], progress=die_after_three)
+if sys.argv[2:] == ["remote"]:
+    with RemoteResultStore(sys.argv[1]) as store:
+        run_playbook(cells, config, store=store, progress=die_after_three)
+else:
+    run_playbook(cells, config, cache_dir=sys.argv[1], progress=die_after_three)
 raise SystemExit("child was supposed to die mid-campaign")
 """
 
 
-def check_playbook(store: str) -> None:
-    for line in lint_scenarios():
-        print(f"  lint {line}")
-    cells = playbook_cells()
-    sequential = run_playbook(cells, PLAYBOOK_CONFIG)
-    parallel = run_playbook(cells, PLAYBOOK_CONFIG, workers=2, cache_dir=store)
-    stats = []
-    cached = run_playbook(
-        cells, PLAYBOOK_CONFIG, cache_dir=store, progress=stats.append
-    )
-    as_json = lambda results: {k: v.to_json() for k, v in results.items()}  # noqa: E731
-    assert as_json(sequential) == as_json(parallel) == as_json(cached)
-    assert stats[-1].items_from_store == len(cells)
-    print(
-        f"playbook OK: library lints, 2-worker grid identical to "
-        f"sequential, all {len(cells)} points reloaded from the shared store"
-    )
-    # Kill-and-resume through a separate store.
-    kill_store = os.path.join(store, "killed-playbook")
-    env = dict(
-        os.environ,
-        PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""),
-    )
+def _kill_child(*args) -> None:
     child = subprocess.run(
-        [sys.executable, "-c", _PLAYBOOK_CHILD, kill_store],
-        env=env,
+        [sys.executable, "-c", _CHILD, *args],
+        env=_env(),
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert child.returncode == 1, f"child exited {child.returncode}, expected the kill"
-    partial = summarize_index(kill_store).get("playbook", {"completed": 0})
-    assert 0 < partial["completed"] < len(cells)
-    stats = []
-    resumed = run_playbook(
-        cells, PLAYBOOK_CONFIG, workers=2, cache_dir=kill_store,
-        progress=stats.append,
-    )
-    assert stats[-1].items_from_store == partial["completed"]
-    assert as_json(resumed) == as_json(sequential)
-    print(
-        f"playbook kill-and-resume OK: child died after "
-        f"{partial['completed']} points, 2-worker resume recomputed only "
-        f"the remaining {len(cells) - partial['completed']}"
-    )
-
-
-#: Child payload for the kill-and-resume check: runs the sweep into the
-#: store given by argv[1] and hard-exits after the third completed point
-#: — mid-campaign, like a CI timeout or an operator's Ctrl-C.
-_CHILD = """
-import os, sys
-from repro.rowhammer.sweep import SweepConfig, plan_sweep, run_sweep
-
-cells = plan_sweep(
-    attacks=["double-sided", "half-double"],
-    mitigations=["none", "graphene"],
-    schemes=["secded", "safeguard-secded"],
-    seeds=[3],
-)
-
-def die_after_three(snap):
-    if snap.items_done >= 3:
-        os._exit(1)
-
-run_sweep(cells, SweepConfig(budget=6_000), cache_dir=sys.argv[1],
-          progress=die_after_three)
-raise SystemExit("child was supposed to die mid-campaign")
-"""
 
 
 def check_kill_and_resume(store: str, reference) -> None:
-    kill_store = os.path.join(store, "killed-sweep")
-    env = dict(os.environ, PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    child = subprocess.run(
-        [sys.executable, "-c", _CHILD, kill_store],
-        env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    )
-    assert child.returncode == 1, f"child exited {child.returncode}, expected the kill"
-    partial = summarize_index(kill_store).get("hammer-sweep", {"completed": 0})
-    assert 0 < partial["completed"] < len(sweep_cells())
+    kill_store = os.path.join(store, "killed-playbook")
+    _kill_child(kill_store)
+    partial = summarize_index(kill_store).get("playbook", {"completed": 0})
+    assert 0 < partial["completed"] < len(playbook_cells())
     stats = []
-    resumed = run_sweep(
-        sweep_cells(), SWEEP_CONFIG, cache_dir=kill_store, progress=stats.append
+    resumed = run_playbook(
+        playbook_cells(), PLAYBOOK_CONFIG, cache_dir=kill_store,
+        progress=stats.append,
     )
     assert stats[-1].items_from_store == partial["completed"]
-    assert {k: v.to_json() for k, v in resumed.items()} == {
-        k: v.to_json() for k, v in reference.items()
-    }
+    assert as_json(resumed) == as_json(reference)
     print(
         f"kill-and-resume OK: child died after {partial['completed']} points, "
         f"resume recomputed only the remaining "
-        f"{len(sweep_cells()) - partial['completed']}"
+        f"{len(playbook_cells()) - partial['completed']}"
     )
-
-
-#: Child payload for the networked kill-and-resume check: same sweep,
-#: but every cell goes through a RemoteResultStore at argv[1]; hard-exit
-#: after the third point, abandoning its claims mid-lease.
-_REMOTE_CHILD = """
-import os, sys
-from repro.campaign import RemoteResultStore
-from repro.rowhammer.sweep import SweepConfig, plan_sweep, run_sweep
-
-cells = plan_sweep(
-    attacks=["double-sided", "half-double"],
-    mitigations=["none", "graphene"],
-    schemes=["secded", "safeguard-secded"],
-    seeds=[3],
-)
-
-def die_after_three(snap):
-    if snap.items_done >= 3:
-        os._exit(1)
-
-with RemoteResultStore(sys.argv[1]) as store:
-    run_sweep(cells, SweepConfig(budget=6_000), store=store,
-              progress=die_after_three)
-raise SystemExit("child was supposed to die mid-campaign")
-"""
 
 
 def check_kill_and_resume_remote(store: str, reference) -> None:
     from repro.campaign import BackgroundServer, RemoteResultStore
 
-    remote_store = os.path.join(store, "served-sweep")
-    env = dict(
-        os.environ,
-        PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""),
-    )
+    remote_store = os.path.join(store, "served-playbook")
     with BackgroundServer(remote_store) as server:
-        child = subprocess.run(
-            [sys.executable, "-c", _REMOTE_CHILD, server.url],
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert child.returncode == 1, (
-            f"child exited {child.returncode}, expected the kill"
-        )
+        _kill_child(server.url, "remote")
         partial = summarize_index(remote_store).get(
-            "hammer-sweep", {"completed": 0}
+            "playbook", {"completed": 0}
         )
-        assert 0 < partial["completed"] < len(sweep_cells())
+        assert 0 < partial["completed"] < len(playbook_cells())
         stats = []
         with RemoteResultStore(server.url) as resume_store:
-            resumed = run_sweep(
-                sweep_cells(),
-                SWEEP_CONFIG,
+            resumed = run_playbook(
+                playbook_cells(),
+                PLAYBOOK_CONFIG,
                 workers=2,
                 store=resume_store,
                 progress=stats.append,
             )
     assert stats[-1].items_from_store == partial["completed"]
-    assert {k: v.to_json() for k, v in resumed.items()} == {
-        k: v.to_json() for k, v in reference.items()
-    }
+    assert as_json(resumed) == as_json(reference)
     print(
         f"networked kill-and-resume OK: child died holding claims after "
         f"{partial['completed']} points; 2-worker resume through the "
         f"server recomputed only the remaining "
-        f"{len(sweep_cells()) - partial['completed']}"
+        f"{len(playbook_cells()) - partial['completed']}"
     )
 
 
@@ -343,20 +272,16 @@ def check_status(store: str) -> None:
     # fingerprints -> distinct cell files, same science key).
     assert summary["perf"]["cells"] == 8
     assert summary["perf"]["completed"] == 6
-    assert summary["hammer-sweep"]["completed"] == len(sweep_cells())
-    assert summary["playbook"]["completed"] == len(playbook_cells())
+    # The playbook grid's points plus Figure 1c's 24.
+    assert summary["playbook"]["completed"] == len(playbook_cells()) + 24
     status = subprocess.run(
         [sys.executable, "-m", "repro", "campaign-status", store],
         capture_output=True,
         text=True,
-        env=dict(
-            os.environ,
-            PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""),
-        ),
+        env=_env(),
     )
     assert status.returncode == 0, status.stderr
-    assert "perf" in status.stdout and "hammer-sweep" in status.stdout
-    assert "playbook" in status.stdout
+    assert "perf" in status.stdout and "playbook" in status.stdout
     print("campaign-status OK:")
     print(status.stdout.rstrip())
 
@@ -365,9 +290,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as store:
         check_faultsim(store)
         check_perf(store)
-        check_sweep(store)
-        check_playbook(store)
-        reference = run_sweep(sweep_cells(), SWEEP_CONFIG)
+        reference = check_playbook(store)
+        check_fig1c(store)
         check_kill_and_resume(store, reference)
         check_kill_and_resume_remote(store, reference)
         check_status(store)

@@ -3,7 +3,7 @@
 CI's end-to-end check of the networked campaign path:
 
 1. **Shared store, zero overlap**: two clients run the SAME small
-   hammer-sweep grid concurrently through one campaign server. The
+   playbook grid concurrently through one campaign server. The
    claim protocol must divide the grid — every point computed exactly
    once across both clients (the store's append-only index saw exactly
    one entry per cell), both clients end with the full, identical
@@ -32,26 +32,31 @@ from repro.campaign import (  # noqa: E402
     CampaignClient,
     RemoteResultStore,
 )
-from repro.rowhammer.sweep import SweepConfig, plan_sweep, run_sweep  # noqa: E402
+from repro.rowhammer.playbook import (  # noqa: E402
+    PlaybookConfig,
+    plan_playbook,
+    run_playbook,
+)
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 
-SWEEP_CONFIG = SweepConfig(budget=6_000)
+PLAYBOOK_CONFIG = PlaybookConfig(budget=6_000)
 
 
-def sweep_cells():
-    return plan_sweep(
-        attacks=["double-sided", "half-double"],
+def playbook_cells():
+    return plan_playbook(
+        scenarios=["double-sided", "half-double"],
         mitigations=["none", "graphene"],
         schemes=["secded", "safeguard-secded"],
         seeds=[3],
+        config=PLAYBOOK_CONFIG,
     )
 
 
 def check_concurrent_clients(server) -> None:
-    cells = sweep_cells()
+    cells = playbook_cells()
     reference = {
-        k: v.to_json() for k, v in run_sweep(cells, SWEEP_CONFIG).items()
+        k: v.to_json() for k, v in run_playbook(cells, PLAYBOOK_CONFIG).items()
     }
     outcome = {}
     errors = []
@@ -69,8 +74,8 @@ def check_concurrent_clients(server) -> None:
                 snaps.append(snap)
 
             with RemoteResultStore(server.url, wait_chunk_s=0.5) as store:
-                results = run_sweep(
-                    cells, SWEEP_CONFIG, store=store, progress=track
+                results = run_playbook(
+                    cells, PLAYBOOK_CONFIG, store=store, progress=track
                 )
             last = snaps[-1]
             outcome[name] = {
@@ -104,7 +109,7 @@ def check_concurrent_clients(server) -> None:
     )
 
     with CampaignClient(server.url) as client_:
-        summary = client_.status()["hammer-sweep"]
+        summary = client_.status()["playbook"]
     assert summary["completed"] == len(cells)
     assert summary["entries"] == len(cells), (
         f"{summary['entries']} index entries for {len(cells)} cells: "
@@ -132,27 +137,27 @@ def _cli(args):
 
 
 def check_job_front_door(server) -> None:
-    # Jobs run the default SweepConfig (whose fingerprints differ from
-    # the reduced-budget smoke grid), so restrict the submitted grid to
-    # a single point to keep the job cheap.
+    # Jobs run the default PlaybookConfig (whose fingerprints differ
+    # from the reduced-budget smoke grid), so restrict the submitted grid
+    # to a single point to keep the job cheap.
     params = json.dumps(
         {
-            "attacks": ["double-sided"],
+            "scenarios": ["double-sided"],
             "mitigations": ["graphene"],
             "schemes": ["secded"],
             "seeds": [3],
         }
     )
-    submitted = _cli(["submit", server.url, "hammer-sweep", "--params", params, "--watch"])
+    submitted = _cli(["submit", server.url, "playbook", "--params", params, "--watch"])
     assert submitted.returncode == 0, submitted.stderr
     # stdout is the "submitted job-NNNN" banner followed by results JSON.
     assert submitted.stdout.startswith("submitted job-"), submitted.stdout
     results = json.loads(submitted.stdout[submitted.stdout.index("[") :])
-    assert len(results) == 1 and results[0]["attack"] == "double-sided"
+    assert len(results) == 1 and results[0]["scenario"] == "double-sided"
 
     status = _cli(["campaign-status", "--remote", server.url])
     assert status.returncode == 0, status.stderr
-    assert "hammer-sweep" in status.stdout
+    assert "playbook" in status.stdout
     with CampaignClient(server.url) as client:
         stats = client.stats()
     assert stats["activity"]["jobs_finished"] >= 1

@@ -11,30 +11,30 @@ Usage::
     python -m repro fig7 --workers 8         # parallel perf campaign (same output)
     python -m repro fig7 --cache-dir .cells  # resumable per-cell result cache
     python -m repro fig7 --profile prof.json # + per-pass cProfile dump
-    python -m repro hammer-sweep --workers 4 --cache-dir .sweep
+    python -m repro fig1b --workers 4 --cache-dir .pb  # Figure 1b playbook grid
     python -m repro playbook list            # named attack scenarios
     python -m repro playbook show many-sided # format + compiled preview
     python -m repro playbook lint            # compile the whole library
     python -m repro playbook run --scenario all --workers 2 --cache-dir .pb
-    python -m repro campaign-status .sweep   # summarize a campaign store
+    python -m repro campaign-status .pb      # summarize a campaign store
     python -m repro serve --store-dir .shared --port 7797
     python -m repro fig7 --store-url HOST:7797      # shared networked cache
-    python -m repro submit HOST:7797 hammer-sweep --watch
+    python -m repro submit HOST:7797 playbook --watch
     python -m repro campaign-status --remote HOST:7797
     python -m repro all                      # everything (interactive scale)
 
 Global options, accepted by the commands whose runner declares them (any
 other command rejects them with exit code 2): ``--workers N`` fans a
-campaign (fig6/fig7/fig10-13, hammer-sweep, ``playbook run``, ``all``,
+campaign (fig1b/fig1c, fig6/fig7/fig10-13, ``playbook run``, ``all``,
 ``serve``'s job default) across N processes with bit-identical results.
 ``--scheme NAME`` (a name from ``python -m repro schemes``) restricts
-fig1c/fig6/fig7/fig10/fig11/hammer-sweep/``playbook run`` to one memory
+fig1c/fig6/fig7/fig10/fig11/``playbook run`` to one memory
 organization. ``--engine fast|reference`` selects the Monte-Carlo engine
 of fig6/fig10 or the perf engine of fig7/fig11/fig12/fig13; both fast
 paths are statistically equivalent to their reference loops, not
 bit-identical, and campaign caches / checkpoints never cross engines.
 ``--cache-dir PATH`` persists one verified JSON result per campaign cell
-(perf figures, hammer-sweep, ``playbook run``): a killed or re-scoped
+(fig1b/fig1c, perf figures, ``playbook run``): a killed or re-scoped
 campaign recomputes only the cells it is missing; ``--store-url
 HOST:PORT`` shares the cells through a campaign server instead (the two
 are mutually exclusive). ``--profile PATH`` (fig7/fig11) additionally
@@ -56,7 +56,7 @@ or config field > an ``override()`` (tests) > the environment variable
 Distributed serving: ``python -m repro serve --store-dir DIR`` starts
 the asyncio campaign server (shared fingerprint-verified result store +
 async job API; see ``repro.campaign.server``); ``python -m repro submit
-HOST:PORT KIND`` enqueues a server-side campaign job (``hammer-sweep`` /
+HOST:PORT KIND`` enqueues a server-side campaign job (``playbook`` /
 ``perf`` / ``faultsim``; the job's worker count goes in ``--params``),
 ``--watch`` streaming its progress events.
 """

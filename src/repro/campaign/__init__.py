@@ -2,9 +2,9 @@
 
 The repo runs three campaign families — Monte-Carlo reliability shards
 (:mod:`repro.faultsim.parallel`), cycle-level performance cells
-(:mod:`repro.perf.campaign`), and Row-Hammer attack sweeps
-(:mod:`repro.rowhammer.sweep`). All three are thin adapters over this
-package:
+(:mod:`repro.perf.campaign`), and Row-Hammer attack playbooks
+(:mod:`repro.rowhammer.playbook`, which also runs Figures 1b and 1c).
+All three are thin adapters over this package:
 
 - :mod:`repro.campaign.engine` — the :class:`Campaign` work-item
   contract and the retrying, group-scheduling, store-backed executor

@@ -1,7 +1,7 @@
 """The domain-generic campaign executor.
 
 A *campaign* is a grid of independent, deterministic work items — Monte
-Carlo shards, performance cells, Row-Hammer sweep points — each fully
+Carlo shards, performance cells, Row-Hammer playbook points — each fully
 described by a science fingerprint. This module owns every mechanism
 those campaigns share, exactly once:
 
@@ -14,7 +14,7 @@ those campaigns share, exactly once:
 - **fan-out** — pending items go to worker processes as *groups*
   (``Campaign.group_key``), so engines whose items share expensive
   per-process state (the perf engine's memoized content pass, the
-  sweep's per-attack simulation) keep that sharing under any worker
+  playbook's per-attack simulation) keep that sharing under any worker
   count. Two schedulers implement the fan-out: ``"pool"`` (a
   ``ProcessPoolExecutor`` round per retry attempt, the historical
   default) and ``"steal"`` (persistent workers pulling groups from a

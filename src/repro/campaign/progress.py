@@ -2,8 +2,8 @@
 
 Every campaign engine in the repo — the sharded Monte-Carlo runs of
 :mod:`repro.faultsim.parallel`, the performance-cell grids of
-:mod:`repro.perf.campaign`, and the Row-Hammer attack sweeps of
-:mod:`repro.rowhammer.sweep` — reports progress the same way: a snapshot
+:mod:`repro.perf.campaign`, and the Row-Hammer attack playbooks of
+:mod:`repro.rowhammer.playbook` — reports progress the same way: a snapshot
 object handed to a user callback after every completed work item, with a
 rate, an ETA, a completed fraction, and a one-line ``describe()``. The
 *math* for all of that lives here exactly once (:class:`ProgressBase`);
@@ -66,7 +66,7 @@ class ProgressBase:
     Subclasses provide (as dataclass fields or alias properties):
 
     - ``items_done`` / ``items_total`` — completed vs. planned work items
-      (shards, cells, sweep points);
+      (shards, cells, playbook points);
     - ``items_from_store`` — items satisfied from the result store
       (checkpoints / cache) instead of computed;
     - ``units_done`` / ``units_total`` — the finer-grained work measure
@@ -174,7 +174,7 @@ class CampaignProgress(ProgressBase):
 
     Domain adapters translate it into their own field vocabulary before
     invoking user callbacks; campaigns without legacy vocabulary (the
-    Row-Hammer sweep) hand it to callers as-is.
+    attack playbooks) hand it to callers as-is.
     """
 
     items_done: int = 0

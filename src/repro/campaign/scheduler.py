@@ -10,7 +10,7 @@ groups while the others sit idle.
 This module keeps ``workers`` *persistent* processes alive for the whole
 campaign and lets each pull the next whole group from a shared queue the
 moment it goes idle — work stealing at group granularity. Groups stay
-atomic (the perf engine's content memo and the sweep's per-attack state
+atomic (the perf engine's content memo and the playbook's per-attack state
 still share within a group); only their *placement* becomes dynamic, so
 the slow groups overlap with many small ones instead of defining the
 critical path.

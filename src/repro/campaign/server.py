@@ -21,7 +21,7 @@ concurrent clients *divide* a grid instead of racing it:
   clients.
 - **jobs** — an async front door (``submit`` / ``job-status`` /
   ``job-results`` / ``watch``) that runs whole campaigns
-  (``hammer-sweep`` / ``perf`` / ``faultsim``) server-side against the
+  (``playbook`` / ``perf`` / ``faultsim``) server-side against the
   shared store, streaming progress events to any number of watchers.
   Jobs execute on an executor thread; the asyncio loop stays free to
   serve store traffic, which is exactly why the shared
@@ -118,16 +118,18 @@ def _progress_payload(snap) -> Dict[str, Any]:
 # them. Signature: (server, params, progress_callback) -> JSON results.
 
 
-def _job_hammer_sweep(server: "CampaignServer", params: dict, progress):
-    from repro.rowhammer import sweep
+def _job_playbook(server: "CampaignServer", params: dict, progress):
+    from repro.rowhammer import playbook
 
-    cells = sweep.plan_sweep(
-        attacks=tuple(params.get("attacks") or sweep.DEFAULT_ATTACKS),
-        mitigations=tuple(params.get("mitigations") or sweep.DEFAULT_MITIGATIONS),
-        schemes=tuple(params.get("schemes") or sweep.DEFAULT_SCHEMES),
+    cells = playbook.plan_playbook(
+        scenarios=params.get("scenarios"),
+        mitigations=tuple(
+            params.get("mitigations") or playbook.DEFAULT_MITIGATIONS
+        ),
+        schemes=params.get("schemes"),
         seeds=tuple(params.get("seeds") or (3,)),
     )
-    outcomes = sweep.run_sweep(
+    outcomes = playbook.run_playbook(
         cells,
         workers=server.job_workers(params),
         cache_dir=server.store_dir,
@@ -217,7 +219,7 @@ def _job_faultsim(server: "CampaignServer", params: dict, progress):
 
 
 JOB_KINDS = {
-    "hammer-sweep": _job_hammer_sweep,
+    "playbook": _job_playbook,
     "perf": _job_perf,
     "faultsim": _job_faultsim,
 }

@@ -4,27 +4,45 @@ Reproduces the paper's motivating matrix: classic patterns are stopped by
 correctly sized precise mitigations; lowering the device threshold below
 the design point (Table I's trend), exceeding tracker capacity
 (TRRespass), or weaponizing the mitigation's own refreshes (Half-Double)
-all break through. The scaled defaults keep one cell under a second; pass
-``rh_threshold=4800, budget=1_360_000`` for the full-scale run recorded
-in EXPERIMENTS.md.
+all break through. The matrix is a playbook grid
+(:mod:`repro.rowhammer.playbook`): the library's ``double-sided``,
+``many-sided`` (TRRespass, flush rows 74-118 inside the 128-row bank)
+and ``half-double`` scenarios against six mitigations, so it caches,
+resumes and fans out like any campaign. The scaled defaults
+(``rh_threshold=1200, budget=340_000``) run the grid in about a minute
+on one core; pass ``rh_threshold=4800, budget=1_360_000`` for the
+full-scale run recorded in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
+from repro.campaign import ProgressCallback
 from repro.experiments.reporting import format_table, print_banner
-from repro.rowhammer.attacks import double_sided, half_double, many_sided
-from repro.rowhammer.blockhammer import BlockHammerMitigation
-from repro.rowhammer.mitigations import (
-    GrapheneMitigation,
-    NoMitigation,
-    PARA,
-    TRRMitigation,
-)
-from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
-from repro.rowhammer.runner import AttackRunner
+from repro.rowhammer.model import RowHammerConfig
+from repro.rowhammer.playbook import PlaybookConfig, plan_playbook, run_playbook
+
+#: Library scenario -> the row label Figure 1b prints.
+ATTACKS = {
+    "double-sided": "double-sided",
+    "many-sided": "many-sided(trrespass)",
+    "half-double": "half-double",
+}
+
+#: Row label -> playbook mitigation name.
+MITIGATIONS = {
+    "none": "none",
+    "para": "para-sized",
+    "para-stale": "para-stale",  # sized for DDR3-2014
+    "trr": "trr",
+    "graphene": "graphene",
+    "blockhammer": "blockhammer",
+}
+
+#: Figure 1b counts victim flips only; one scheme consumes them.
+SCHEME = "secded"
 
 
 @dataclass(frozen=True)
@@ -35,35 +53,50 @@ class Cell:
     broke_through: bool
 
 
-def _mitigations(threshold: int, budget: int) -> List[Callable[[], object]]:
-    return [
-        ("none", NoMitigation),
-        ("para", lambda: PARA.sized_for(threshold)),
-        ("para-stale", lambda: PARA.sized_for(139_000)),  # sized for DDR3-2014
-        ("trr", lambda: TRRMitigation(4)),
-        ("graphene", lambda: GrapheneMitigation(threshold, budget)),
-        ("blockhammer", lambda: BlockHammerMitigation(threshold)),
-    ]
-
-
 def run(
     rh_threshold: int = 1200,
     budget: int = 340_000,
     victim_row: int = 64,
     seed: int = 1,
+    *,
+    workers: Optional[int] = None,
+    cache_dir: Optional[str] = None,
+    store=None,
+    progress: Optional[ProgressCallback] = None,
 ) -> List[Cell]:
-    """Run every attack against every mitigation."""
-    attacks = [double_sided(victim_row), many_sided(victim_row), half_double(victim_row)]
-    cells: List[Cell] = []
-    for mit_name, mit_factory in _mitigations(rh_threshold, budget):
-        for attack in attacks:
-            model = DisturbanceModel(RowHammerConfig(rh_threshold=rh_threshold, seed=seed))
-            runner = AttackRunner(model, mit_factory())
-            result = runner.run(attack, windows=1, budget=budget)
-            cells.append(
-                Cell(attack.name, mit_name, result.intended_flips, result.broke_through)
+    """Run every attack against every mitigation (the default model's
+    weak-cell population and flip rate)."""
+    defaults = RowHammerConfig()
+    config = PlaybookConfig(
+        rh_threshold=rh_threshold,
+        budget=budget,
+        victim_row=victim_row,
+        weak_cells_per_row=defaults.weak_cells_per_row,
+        flips_per_crossing=defaults.flips_per_crossing,
+    )
+    cells = plan_playbook(
+        scenarios=tuple(ATTACKS),
+        mitigations=tuple(MITIGATIONS.values()),
+        schemes=(SCHEME,),
+        seeds=(seed,),
+        config=config,
+    )
+    outcomes = run_playbook(
+        cells,
+        config,
+        workers=workers,
+        cache_dir=cache_dir,
+        store=store,
+        progress=progress,
+    )
+    matrix: List[Cell] = []
+    for mit_label, mitigation in MITIGATIONS.items():
+        for scenario, label in ATTACKS.items():
+            outcome = outcomes[(scenario, mitigation, SCHEME, seed)]
+            matrix.append(
+                Cell(label, mit_label, outcome.intended_flips, outcome.broke_through)
             )
-    return cells
+    return matrix
 
 
 def report(cells: Optional[List[Cell]] = None) -> str:

@@ -6,20 +6,20 @@ bit-flips to the stored bits of each memory organization, then read the
 victim data back and classify what software would consume. Conventional
 ECC silently consumes (or miscorrects) multi-bit corruption — a security
 risk; SafeGuard converts every one of those reads into a detected
-uncorrectable error — a reliability event.
+uncorrectable error — a reliability event. The run is a playbook grid
+(:mod:`repro.rowhammer.playbook`): ``half-double`` x ``graphene`` x the
+schemes x the seeds, summed per scheme.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.campaign import ProgressCallback
 from repro.core import registry
 from repro.experiments.reporting import format_table, print_banner
-from repro.rowhammer.attacks import half_double
-from repro.rowhammer.integration import ConsumptionOutcome, VictimArray
-from repro.rowhammer.mitigations import GrapheneMitigation
-from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
-from repro.rowhammer.runner import AttackRunner
+from repro.rowhammer.integration import ConsumptionOutcome
+from repro.rowhammer.playbook import PlaybookConfig, plan_playbook, run_playbook
 
 
 #: The organizations Figure 1c compares, resolved by registry name.
@@ -33,6 +33,11 @@ def run(
     seeds: "tuple[int, ...]" = (3, 5, 7, 11, 13, 17),
     weak_cells: int = 64,
     schemes: "tuple[str, ...]" = SCHEMES,
+    *,
+    workers: Optional[int] = None,
+    cache_dir: Optional[str] = None,
+    store=None,
+    progress: Optional[ProgressCallback] = None,
 ) -> List[ConsumptionOutcome]:
     """Breakthrough attacks, then consumption under each organization.
 
@@ -41,33 +46,42 @@ def run(
     corrects, multi-bit words SECDED *miscorrects into silently wrong
     data*, and the same patterns SafeGuard converts to DUEs.
     """
-    key = b"fig1c-demo-key!!"
-    controllers = [
-        (registry.scheme(name).display, registry.create(name, key=key))
+    config = PlaybookConfig(
+        rh_threshold=rh_threshold,
+        budget=budget,
+        victim_row=victim_row,
+        weak_cells_per_row=weak_cells,
+        flips_per_crossing=6.0,
+    )
+    cells = plan_playbook(
+        scenarios=("half-double",),
+        mitigations=("graphene",),
+        schemes=schemes,
+        seeds=seeds,
+        config=config,
+    )
+    outcomes = run_playbook(
+        cells,
+        config,
+        workers=workers,
+        cache_dir=cache_dir,
+        store=store,
+        progress=progress,
+    )
+    totals = {
+        name: ConsumptionOutcome(organization=registry.scheme(name).display)
         for name in schemes
-    ]
-    totals: List[ConsumptionOutcome] = [
-        ConsumptionOutcome(organization=name) for name, _ in controllers
-    ]
-    for seed in seeds:
-        config = RowHammerConfig(
-            rh_threshold=rh_threshold, seed=seed, weak_cells_per_row=weak_cells,
-            flips_per_crossing=6.0,
-        )
-        model = DisturbanceModel(config)
-        runner = AttackRunner(model, GrapheneMitigation(rh_threshold, budget))
-        result = runner.run(half_double(victim_row), windows=1, budget=budget)
-        for (name, controller), total in zip(controllers, totals):
-            array = VictimArray(
-                controller,
-                bits_per_row=config.bits_per_row,
-                base_address=seed << 24,
-            )
-            for row in result.final_flip_bits:
-                array.populate_row(row)
-            array.apply_flips(result.final_flip_bits)
-            total.merge(array.read_all(name))
-    return totals
+    }
+    for cell in cells:
+        point = outcomes[cell.key]
+        total = totals[cell.scheme]
+        total.lines_read += point.lines_read
+        # Every read is exactly one of clean, corrected or a DUE.
+        total.clean += point.lines_read - point.corrected - point.detected_ue
+        total.corrected += point.corrected
+        total.detected_ue += point.detected_ue
+        total.silent_corruptions += point.silent_corruptions
+    return list(totals.values())
 
 
 def report(outcomes: Optional[List[ConsumptionOutcome]] = None) -> str:

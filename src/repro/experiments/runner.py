@@ -9,7 +9,7 @@ Used by the CLI (``python -m repro <experiment>``) and handy from a REPL::
 Each runner declares the options it accepts as keyword parameters —
 ``workers``, ``scheme``, ``engine``, ``cache_dir``, ``profile_to``,
 ``store_url`` — and :func:`check_options` rejects any other from its
-signature. The campaign experiments (fig6/fig7/fig10-13, hammer-sweep)
+signature. The campaign experiments (fig1b/fig1c, fig6/fig7/fig10-13)
 fan their cells across ``workers`` processes with bit-identical output.
 """
 
@@ -37,7 +37,6 @@ from repro.experiments import (
 from repro.campaign import ProgressBase
 from repro.core import registry
 from repro.perf.model import PerfConfig
-from repro.rowhammer import sweep as hammer_sweep
 
 
 class _open_store:
@@ -97,13 +96,38 @@ def _table5() -> None:
     table5_storage.report()
 
 
-def _fig1b() -> None:
-    fig1b_attacks.report(fig1b_attacks.run())
+def _fig1b(
+    workers: Optional[int] = None,
+    cache_dir: Optional[str] = None,
+    store_url: Optional[str] = None,
+) -> None:
+    progress = _print_progress if workers and workers > 1 else None
+    with _open_store(store_url) as store:
+        fig1b_attacks.report(
+            fig1b_attacks.run(
+                workers=workers, cache_dir=cache_dir, store=store, progress=progress
+            )
+        )
 
 
-def _fig1c(scheme: Optional[str] = None) -> None:
+def _fig1c(
+    workers: Optional[int] = None,
+    scheme: Optional[str] = None,
+    cache_dir: Optional[str] = None,
+    store_url: Optional[str] = None,
+) -> None:
+    progress = _print_progress if workers and workers > 1 else None
     schemes = (scheme,) if scheme else fig1c_detection.SCHEMES
-    fig1c_detection.report(fig1c_detection.run(schemes=schemes))
+    with _open_store(store_url) as store:
+        fig1c_detection.report(
+            fig1c_detection.run(
+                schemes=schemes,
+                workers=workers,
+                cache_dir=cache_dir,
+                store=store,
+                progress=progress,
+            )
+        )
 
 
 def _fig6(
@@ -229,28 +253,6 @@ def _fig13(
         )
 
 
-def _hammer_sweep(
-    workers: Optional[int] = None,
-    scheme: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    store_url: Optional[str] = None,
-) -> None:
-    """The attack-sweep campaign: attacks x mitigations x organizations."""
-    progress = _print_progress if workers and workers > 1 else None
-    schemes = (scheme,) if scheme else hammer_sweep.DEFAULT_SCHEMES
-    cells = hammer_sweep.plan_sweep(schemes=schemes)
-    with _open_store(store_url) as store:
-        hammer_sweep.report(
-            hammer_sweep.run_sweep(
-                cells,
-                workers=workers,
-                cache_dir=cache_dir,
-                store=store,
-                progress=progress,
-            )
-        )
-
-
 def _sec4b() -> None:
     sec4b_birthday.report()
 
@@ -284,7 +286,6 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "fig11": _fig7,
     "fig12": _fig12,
     "fig13": _fig13,
-    "hammer-sweep": _hammer_sweep,
     "sec4b": _sec4b,
     "sec4c": _sec4c,
     "sec7": _sec7,

@@ -20,13 +20,12 @@ Implements the threat the paper defends against (Sections I, II):
   (Figure 1c).
 - :mod:`repro.rowhammer.eccploit` — the ECCploit-style timing-channel
   attack against word-granularity SECDED (Section II-E, Case-3).
-- :mod:`repro.rowhammer.sweep` — the attack-sweep campaign (attacks x
-  mitigations x organizations) over the generic campaign core
-  (``python -m repro hammer-sweep``).
-- :mod:`repro.rowhammer.playbook` — declarative JSON/dict attack
-  playbooks compiled through the shared schedule compiler, a library of
-  named scenarios, and campaign execution across the full scheme
-  registry (``python -m repro playbook``).
+- :mod:`repro.rowhammer.playbook` — the one attack campaign:
+  declarative JSON/dict attack playbooks compiled through the shared
+  schedule compiler, a library of named scenarios, and campaign
+  execution (scenarios x mitigations x schemes) over the generic
+  campaign core (``python -m repro playbook``; Figures 1b and 1c run as
+  playbook grids).
 """
 
 from repro.rowhammer.thresholds import RH_THRESHOLDS, threshold_for
@@ -60,13 +59,6 @@ from repro.rowhammer.attacks import (
 )
 from repro.rowhammer.runner import AttackRunner, AttackResult
 from repro.rowhammer.integration import VictimArray, ConsumptionOutcome
-from repro.rowhammer.sweep import (
-    SweepCell,
-    SweepConfig,
-    SweepOutcome,
-    plan_sweep,
-    run_sweep,
-)
 from repro.rowhammer.playbook import (
     SCENARIOS,
     PlaybookCell,
@@ -114,11 +106,6 @@ __all__ = [
     "AttackResult",
     "VictimArray",
     "ConsumptionOutcome",
-    "SweepCell",
-    "SweepConfig",
-    "SweepOutcome",
-    "plan_sweep",
-    "run_sweep",
     "SCENARIOS",
     "PlaybookCell",
     "PlaybookConfig",

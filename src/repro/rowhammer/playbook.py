@@ -53,12 +53,17 @@ scenario variants x mitigations x every registered scheme through
 ``(scenario, mitigation, seed)`` so one attack simulation serves all
 schemes of a group, ``--store-url`` for the distributed service — and
 :func:`report_playbook` renders the per-scenario DUE/SDC/breakthrough
-matrix. CLI::
+matrix. This is the repo's one attack campaign: Figures 1b and 1c
+(:mod:`repro.experiments.fig1b_attacks`,
+:mod:`repro.experiments.fig1c_detection`) are playbook grids over the
+library's ``double-sided``, ``many-sided`` and ``half-double``, and the
+campaign server runs grids as ``playbook`` jobs. CLI::
 
     python -m repro playbook list
     python -m repro playbook show many-sided
     python -m repro playbook lint
     python -m repro playbook run --scenario all --workers 2 --cache-dir .pb
+    python -m repro fig1b --workers 2 --cache-dir .pb
 """
 
 from __future__ import annotations
@@ -84,20 +89,29 @@ from repro.rowhammer.attacks import (
     compile_schedule,
     expand_weights,
 )
+from repro.rowhammer.blockhammer import BlockHammerMitigation
 from repro.rowhammer.fuzzer import PatternGenome
 from repro.rowhammer.integration import VictimArray
+from repro.rowhammer.mitigations import (
+    GrapheneMitigation,
+    Mitigation,
+    NoMitigation,
+    PARA,
+    TRRMitigation,
+)
 from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
 from repro.rowhammer.runner import AttackRunner
-from repro.rowhammer.sweep import (
-    DEFAULT_MITIGATIONS,
-    SWEEP_KEY,
-    SweepConfig,
-    make_mitigation,
-)
+from repro.utils.rng import derive_seed
 
 #: Bumped when playbook compilation or consumption semantics change;
 #: invalidates every cached playbook point.
 PLAYBOOK_VERSION = 1
+
+#: MAC key of every playbook point's controller. Any fixed key works
+#: (playbooks study corruption consumption, not key secrecy), but every
+#: recorded playbook result was computed with these bytes and the key
+#: is not part of a point's fingerprint, so they stay fixed.
+PLAYBOOK_KEY = b"hammer-sweep-key"
 
 #: Fill pattern of consumed victim rows; ``data_inversion`` flips it so
 #: anti-cell rows (charged '0' cells) are exercised too.
@@ -572,11 +586,62 @@ del _payload
 
 
 @dataclass
-class PlaybookConfig(SweepConfig):
-    """Shared knobs of one playbook campaign (extends the sweep regime)."""
+class PlaybookConfig:
+    """Shared knobs of one playbook campaign (identical for every point)."""
 
+    #: Disturbance threshold; low enough that interactive budgets break
+    #: weak mitigations.
+    rh_threshold: int = 1200
+    #: Activation budget per refresh window.
+    budget: int = 120_000
+    #: Refresh windows per attack run.
+    windows: int = 1
+    #: The victim row playbooks anchor at (their ``base_row`` default).
+    victim_row: int = 64
+    #: Disturbance-model overrides (escalated flips, as in Figure 1c, so
+    #: breakthroughs produce multi-bit words that separate the schemes).
+    weak_cells_per_row: int = 64
+    flips_per_crossing: float = 6.0
     #: Bank size the edge policy clamps against (model default).
     n_rows: int = 128
+
+
+#: Mitigation name -> factory(config, point seed). ``para-sized``,
+#: ``para-stale`` and ``blockhammer`` are Figure 1b's: PARA sized for
+#: the device threshold, PARA sized for DDR3's 139K threshold (2014)
+#: and deployed on today's module, and BlockHammer-style throttling.
+_MITIGATIONS = {
+    "none": lambda config, seed: NoMitigation(),
+    # PARA's coin flips are part of the point's science: seed them from
+    # the point seed so the result is deterministic.
+    "para": lambda config, seed: PARA(
+        probability=0.002, seed=derive_seed(seed, 0x9A7A)
+    ),
+    "para-sized": lambda config, seed: PARA.sized_for(config.rh_threshold),
+    "para-stale": lambda config, seed: PARA.sized_for(139_000),
+    "trr": lambda config, seed: TRRMitigation(table_size=4),
+    "graphene": lambda config, seed: GrapheneMitigation(
+        design_threshold=config.rh_threshold,
+        window_activations=config.budget,
+    ),
+    "blockhammer": lambda config, seed: BlockHammerMitigation(
+        config.rh_threshold
+    ),
+}
+
+#: The default grid's mitigations.
+DEFAULT_MITIGATIONS = ("none", "para", "trr", "graphene")
+
+
+def make_mitigation(name: str, config: PlaybookConfig, seed: int) -> Mitigation:
+    """Instantiate a mitigation by name, sized for the campaign's regime."""
+    try:
+        factory = _MITIGATIONS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown mitigation {name!r}; known: {', '.join(_MITIGATIONS)}"
+        ) from None
+    return factory(config, seed)
 
 
 @dataclass(frozen=True)
@@ -643,12 +708,11 @@ def _resolve_variants(
 class _PlaybookCampaign(Campaign):
     """Playbook execution as a :class:`repro.campaign.Campaign`.
 
-    The grouping mirrors the hammer sweep: the attack simulation is
-    organization-independent, so grouping by ``(scenario, mitigation,
-    seed)`` lets the per-process memo serve every scheme of one variant
-    from a single simulation. ``extra_specs`` carries file-loaded
-    playbooks by value so pool/steal workers (which only receive the
-    pickled campaign) can resolve them.
+    The attack simulation is organization-independent, so grouping by
+    ``(scenario, mitigation, seed)`` lets the per-process memo serve
+    every scheme of one variant from a single simulation.
+    ``extra_specs`` carries file-loaded playbooks by value so pool/steal
+    workers (which only receive the pickled campaign) can resolve them.
     """
 
     name = "playbook"
@@ -689,7 +753,7 @@ class _PlaybookCampaign(Campaign):
     def run_item(self, cell: PlaybookCell) -> PlaybookOutcome:
         spec = self._spec(cell)
         result, rh_config = _memoized_attack(spec, cell, self.config)
-        controller = registry.create(cell.scheme, key=SWEEP_KEY)
+        controller = registry.create(cell.scheme, key=PLAYBOOK_KEY)
         array = VictimArray(
             controller,
             bits_per_row=rh_config.bits_per_row,

@@ -71,9 +71,14 @@ class AttackRunner:
     def run(
         self, attack: AttackPattern, windows: int = 1, budget: Optional[int] = None
     ) -> AttackResult:
-        """Execute ``windows`` refresh windows of the attack."""
+        """Execute ``windows`` refresh windows of the attack.
+
+        Raises ``ValueError`` if the schedule activates a row outside the
+        model's bank, before the mitigation or the model sees it.
+        """
         budget = budget if budget is not None else self.activations_per_window
         ref_period = max(1, budget // self.refs_per_window)
+        n_rows = self.model.config.n_rows
         flips_by_row: Dict[int, int] = {}
         intended = set(attack.intended_victims)
         intended_flips = 0
@@ -83,6 +88,11 @@ class AttackRunner:
         for _ in range(windows):
             acts = 0
             for row in attack.activations(budget, ref_period):
+                if not 0 <= row < n_rows:
+                    raise ValueError(
+                        f"attack {attack.name!r} activates row {row}, outside "
+                        f"the bank (n_rows={n_rows})"
+                    )
                 acts += 1
                 if throttled is not None and not throttled(row).allowed:
                     # BlockHammer-style throttling: the activation slot is

@@ -1,7 +1,7 @@
 """Cross-domain tests of the generic campaign core (repro.campaign).
 
 The domain suites (test_montecarlo_parallel, test_perf_campaign,
-test_hammer_sweep) pin each adapter's behavior; this suite pins the
+test_playbook) pin each adapter's behavior; this suite pins the
 shared machinery itself — worker resolution and its CPU clamp, the
 fingerprint-verified store and its rejection taxonomy, the append-only
 index, atomic writes under racing writers, crash retry, and the

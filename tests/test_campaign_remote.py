@@ -250,26 +250,26 @@ class TestEngineOverRemote:
 class TestJobs:
     def test_submit_wait_results(self, server):
         params = {
-            "attacks": ["single-sided"],
+            "scenarios": ["single-sided"],
             "mitigations": ["none"],
             "schemes": ["secded"],
             "seeds": [3],
         }
         with CampaignClient(server.url) as client:
-            job = client.submit("hammer-sweep", params)
+            job = client.submit("playbook", params)
             status = client.wait(job, poll_s=0.05)
             assert status["state"] == "done", status
             results = client.job_results(job)
             assert len(results) == 1
-            assert results[0]["attack"] == "single-sided"
+            assert results[0]["scenario"] == "single-sided"
             assert results[0]["scheme"] == "secded"
 
             # The job's cells landed in the shared store: a second
             # identical job is a pure cache hit (no new index entries).
-            entries = client.status()["hammer-sweep"]["entries"]
-            rerun = client.submit("hammer-sweep", params)
+            entries = client.status()["playbook"]["entries"]
+            rerun = client.submit("playbook", params)
             assert client.wait(rerun, poll_s=0.05)["state"] == "done"
-            assert client.status()["hammer-sweep"]["entries"] == entries
+            assert client.status()["playbook"]["entries"] == entries
 
             stats = client.stats()
             assert stats["activity"]["jobs_finished"] >= 2
@@ -279,9 +279,9 @@ class TestJobs:
     def test_watch_streams_progress_to_the_end(self, server):
         with CampaignClient(server.url) as client:
             job = client.submit(
-                "hammer-sweep",
+                "playbook",
                 {
-                    "attacks": ["single-sided"],
+                    "scenarios": ["single-sided"],
                     "mitigations": ["none"],
                     "schemes": ["secded", "safeguard-secded"],
                     "seeds": [3],
@@ -298,12 +298,16 @@ class TestJobs:
                 client.submit("make-coffee")
             with pytest.raises(RuntimeError, match="unknown job"):
                 client.job_status("job-9999")
+            # Seed 5 is no other test's: its attack is not in this
+            # process's memo, so the job runs for seconds, not for the
+            # milliseconds between the two calls below.
             job = client.submit(
-                "hammer-sweep",
+                "playbook",
                 {
-                    "attacks": ["single-sided"],
+                    "scenarios": ["single-sided"],
                     "mitigations": ["none"],
                     "schemes": ["secded"],
+                    "seeds": [5],
                 },
             )
             # Results are gated on completion.

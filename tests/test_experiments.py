@@ -47,6 +47,21 @@ class TestFig1b:
         cells = fig1b_attacks.run(rh_threshold=600, budget=120_000)
         assert len(cells) == 18  # 6 mitigations x 3 attacks
         by = {(c.mitigation, c.attack): c for c in cells}
+        # Victim flips per (double-sided, many-sided, half-double).
+        assert {
+            mitigation: tuple(
+                by[(mitigation, attack)].intended_flips
+                for attack in ("double-sided", "many-sided(trrespass)", "half-double")
+            )
+            for mitigation in ("none", "para", "para-stale", "trr", "graphene", "blockhammer")
+        } == {
+            "none": (24, 24, 0),
+            "para": (0, 0, 24),
+            "para-stale": (282, 174, 0),
+            "trr": (0, 24, 24),
+            "graphene": (0, 0, 10),
+            "blockhammer": (0, 0, 0),
+        }
         assert by[("none", "double-sided")].broke_through
         assert not by[("para", "double-sided")].broke_through
         assert by[("para-stale", "double-sided")].broke_through
@@ -68,6 +83,15 @@ class TestFig1c:
     def test_safeguard_never_silent(self, capsys):
         outcomes = fig1c_detection.run(rh_threshold=600, budget=120_000)
         by = {o.organization: o for o in outcomes}
+        assert {
+            o.organization: (o.lines_read, o.corrected, o.detected_ue, o.silent_corruptions)
+            for o in outcomes
+        } == {
+            "Conventional SECDED": (96, 14, 16, 1),
+            "SafeGuard (SECDED)": (96, 4, 26, 0),
+            "Conventional Chipkill": (96, 10, 20, 1),
+            "SafeGuard (Chipkill)": (96, 4, 26, 0),
+        }
         assert not by["SafeGuard (SECDED)"].security_risk
         assert not by["SafeGuard (Chipkill)"].security_risk
         assert by["SafeGuard (SECDED)"].detected_ue > 0

@@ -29,6 +29,12 @@ def run(attack, mitigation, seed=1, budget=FAST_BUDGET, **model_kwargs):
     return AttackRunner(model, mitigation).run(attack, windows=1, budget=budget)
 
 
+#: TRRespass with its flush rows (74-118) inside the 128-row bank, the
+#: playbook library's many-sided; the factory's default stride of 7
+#: reaches row 151.
+IN_BANK_TRRESPASS = many_sided(64, dummy_stride=4)
+
+
 class TestThresholds:
     def test_table1_entries(self):
         assert threshold_for("DDR3 (old)") == 139_000
@@ -157,13 +163,31 @@ class TestAttackOutcomes:
         assert not run(double_sided(64), TRRMitigation(4)).broke_through
 
     def test_trrespass_breaks_trr(self):
-        assert run(many_sided(64), TRRMitigation(4)).broke_through
+        assert run(IN_BANK_TRRESPASS, TRRMitigation(4)).broke_through
 
     def test_graphene_stops_trrespass(self):
         result = run(
-            many_sided(64), GrapheneMitigation(FAST_THRESHOLD, FAST_BUDGET)
+            IN_BANK_TRRESPASS, GrapheneMitigation(FAST_THRESHOLD, FAST_BUDGET)
         )
         assert not result.broke_through
+
+    def test_activation_outside_the_bank_is_rejected(self):
+        """Regression: ``many_sided(64)``'s flush rows 130, 137, 144 and
+        151 lie outside the 128-row bank; the runner used to spend budget
+        and TRR tracker entries on them."""
+        seen = []
+
+        class Spy(NoMitigation):
+            def on_activate(self, row):
+                seen.append(row)
+                return []
+
+        model = fast_model()
+        with pytest.raises(ValueError, match=r"row 130, outside the bank \(n_rows=128\)"):
+            AttackRunner(model, Spy()).run(many_sided(64), budget=FAST_BUDGET)
+        # Rejected before the model or the mitigation saw it.
+        assert seen and max(seen) < 128
+        assert model.activations == len(seen)
 
     def test_half_double_needs_a_mitigation_to_exploit(self):
         assert not run(half_double(64), NoMitigation()).broke_through

@@ -23,8 +23,9 @@ those campaigns share, exactly once:
 - **retry** — a worker crash (``BrokenProcessPool`` under the pool
   scheduler, a dead or hung worker process under the stealing one)
   re-runs the unfinished groups with a bounded per-group attempt
-  budget; a group that keeps killing workers eventually raises
-  :class:`CampaignError`. Pool-scheduler retry rounds back off
+  budget, charged to the groups that were running when the worker
+  died, not to those still queued; a group that keeps killing workers
+  eventually raises :class:`CampaignError`. Pool-scheduler retry rounds back off
   exponentially with bounded, seedable jitter so simultaneous retries
   against a shared store don't stampede it. Deterministic exceptions
   raised *by* an item propagate immediately (retrying them cannot
@@ -45,6 +46,7 @@ the items themselves.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import time
 from concurrent.futures import (
@@ -131,9 +133,33 @@ class Campaign:
         return 0
 
 
+#: Pool round flags, one byte per group (0 while it is queued).
+_RUNNING, _RAN = 1, 2
+
+#: A pool worker's view of its round's flags (set by the pool
+#: initializer).
+_ROUND_FLAGS = None
+
+
+def _note_round(flags) -> None:
+    """Pool initializer: keep the round's shared group flags."""
+    global _ROUND_FLAGS
+    _ROUND_FLAGS = flags
+
+
 def _run_group(campaign: Campaign, items: Sequence[Any]) -> List[Any]:
     """Worker entry point (module-level so it pickles): one group."""
     return [(item.index, campaign.run_item(item)) for item in items]
+
+
+def _run_flagged_group(campaign: Campaign, items: Sequence[Any], slot: int) -> List[Any]:
+    """Pool-round entry point: one group, its ``slot`` flagged while it
+    runs, so a broken round is charged only to the groups that were
+    running when the pool died."""
+    _ROUND_FLAGS[slot] = _RUNNING
+    pairs = _run_group(campaign, items)
+    _ROUND_FLAGS[slot] = _RAN
+    return pairs
 
 
 def resolve_scheduler(scheduler: Optional[str] = None) -> str:
@@ -377,16 +403,22 @@ def _fan_out(
     remaining = dict(groups)
     attempts = {key: 0 for key in groups}
     while remaining:
-        for key in remaining:
-            attempts[key] += 1
+        order = list(remaining)
+        # Lock-free shared flags: a worker killed mid-write holds nothing.
+        flags = multiprocessing.get_context().RawArray("b", len(order))
         crashed = False
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(remaining))
+            max_workers=min(workers, len(remaining)),
+            initializer=_note_round,
+            initargs=(flags,),
         ) as pool:
-            futures = {
-                pool.submit(_run_group, campaign, group): key
-                for key, group in remaining.items()
-            }
+            futures = {}
+            try:
+                for slot, key in enumerate(order):
+                    future = pool.submit(_run_flagged_group, campaign, remaining[key], slot)
+                    futures[future] = key
+            except BrokenExecutor:  # a worker died while groups were queued
+                crashed = True
             outstanding = set(futures)
             while outstanding and not crashed:
                 completed, outstanding = wait(
@@ -402,7 +434,7 @@ def _fan_out(
                         # fresh pool. Groups already finished this round
                         # were removed, so nothing double-finishes.
                         crashed = True
-                        break
+                        continue
                     by_index = {item.index: item for item in remaining[key]}
                     for index, result in pairs:
                         finish(by_index[index], result)
@@ -411,6 +443,13 @@ def _fan_out(
             return
         if not crashed:  # pragma: no cover - defensive
             raise CampaignError("pool exited with unfinished groups")
+        # Charge the round to the groups still running when the pool
+        # broke: one that was queued, or that ran but lost its result to
+        # the break, did not break it. If none was running, the cause is
+        # unknown and every group is charged.
+        running = [key for slot, key in enumerate(order) if flags[slot] == _RUNNING]
+        for key in running or list(remaining):
+            attempts[key] += 1
         exhausted = [key for key in remaining if attempts[key] >= max_attempts]
         if exhausted:
             raise CampaignError(

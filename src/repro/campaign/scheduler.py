@@ -17,13 +17,19 @@ critical path.
 
 Supervision rides on the result stream itself: every ``claim``/``item``/
 ``done`` message a worker sends doubles as a heartbeat. A worker that
-dies (queue draw crashed the process) or goes silent for
+dies (its result pipe reads end-of-file) or goes silent for
 ``heartbeat_timeout_s`` while holding a group is killed and replaced,
 and its group is requeued with a bounded attempt budget — the stealing
 analogue of the pool scheduler's ``BrokenProcessPool`` retry. Requeues
 are safe to overlap with stale execution: results are deduplicated by
 item index (first completion wins, and items are deterministic, so
 "first" is also "only" in content).
+
+Each worker sends on its own pipe, synchronously. A shared
+``multiprocessing.Queue`` would not survive a hard worker death: its
+writers share one cross-process lock, taken by a background feeder
+thread, and a worker that exits while its feeder holds that lock leaves
+every other worker unable to report again.
 
 Determinism: results are keyed by item index and every item is a pure
 function of its fingerprint, so the output mapping is bit-identical to
@@ -34,9 +40,9 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import queue
 import time
 import traceback
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.campaign.engine import Campaign, CampaignError, _CampaignRun
@@ -52,9 +58,8 @@ DEFAULT_POLL_S = 0.05
 
 #: Seconds the fleet must be simultaneously idle (with work nominally
 #: outstanding) before unfinished groups are re-enqueued. Covers the
-#: window where a worker dies between drawing a task and its claim
-#: message flushing (``os._exit`` kills the queue feeder thread mid
-#: buffer) — the task would otherwise be lost silently. An idle fleet
+#: window where a worker is killed between drawing a task and sending
+#: its claim — the task would otherwise be lost silently. An idle fleet
 #: with outstanding groups can only mean drawn-and-lost tasks (idle
 #: workers drain a live queue in milliseconds), so this recovery charges
 #: the group's attempt budget exactly like an attributed crash; requeues
@@ -62,26 +67,28 @@ DEFAULT_POLL_S = 0.05
 _IDLE_REQUEUE_S = 2.0
 
 
-def _worker_main(worker_id: int, campaign: Campaign, task_q, result_q) -> None:
+def _worker_main(campaign: Campaign, task_q, channel) -> None:
     """Persistent worker: pull groups until the ``None`` sentinel.
 
-    Messages are ``(kind, worker_id, group_key, payload)``:
-    ``claim``/``done`` bracket a group, ``item`` carries one
-    ``(index, result)``, ``error`` carries a deterministic exception
-    (pre-checked picklable, else its traceback text). Every message is
-    also a liveness heartbeat.
+    Messages on ``channel`` (this worker's own pipe) are
+    ``(kind, group_key, payload)``: ``claim``/``done`` bracket a group,
+    ``item`` carries one ``(index, result)``, ``error`` carries a
+    deterministic exception (pre-checked picklable, else its traceback
+    text). Every message is also a liveness heartbeat. Sends are
+    synchronous, so a group's claim is delivered before any of its
+    items run.
     """
     while True:
         task = task_q.get()
         if task is None:
             return
         key, items = task
-        result_q.put(("claim", worker_id, key, None))
+        channel.send(("claim", key, None))
         try:
             for item in items:
                 result = campaign.run_item(item)
-                result_q.put(("item", worker_id, key, (item.index, result)))
-            result_q.put(("done", worker_id, key, None))
+                channel.send(("item", key, (item.index, result)))
+            channel.send(("done", key, None))
         except BaseException as exc:  # deterministic failure: report, stay alive
             text = traceback.format_exc()
             try:
@@ -89,7 +96,7 @@ def _worker_main(worker_id: int, campaign: Campaign, task_q, result_q) -> None:
                 payload = (exc, text)
             except Exception:
                 payload = (None, f"{exc!r}\n{text}")
-            result_q.put(("error", worker_id, key, payload))
+            channel.send(("error", key, payload))
 
 
 def _kill(proc) -> None:
@@ -131,7 +138,6 @@ def run_stealing(
 
     ctx = multiprocessing.get_context()
     task_q = ctx.Queue()
-    result_q = ctx.Queue()
     for key, items in groups.items():
         task_q.put((key, items))
 
@@ -139,6 +145,7 @@ def run_stealing(
     finished_indices: set = set()
     failures: Dict[Hashable, int] = {}
     procs: Dict[int, Any] = {}
+    channels: Dict[int, Any] = {}
     held: Dict[int, Optional[Hashable]] = {}
     last_seen: Dict[int, float] = {}
     next_id = 0
@@ -147,22 +154,25 @@ def run_stealing(
         nonlocal next_id
         wid = next_id
         next_id += 1
+        reader, writer = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_worker_main,
-            args=(wid, campaign, task_q, result_q),
+            args=(campaign, task_q, writer),
             daemon=True,
         )
         proc.start()
+        # Only the worker holds the write end, so its death reads as EOF.
+        writer.close()
         procs[wid] = proc
+        channels[wid] = reader
         held[wid] = None
         last_seen[wid] = time.monotonic()
 
     def fail_worker(wid: int, why: str) -> None:
-        _kill(procs[wid])
-        key = held.get(wid)
-        procs.pop(wid, None)
-        held.pop(wid, None)
-        last_seen.pop(wid, None)
+        _kill(procs.pop(wid))
+        channels.pop(wid).close()
+        key = held.pop(wid)
+        last_seen.pop(wid)
         stats["worker_deaths"] += 1
         if key is not None and key in unfinished:
             failures[key] = failures.get(key, 0) + 1
@@ -182,16 +192,16 @@ def run_stealing(
     idle_since: Optional[float] = None
     try:
         while unfinished:
-            try:
-                kind, wid, key, payload = result_q.get(timeout=poll_s)
-            except queue.Empty:
-                kind = None
-            if kind is not None:
-                if wid in last_seen:
-                    last_seen[wid] = time.monotonic()
+            ready = set(wait(list(channels.values()), timeout=poll_s))
+            for wid in [w for w, channel in channels.items() if channel in ready]:
+                try:
+                    kind, key, payload = channels[wid].recv()
+                except (EOFError, OSError):
+                    fail_worker(wid, "crashed its worker")
+                    continue
+                last_seen[wid] = time.monotonic()
                 if kind == "claim":
-                    if wid in held:
-                        held[wid] = key
+                    held[wid] = key
                     stats["claims"] += 1
                 elif kind == "item":
                     index, result = payload
@@ -201,8 +211,7 @@ def run_stealing(
                         finished_indices.add(index)
                         finish(by_index[index], result)
                 elif kind == "done":
-                    if wid in held:
-                        held[wid] = None
+                    held[wid] = None
                     unfinished.pop(key, None)
                 elif kind == "error":
                     exc, text = payload
@@ -211,6 +220,7 @@ def run_stealing(
                     raise CampaignError(
                         f"campaign {campaign.name!r}: group {key!r} raised:\n{text}"
                     )
+            if ready:
                 idle_since = None
                 continue
 
@@ -219,14 +229,14 @@ def run_stealing(
                 if not procs[wid].is_alive():
                     fail_worker(wid, "crashed its worker")
                 elif (
-                    held.get(wid) is not None
+                    held[wid] is not None
                     and now - last_seen[wid] > heartbeat_timeout_s
                 ):
                     fail_worker(wid, "hung past the heartbeat timeout")
 
             # Lost-task recovery: everyone idle yet groups outstanding
             # means a worker died between drawing a task and claiming it.
-            if unfinished and all(held.get(wid) is None for wid in procs):
+            if unfinished and all(held[wid] is None for wid in procs):
                 if idle_since is None:
                     idle_since = now
                 elif now - idle_since > max(_IDLE_REQUEUE_S, 4 * poll_s):
@@ -254,8 +264,9 @@ def run_stealing(
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
         for proc in procs.values():
             _kill(proc)
+        for channel in channels.values():
+            channel.close()
         task_q.cancel_join_thread()
-        result_q.cancel_join_thread()
 
 
 def run_campaign_stealing(

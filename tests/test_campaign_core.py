@@ -470,6 +470,23 @@ class TestRunCampaign:
         )
         assert {i: r["square"] for i, r in results.items()} == {0: 1, 1: 4, 2: 9}
 
+    def test_crash_is_charged_only_to_running_groups(self, tmp_path):
+        """Two workers meet at most two first-run crashes per round, so
+        eight crash-once groups take at least four rounds. Groups still
+        queued when a round breaks are not charged for it, so none of
+        them exhausts a four-attempt budget."""
+        results = run_campaign(
+            CrashOnceCampaign(str(tmp_path)),
+            _items(8),
+            workers=2,
+            max_attempts=4,
+            backoff_s=0.01,
+            max_backoff_s=0.02,
+        )
+        assert {i: r["square"] for i, r in results.items()} == {
+            i: (i + 1) ** 2 for i in range(8)
+        }
+
     def test_repeated_crashes_raise_campaign_error(self):
         with pytest.raises(CampaignError, match="always-crash"):
             run_campaign(

@@ -157,6 +157,23 @@ class TestSupervision:
         assert stats["requeues"] >= 1
         assert stats["replacements"] >= 1
 
+    def test_a_dying_worker_still_delivers_its_claim(self, tmp_path):
+        """Each worker claims a group on its own pipe before running it,
+        so every crash is charged to the group it held and no worker's
+        reports are lost with another's death."""
+        stats = {}
+        run_campaign_stealing(
+            CrashOnceCampaign(str(tmp_path)),
+            _items(3),
+            workers=2,
+            poll_s=0.02,
+            stats=stats,
+        )
+        assert stats["worker_deaths"] == 3
+        # Every group was claimed twice: the run that crashed, the rerun.
+        assert stats["claims"] >= 6
+        assert stats["requeues"] >= 3
+
     @pytest.mark.slow
     def test_hung_worker_is_killed_and_group_requeued(self, tmp_path):
         stats = {}

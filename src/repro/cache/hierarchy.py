@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.cache.cache import Cache
 from repro.cache.prefetcher import StreamPrefetcher
@@ -31,19 +31,24 @@ class CacheHierarchy:
     L1_HIT_CYCLES = 2
     LLC_HIT_CYCLES = 18
     STORE_CYCLES = 1  #: stores retire via the store buffer
+    #: Metadata-line coalescing: in-flight MAC-line fetches an MSHR
+    #: tracks, recent metadata-line writes remembered for merging, and
+    #: the write-merge window in memory cycles (~write-queue life).
+    META_READ_INFLIGHT = 8
+    META_WRITE_RECENT = 32
+    META_WRITE_MERGE_WINDOW = 1000.0
 
     def __init__(
         self,
         n_cores: int,
         organization,
-        controller: Optional[MemoryController] = None,
         l1_kb: int = 32,
         llc_mb: int = 4,
         line_bytes: int = 64,
         enable_prefetch: bool = True,
     ):
         self.organization = organization
-        self.controller = controller or MemoryController()
+        self.controller = MemoryController()
         self.line_bytes = line_bytes
         self.l1 = [
             Cache(l1_kb * 1024, 4, line_bytes, name=f"l1d-{i}") for i in range(n_cores)
@@ -65,7 +70,6 @@ class CacheHierarchy:
         # same metadata address and any real controller merges them.
         self._meta_read_inflight: "OrderedDict[int, float]" = OrderedDict()
         self._meta_write_recent: "OrderedDict[int, float]" = OrderedDict()
-        self._META_WRITE_MERGE_WINDOW = 1000.0  # memory cycles (~write-queue life)
         # Hit-path outcomes carry constant latencies; AccessOutcome is
         # frozen, so the same instances are reused (access() is the hot
         # path and allocation there is measurable).
@@ -122,9 +126,8 @@ class CacheHierarchy:
     def _dram_read(self, line: int, now_cpu: float) -> float:
         """Demand read (+ organization extra read), in CPU cycles."""
         now_mem = now_cpu / CPU_CYCLES_PER_MEM_CYCLE
-        response = self.controller.read(line * self.line_bytes, now_mem)
+        ready_mem = self.controller.read(line * self.line_bytes, now_mem)
         self.dram_reads += 1
-        ready_mem = response.data_ready_time
         org = self.organization
         if org.extra_read_per_read:
             # SGX-style: the MAC line is fetched concurrently with the data
@@ -142,13 +145,13 @@ class CacheHierarchy:
         completion = inflight.get(meta_address)
         if completion is not None and completion > now_mem:
             return completion  # MSHR hit: ride the outstanding fetch
-        response = self.controller.read(meta_address, now_mem)
+        completion = self.controller.read(meta_address, now_mem)
         self.dram_reads += 1
-        inflight[meta_address] = response.data_ready_time
+        inflight[meta_address] = completion
         inflight.move_to_end(meta_address)
-        while len(inflight) > 8:
+        while len(inflight) > self.META_READ_INFLIGHT:
             inflight.popitem(last=False)
-        return response.data_ready_time
+        return completion
 
     def _dram_write(self, line: int, now_cpu: float) -> float:
         """Post a writeback (+ organization extra write).
@@ -164,14 +167,14 @@ class CacheHierarchy:
             meta_address = org.metadata_address(line * self.line_bytes)
             recent = self._meta_write_recent
             last = recent.get(meta_address)
-            if last is None or now_mem - last >= self._META_WRITE_MERGE_WINDOW:
+            if last is None or now_mem - last >= self.META_WRITE_MERGE_WINDOW:
                 accepted_mem = max(
                     accepted_mem, self.controller.write(meta_address, now_mem)
                 )
                 self.dram_writes += 1
                 recent[meta_address] = now_mem
                 recent.move_to_end(meta_address)
-                while len(recent) > 32:
+                while len(recent) > self.META_WRITE_RECENT:
                     recent.popitem(last=False)
         return (accepted_mem - now_mem) * CPU_CYCLES_PER_MEM_CYCLE
 

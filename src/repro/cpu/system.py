@@ -114,7 +114,6 @@ class System:
         n_cores: int = 4,
         seed: int = 0,
         core_config: Optional[CoreConfig] = None,
-        hierarchy: Optional[CacheHierarchy] = None,
         sources: "List | None" = None,
     ):
         """``sources`` optionally replaces the synthetic per-core trace
@@ -124,7 +123,7 @@ class System:
         self.organization = organization
         self.n_cores = n_cores
         self.seed = seed
-        self.hierarchy = hierarchy or CacheHierarchy(n_cores, organization)
+        self.hierarchy = CacheHierarchy(n_cores, organization)
         self._core_config = core_config or CoreConfig(base_cpi=workload.base_cpi)
         if sources is not None and len(sources) != n_cores:
             raise ValueError("need one trace source per core")
@@ -219,7 +218,7 @@ class System:
 
     def _snapshot_stats(self) -> Dict[str, float]:
         llc = self.hierarchy.llc.stats
-        mc = self.hierarchy.controller.stats
+        mc = self.hierarchy.controller
         return {
             "dram_reads": self.hierarchy.dram_reads,
             "dram_writes": self.hierarchy.dram_writes,

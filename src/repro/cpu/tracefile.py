@@ -10,8 +10,9 @@ Format (text, one op per line, ``#`` comments allowed)::
     #repro-trace v1
     <nonmem_before> <R|W> <address-hex> [S]
 
-``S`` marks a serializing load (dependent consumers stall). Files may be
-gzip-compressed (``.gz`` suffix).
+``S`` marks a serializing load (dependent consumers stall); no other
+trailing token is accepted. Gaps and addresses are non-negative. Files
+may be gzip-compressed (``.gz`` suffix).
 """
 
 from __future__ import annotations
@@ -54,13 +55,25 @@ def read_trace(path: str) -> Iterator[MemOp]:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) not in (3, 4) or parts[1] not in ("R", "W"):
+            if (
+                len(parts) not in (3, 4)
+                or parts[1] not in ("R", "W")
+                or parts[3:] not in ([], ["S"])
+            ):
                 raise ValueError(f"{path}:{line_no}: malformed op {line!r}")
+            try:
+                gap, address = int(parts[0]), int(parts[2], 16)
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: malformed op {line!r}") from None
+            if gap < 0 or address < 0:
+                raise ValueError(
+                    f"{path}:{line_no}: negative gap or address in {line!r}"
+                )
             yield MemOp(
-                nonmem_before=int(parts[0]),
+                nonmem_before=gap,
                 is_write=parts[1] == "W",
-                address=int(parts[2], 16),
-                serializing=len(parts) == 4 and parts[3] == "S",
+                address=address,
+                serializing=len(parts) == 4,
             )
 
 

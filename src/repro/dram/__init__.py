@@ -1,4 +1,4 @@
-"""Bank-level DRAM timing model (the Ramulator stand-in; see DESIGN.md §4).
+"""DRAM timing model at bank granularity (the Ramulator stand-in; see DESIGN.md §4).
 
 Models the Table II memory system: DDR4-3200, 1 channel, 2 ranks of 16
 banks, 8KB row buffer, 64-entry read and write queues. Captures the
@@ -6,21 +6,17 @@ effects the paper's performance results hinge on: row-buffer hits versus
 misses/conflicts, bank-level parallelism, data-bus occupancy, write-drain
 interference, and refresh — the terms that translate extra memory
 accesses (SGX-/Synergy-style MACs) and extra check latency (SafeGuard)
-into slowdown.
+into slowdown. One :class:`MemoryController` serves both perf engines;
+:func:`map_address` is its physical-address map.
 """
 
 from repro.dram.timing import DDR4_3200, DramTiming
-from repro.dram.address_map import AddressMapper, DramAddress
-from repro.dram.bank import Bank
-from repro.dram.controller import MemoryController, MemRequest, MemResponse
+from repro.dram.address_map import map_address
+from repro.dram.controller import MemoryController
 
 __all__ = [
     "DDR4_3200",
     "DramTiming",
-    "AddressMapper",
-    "DramAddress",
-    "Bank",
+    "map_address",
     "MemoryController",
-    "MemRequest",
-    "MemResponse",
 ]

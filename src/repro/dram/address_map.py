@@ -1,62 +1,38 @@
-"""Physical-address to DRAM-coordinate mapping.
+"""Physical-address to DRAM-coordinate mapping (Table II geometry).
 
 Uses the common row:rank:bank:column:offset interleaving so that
 consecutive cache lines walk the row buffer (high row locality for
-streaming) and banks interleave at row-buffer granularity.
+streaming) and banks interleave at row-buffer granularity. Bit fields,
+low to high: 6 offset bits (64B lines), 7 column bits (128 lines per
+8KB row), 4 bank bits, 1 rank bit, then the row (16 bits; 65536 rows).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
 
-@dataclass(frozen=True)
-class DramAddress:
-    rank: int
-    bank: int
-    row: int
-    col: int  #: column address at cache-line granularity
+def map_address(address: int) -> Tuple[int, int, int, int]:
+    """Physical byte address -> ``(rank, bank, row, column)``.
 
-    @property
-    def bank_id(self) -> int:
-        """Flat bank index across ranks."""
-        return self.rank * 1_000 + self.bank  # ranks never exceed 1000
-
-
-class AddressMapper:
-    """Bit-sliced address mapping for a single-channel system."""
-
-    def __init__(
-        self,
-        line_bytes: int = 64,
-        ranks: int = 2,
-        banks: int = 16,
-        row_buffer_bytes: int = 8192,
-        rows: int = 65536,
-    ):
-        self.line_bytes = line_bytes
-        self.ranks = ranks
-        self.banks = banks
-        self.rows = rows
-        self.cols_per_row = row_buffer_bytes // line_bytes
-
-    def map(self, address: int) -> DramAddress:
-        """Physical byte address -> (rank, bank, row, column).
-
-        The bank index is XOR-hashed with the folded row bits (permutation-
-        based page interleaving, as real controllers do) so that strided
-        streams from different address regions do not march across banks in
-        lockstep. The hash is injective given (row, bank), so no two
-        addresses alias.
-        """
-        banks = self.banks
-        line, col = divmod(address // self.line_bytes, self.cols_per_row)
-        line, bank = divmod(line, banks)
-        line, rank = divmod(line, self.ranks)
-        row = line % self.rows
-        fold = line  # row plus any higher (region/core) bits
-        h = 0
-        while fold:
-            fold, r = divmod(fold, banks)
-            h ^= r
-        return DramAddress(rank=rank, bank=(bank ^ h) % banks, row=row, col=col)
+    The bank index is XOR-hashed with the folded row bits (permutation-
+    based page interleaving, as real controllers do) so that strided
+    streams from different address regions do not march across banks in
+    lockstep. The hash is injective given (row, bank), so no two
+    addresses alias. A negative address has no coordinates (and its
+    sign bits would never fold away), so it raises ``ValueError``.
+    """
+    if address < 0:
+        raise ValueError(f"negative physical address {address}")
+    line = address >> 6
+    x = line >> 7
+    bank = x & 15
+    x >>= 4
+    rank = x & 1
+    x >>= 1
+    h = 0
+    fold = x  # row plus any higher (region/core) bits
+    while fold:
+        h ^= fold & 15
+        fold >>= 4
+    return rank, bank ^ h, x & 0xFFFF, line & 127

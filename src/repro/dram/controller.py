@@ -1,12 +1,18 @@
-"""Transaction-level memory controller.
+"""Transaction-level DDR4 memory controller (Table II, open-page).
 
-Services read/write requests against the bank timing model, tracking the
-shared data bus, per-bank state, read-queue occupancy, posted writes with
-high/low-watermark draining, and periodic refresh. Requests are processed
-in arrival order with bank/bus busy-time bookkeeping — a deliberate
-simplification of FR-FCFS reordering (see DESIGN.md §4): row-buffer
-locality, bank-level parallelism and bus saturation are modeled exactly,
-out-of-order request lifting is not.
+Services read/write requests against per-bank open-row state, tracking
+the shared data bus, rank-level tRRD/tFAW activation pacing, read-queue
+occupancy, posted writes with high/low-watermark draining, and periodic
+all-bank refresh. Requests are served in arrival order with bank/bus
+busy-time bookkeeping — a deliberate simplification of FR-FCFS
+reordering (see DESIGN.md §4): row-buffer locality, bank-level
+parallelism and bus saturation are modeled exactly, out-of-order
+request lifting is not.
+
+State lives on plain dicts, lists and floats rather than per-bank
+objects: both perf engines drive this controller once per DRAM request,
+and per-request method-call/dataclass overhead would dominate the fast
+engine's timing pass.
 
 All times are in memory-controller cycles (floats); callers convert to
 CPU cycles via :data:`repro.dram.timing.CPU_CYCLES_PER_MEM_CYCLE`.
@@ -14,99 +20,125 @@ CPU cycles via :data:`repro.dram.timing.CPU_CYCLES_PER_MEM_CYCLE`.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.dram.address_map import AddressMapper
-from repro.dram.bank import Bank
-from repro.dram.timing import DDR4_3200, DramTiming
+from repro.dram.address_map import map_address
+from repro.dram.timing import DDR4_3200
 
-
-@dataclass(frozen=True)
-class MemRequest:
-    address: int
-    is_write: bool
-    issue_time: float  #: memory cycles
-
-
-@dataclass(frozen=True)
-class MemResponse:
-    data_ready_time: float  #: memory cycles (end of data burst)
-    row_result: str  #: 'hit' / 'miss' / 'conflict'
-
-    def latency(self, request: MemRequest) -> float:
-        return self.data_ready_time - request.issue_time
-
-
-@dataclass
-class ControllerStats:
-    reads: int = 0
-    writes: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
-    row_conflicts: int = 0
-    total_read_latency: float = 0.0
-    refreshes: int = 0
-    write_drains: int = 0
-
-    @property
-    def avg_read_latency(self) -> float:
-        return self.total_read_latency / self.reads if self.reads else 0.0
-
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses + self.row_conflicts
-        return self.row_hits / total if total else 0.0
+# DDR4-3200 timings as plain module floats (the hot paths read them as
+# globals, not through a timing object).
+_tRRD = float(DDR4_3200.tRRD)
+_tFAW = float(DDR4_3200.tFAW)
+_tRP = float(DDR4_3200.tRP)
+_tRCD = float(DDR4_3200.tRCD)
+_tCCD = float(DDR4_3200.tCCD)
+_tRAS = float(DDR4_3200.tRAS)
+_tBL = float(DDR4_3200.tBL)
+_tRFC = float(DDR4_3200.tRFC)
+_tREFI = float(DDR4_3200.tREFI)
+_HIT_CYCLES = float(DDR4_3200.row_hit_cycles)
+_MISS_CYCLES = float(DDR4_3200.row_miss_cycles)
+_CONFLICT_CYCLES = float(DDR4_3200.row_conflict_cycles)
 
 
 class MemoryController:
-    """Single-channel DDR4 controller (Table II configuration)."""
+    """Single-channel DDR4-3200 controller: 2 ranks x 16 banks.
+
+    ``read`` and ``write`` take the request's issue time and return the
+    data-burst end time and the write's accept time. The counters
+    (``reads``, ``writes``, ``row_hits``, ``row_misses``,
+    ``row_conflicts``, ``total_read_latency``, ``refreshes``,
+    ``write_drains``) accumulate on the controller itself.
+
+    ``coords`` is the address -> packed-coordinates memo; the mapping is
+    pure, so callers may share one dict across controllers (the fast
+    engine shares one across a workload's organizations).
+    """
 
     READ_QUEUE_ENTRIES = 64
     WRITE_QUEUE_ENTRIES = 64
     WRITE_DRAIN_HIGH = 48
     WRITE_DRAIN_LOW = 16
 
-    def __init__(
-        self,
-        timing: DramTiming = DDR4_3200,
-        mapper: Optional[AddressMapper] = None,
-        enable_refresh: bool = True,
-        page_policy: str = "open",
-    ):
-        self.timing = timing
-        self.mapper = mapper or AddressMapper()
-        self.enable_refresh = enable_refresh
-        self.page_policy = page_policy
-        self._banks: Dict[Tuple[int, int], Bank] = {}
+    __slots__ = (
+        "reads",
+        "writes",
+        "row_hits",
+        "row_misses",
+        "row_conflicts",
+        "total_read_latency",
+        "refreshes",
+        "write_drains",
+        "_banks",
+        "_bus_free_at",
+        "_rank_acts",
+        "_inflight_reads",
+        "_write_queue",
+        "_write_inflight",
+        "_write_draining",
+        "_next_refresh",
+        "_coords",
+    )
+
+    def __init__(self, coords: Optional[Dict[int, int]] = None) -> None:
+        self.reads = 0
+        self.writes = 0
+        self.row_hits = 0
+        self.row_misses = 0
+        self.row_conflicts = 0
+        self.total_read_latency = 0.0
+        self.refreshes = 0
+        self.write_drains = 0
+        #: bank key (rank << 4 | bank) -> [open_row (None = precharged),
+        #: ready_at (earliest next column command), ras_done_at]
+        self._banks: Dict[int, list] = {}
         self._bus_free_at = 0.0
         #: Per-rank recent actual ACT issue times (tRRD / tFAW window).
         self._rank_acts: Dict[int, List[float]] = {}
-        #: Min-heap of outstanding read completion times (queue occupancy).
+        #: Completion times of outstanding reads (queue occupancy).
         self._inflight_reads: List[float] = []
         #: Posted writes not yet issued to a bank (oldest first).
-        self._write_queue: Deque[int] = deque()
-        #: Min-heap of issued writes' data-burst completion times; a write
-        #: occupies its queue entry until its burst finishes.
+        self._write_queue: deque = deque()
+        #: Issued writes' data-burst completion times; a write occupies
+        #: its queue entry until its burst finishes.
         self._write_inflight: List[float] = []
         #: True while a high-watermark drain episode is in progress.
         self._write_draining = False
-        self._next_refresh = float(timing.tREFI)
-        self.stats = ControllerStats()
+        self._next_refresh = _tREFI
+        #: address -> (row << 5) | (rank << 4) | bank
+        self._coords: Dict[int, int] = {} if coords is None else coords
 
-    # -- public API ---------------------------------------------------------
+    def read(self, address: int, now: float) -> float:
+        """Issue a demand/prefetch read; returns when its data burst ends.
 
-    def read(self, address: int, now: float) -> MemResponse:
-        """Issue a demand/prefetch read; returns when its data burst ends."""
-        now = self._admit_read(now)
-        self._maybe_refresh(now)
-        response = self._do_access(address, now)
-        heapq.heappush(self._inflight_reads, response.data_ready_time)
-        self.stats.reads += 1
-        self.stats.total_read_latency += response.data_ready_time - now
-        return response
+        A read first waits for a free read-queue entry. Completion times
+        are strictly increasing (the data bus serializes bursts: each
+        ends at least tBL after the previous), so the in-flight queues
+        are plain sorted lists — append to add, prefix delete to retire.
+        """
+        inflight = self._inflight_reads
+        retire = 0
+        n_inflight = len(inflight)
+        while retire < n_inflight and inflight[retire] <= now:
+            retire += 1
+        if retire:
+            del inflight[:retire]
+            n_inflight -= retire
+        if n_inflight >= self.READ_QUEUE_ENTRIES:
+            freed = inflight[0]
+            del inflight[0]
+            if freed > now:
+                now = freed
+            while inflight and inflight[0] <= now:
+                del inflight[0]
+        if now >= self._next_refresh:
+            self._refresh(now)
+        data_at = self._access(address, now)
+        inflight.append(data_at)
+        self.reads += 1
+        self.total_read_latency += data_at - now
+        return data_at
 
     def write(self, address: int, now: float) -> float:
         """Post a write (writeback); returns the time it was accepted.
@@ -117,9 +149,9 @@ class MemoryController:
         DRAM completes. Draining follows the classic watermark policy:
 
         - occupancy reaching ``WRITE_DRAIN_HIGH`` starts a drain episode
-          (counted in ``stats.write_drains``) during which queued and
-          newly arriving writes issue immediately, booking their bank
-          access and bus burst so subsequent reads observe the busy time;
+          (counted in ``write_drains``) during which queued and newly
+          arriving writes issue immediately, booking their bank access
+          and bus burst so subsequent reads observe the busy time;
         - the episode ends once occupancy decays to ``WRITE_DRAIN_LOW``
           (entries free as bursts complete);
         - a full queue (``WRITE_QUEUE_ENTRIES``) backpressures the
@@ -129,118 +161,131 @@ class MemoryController:
         Writes still parked when the simulation ends were never drained
         and book no bank/bus cost — the posted-write semantics.
         """
-        self.stats.writes += 1
-        self._maybe_refresh(now)
+        self.writes += 1
+        if now >= self._next_refresh:
+            self._refresh(now)
         inflight = self._write_inflight
-        while inflight and inflight[0] <= now:
-            heapq.heappop(inflight)
+        retire = 0
+        n_inflight = len(inflight)
+        while retire < n_inflight and inflight[retire] <= now:
+            retire += 1
+        if retire:
+            del inflight[:retire]
         queue = self._write_queue
         if self._write_draining and len(queue) + len(inflight) <= self.WRITE_DRAIN_LOW:
             self._write_draining = False
         if len(queue) + len(inflight) >= self.WRITE_QUEUE_ENTRIES:
             # Full: issue anything still parked, then stall until the
             # earliest in-flight burst frees an entry.
-            self._issue_writes(now)
+            while queue:
+                inflight.append(self._access(queue.popleft(), now))
             if len(inflight) >= self.WRITE_QUEUE_ENTRIES:
-                now = max(now, heapq.heappop(inflight))
+                freed = inflight[0]
+                del inflight[0]
+                if freed > now:
+                    now = freed
                 while inflight and inflight[0] <= now:
-                    heapq.heappop(inflight)
+                    del inflight[0]
         queue.append(address)
         if (
             not self._write_draining
             and len(queue) + len(inflight) >= self.WRITE_DRAIN_HIGH
         ):
             self._write_draining = True
-            self.stats.write_drains += 1
+            self.write_drains += 1
         if self._write_draining:
-            self._issue_writes(now)
+            while queue:
+                inflight.append(self._access(queue.popleft(), now))
         return now
 
-    # -- internals -------------------------------------------------------------
+    def _access(self, address: int, now: float) -> float:
+        """One bank access plus its bus burst; returns the burst end.
 
-    def _issue_writes(self, now: float) -> None:
-        """Issue every parked write to its bank, booking bank/bus cost.
-
-        Issued writes move to ``_write_inflight``; their queue entries
-        free as the (bus-serialized) data bursts complete.
+        Open-page: a hit on the open row costs a column access, a
+        precharged bank an ACT first (miss), another open row a
+        precharge after its tRAS window and then an ACT (conflict).
         """
-        queue = self._write_queue
-        inflight = self._write_inflight
-        while queue:
-            response = self._do_access(queue.popleft(), now)
-            heapq.heappush(inflight, response.data_ready_time)
-
-    def _admit_read(self, now: float) -> float:
-        """Block until the read queue has a free entry."""
-        while self._inflight_reads and self._inflight_reads[0] <= now:
-            heapq.heappop(self._inflight_reads)
-        if len(self._inflight_reads) >= self.READ_QUEUE_ENTRIES:
-            now = max(now, heapq.heappop(self._inflight_reads))
-            while self._inflight_reads and self._inflight_reads[0] <= now:
-                heapq.heappop(self._inflight_reads)
-        return now
-
-    def _bank(self, rank: int, bank: int) -> Bank:
-        key = (rank, bank)
-        entry = self._banks.get(key)
-        if entry is None:
-            entry = Bank(self.timing, policy=self.page_policy)
-            self._banks[key] = entry
-        return entry
-
-    def _do_access(self, address: int, now: float) -> MemResponse:
-        coords = self.mapper.map(address)
-        bank = self._bank(coords.rank, coords.bank)
-        rank = coords.rank
-        if bank.open_row != coords.row:
+        packed = self._coords.get(address)
+        if packed is None:
+            rank, bank, row, _ = map_address(address)
+            packed = (row << 5) | (rank << 4) | bank
+            self._coords[address] = packed
+        key = packed & 31
+        rank = key >> 4
+        row = packed >> 5
+        bank = self._banks.get(key)
+        if bank is None:
+            bank = [None, 0.0, 0.0]
+            self._banks[key] = bank
+        open_row = bank[0]
+        if open_row != row:
             # This access needs an ACT: honour the rank's tRRD/tFAW pacing.
-            now = self._admit_activation(rank, now)
-        data_at, kind, act_at = bank.access(coords.row, now)
-        if act_at is not None:
+            acts = self._rank_acts.get(rank)
+            if acts:
+                paced = acts[-1] + _tRRD
+                if paced > now:
+                    now = paced
+                if len(acts) >= 4:
+                    paced = acts[-4] + _tFAW
+                    if paced > now:
+                        now = paced
+        ready = bank[1]
+        start = now if now > ready else ready
+        if open_row == row:
+            self.row_hits += 1
+            data_at = start + _HIT_CYCLES
+            bank[1] = start + _tCCD
+        else:
+            if open_row is None:
+                self.row_misses += 1
+                act_at = start
+                data_at = start + _MISS_CYCLES
+                bank[0] = row
+                bank[2] = start + _tRAS
+                bank[1] = start + _tRCD + _tCCD
+            else:
+                self.row_conflicts += 1
+                ras_done = bank[2]
+                if ras_done > start:
+                    start = ras_done
+                # The ACT can only issue once the precharge completes.
+                act_at = start + _tRP
+                data_at = start + _CONFLICT_CYCLES
+                bank[0] = row
+                bank[2] = start + _tRP + _tRAS
+                bank[1] = start + _tRP + _tRCD + _tCCD
             # Pace the window from the instant the ACT actually issued —
             # a busy/conflicting bank issues later than it was admitted.
-            self._record_activation(rank, act_at)
+            acts = self._rank_acts.get(rank)
+            if acts is None:
+                self._rank_acts[rank] = [act_at]
+            else:
+                acts.append(act_at)
+                if len(acts) > 4:
+                    del acts[: len(acts) - 4]
         # The data burst occupies the shared bus for tBL cycles ending at
         # data_at; push it back if the bus is still busy.
-        tBL = self.timing.tBL
-        burst_start = max(data_at - tBL, self._bus_free_at)
-        data_at = burst_start + tBL
+        burst_start = data_at - _tBL
+        bus_free = self._bus_free_at
+        if bus_free > burst_start:
+            burst_start = bus_free
+        data_at = burst_start + _tBL
         self._bus_free_at = data_at
-        stats = self.stats
-        if kind == "hit":
-            stats.row_hits += 1
-        elif kind == "miss":
-            stats.row_misses += 1
-        else:
-            stats.row_conflicts += 1
-        return MemResponse(data_ready_time=data_at, row_result=kind)
+        return data_at
 
-    def _admit_activation(self, rank: int, now: float) -> float:
-        """Earliest time a new ACT to this rank may issue (tRRD, tFAW)."""
-        acts = self._rank_acts.get(rank)
-        if not acts:
-            return now
-        t = self.timing
-        start = max(now, acts[-1] + t.tRRD)
-        if len(acts) >= 4:
-            start = max(start, acts[-4] + t.tFAW)
-        return start
-
-    def _record_activation(self, rank: int, act_at: float) -> None:
-        """Remember an ACT's actual issue time for tRRD/tFAW pacing."""
-        acts = self._rank_acts.setdefault(rank, [])
-        acts.append(act_at)
-        if len(acts) > 4:
-            del acts[: len(acts) - 4]
-
-    def _maybe_refresh(self, now: float) -> None:
-        if not self.enable_refresh:
-            return
+    def _refresh(self, now: float) -> None:
+        """All-bank refresh at every tREFI point up to ``now``: each bank
+        is precharged and unavailable for tRFC from the refresh point."""
         while now >= self._next_refresh:
-            # All-bank refresh: every bank is precharged and unavailable
-            # for tRFC from the refresh point.
+            at = self._next_refresh
             for bank in self._banks.values():
-                bank.precharge(self._next_refresh)
-                bank.ready_at = max(bank.ready_at, self._next_refresh + self.timing.tRFC)
-            self.stats.refreshes += 1
-            self._next_refresh += self.timing.tREFI
+                bank[0] = None
+                ras_done = bank[2]
+                floor = (ras_done if ras_done > at else at) + _tRP
+                ready = bank[1]
+                if floor > ready:
+                    ready = floor
+                after = at + _tRFC
+                bank[1] = after if after > ready else ready
+            self.refreshes += 1
+            self._next_refresh = at + _tREFI

@@ -39,13 +39,15 @@ speeds that permit real workload sweeps — built as three passes:
    event tables the content pass precomputed; between events a core's
    clock advances by closed-form prefix sums, and ROB-window stalls from
    outstanding DRAM loads are resolved per entry at its precomputed
-   window-crossing op. DRAM requests run on :class:`_FastController`, the
-   scalar controller inlined on plain dicts/heaps and pinned
-   **bit-identical** to :class:`~repro.dram.controller.MemoryController`
-   by A/B tests; the rare paths — watermark drain episodes, full-queue
-   backpressure, refresh, tRRD/tFAW pacing, metadata MSHR coalescing and
-   write merging, inclusion-violation writebacks — keep their exact
-   scalar semantics rather than being approximated away.
+   window-crossing op. DRAM requests run on
+   :class:`~repro.dram.controller.MemoryController`, the same controller
+   the reference engine drives, and the metadata MSHR coalescing and
+   write merging use :class:`~repro.cache.hierarchy.CacheHierarchy`'s
+   constants; the rare paths — watermark drain episodes, full-queue
+   backpressure, refresh, tRRD/tFAW pacing, metadata coalescing and
+   merging, inclusion-violation writebacks — keep their exact scalar
+   semantics rather than being approximated away. The two engines thus
+   differ only in trace synthesis and cache replay.
 
 Fast and reference engines are *statistically equivalent*, not
 bit-identical: batching replaces the per-core Mersenne-Twister streams
@@ -79,7 +81,7 @@ from repro.cpu.system import SystemResult
 from repro.cpu.trace import TraceGenerator
 from repro.cpu.workloads import WorkloadProfile
 from repro.dram.controller import MemoryController
-from repro.dram.timing import CPU_CYCLES_PER_MEM_CYCLE, DDR4_3200
+from repro.dram.timing import CPU_CYCLES_PER_MEM_CYCLE
 from repro.utils.rng import child_seeds, derive_seed, unit_uniforms
 
 #: Generation counter for the fast engine's replay/timing kernels,
@@ -1263,336 +1265,6 @@ def _content_pass_uncached(
     )
 
 
-# -- the inlined memory controller ------------------------------------------------
-
-# DDR4-3200 timings as plain module floats. The A/B suite in
-# tests/test_perf_fastpath.py pins _FastController bit-identical to
-# MemoryController, so these cannot drift from repro.dram.timing.
-_tRRD = float(DDR4_3200.tRRD)
-_tFAW = float(DDR4_3200.tFAW)
-_tRP = float(DDR4_3200.tRP)
-_tRCD = float(DDR4_3200.tRCD)
-_tCCD = float(DDR4_3200.tCCD)
-_tRAS = float(DDR4_3200.tRAS)
-_tBL = float(DDR4_3200.tBL)
-_tRFC = float(DDR4_3200.tRFC)
-_tREFI = float(DDR4_3200.tREFI)
-_HIT_CYCLES = float(DDR4_3200.row_hit_cycles)
-_MISS_CYCLES = float(DDR4_3200.row_miss_cycles)
-_CONFLICT_CYCLES = float(DDR4_3200.row_conflict_cycles)
-
-
-class _FastController:
-    """The scalar :class:`MemoryController` inlined on dicts/lists/heaps.
-
-    Same admission, watermark, pacing, refresh and bank state-machine
-    arithmetic in the same operation order as the reference controller
-    (Table II open-page DDR4-3200, default address map), so responses and
-    stats are **bit-identical** — the A/B tests drive both over
-    adversarial request streams and assert exact equality, and the whole
-    timing pass reproduces the same SystemResult on either. It exists
-    because the reference's per-request method-call/dataclass overhead is
-    the timing pass's dominant cost; the DRAM physics is unchanged.
-    """
-
-    __slots__ = (
-        "reads",
-        "writes",
-        "row_hits",
-        "row_misses",
-        "row_conflicts",
-        "total_read_latency",
-        "refreshes",
-        "write_drains",
-        "_banks",
-        "_bus_free_at",
-        "_rank_acts",
-        "_inflight_reads",
-        "_write_queue",
-        "_write_inflight",
-        "_write_draining",
-        "_next_refresh",
-        "_coords",
-    )
-
-    def __init__(self, coords: Optional[Dict[int, int]] = None) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_conflicts = 0
-        self.total_read_latency = 0.0
-        self.refreshes = 0
-        self.write_drains = 0
-        #: bank key -> [open_row (None = precharged), ready_at, ras_done_at]
-        self._banks: Dict[int, list] = {}
-        self._bus_free_at = 0.0
-        self._rank_acts: Dict[int, List[float]] = {}
-        self._inflight_reads: List[float] = []
-        self._write_queue: deque = deque()
-        self._write_inflight: List[float] = []
-        self._write_draining = False
-        self._next_refresh = _tREFI
-        #: address -> (row << 6) | (bank key << 1) | rank; the mapping
-        #: is pure, so callers may share one memo across controllers.
-        self._coords: Dict[int, int] = {} if coords is None else coords
-
-    def read(self, address: int, now: float) -> float:
-        """MemoryController.read, returning the data-burst end time.
-
-        Completion times are strictly increasing (the data bus
-        serializes bursts: each ends at least tBL after the previous),
-        so the inflight queues are plain sorted lists — append instead
-        of heappush, prefix delete instead of heappop, same contents at
-        every step as the reference controller's heap.
-        """
-        inflight = self._inflight_reads
-        retire = 0
-        n_inflight = len(inflight)
-        while retire < n_inflight and inflight[retire] <= now:
-            retire += 1
-        if retire:
-            del inflight[:retire]
-            n_inflight -= retire
-        if n_inflight >= 64:  # READ_QUEUE_ENTRIES
-            freed = inflight[0]
-            del inflight[0]
-            if freed > now:
-                now = freed
-            while inflight and inflight[0] <= now:
-                del inflight[0]
-        if now >= self._next_refresh:
-            self._refresh(now)
-        # _access inlined (the single-access hot path; the write paths
-        # below call the method — flushes amortize the call overhead).
-        packed = self._coords.get(address)
-        if packed is None:
-            x = address >> 13
-            bank_bits = x & 15
-            x >>= 4
-            rank = x & 1
-            x >>= 1
-            h = 0
-            fold = x
-            while fold:
-                h ^= fold & 15
-                fold >>= 4
-            packed = (
-                ((x & 0xFFFF) << 6) | (((rank << 4) | (bank_bits ^ h)) << 1) | rank
-            )
-            self._coords[address] = packed
-        rank = packed & 1
-        key = (packed >> 1) & 31
-        row = packed >> 6
-        bank = self._banks.get(key)
-        if bank is None:
-            bank = [None, 0.0, 0.0]
-            self._banks[key] = bank
-        # `at` is the access-time cursor (_access's local `now`): ACT
-        # pacing advances it without touching the latency base `now`.
-        at = now
-        open_row = bank[0]
-        if open_row != row:
-            acts = self._rank_acts.get(rank)
-            if acts:
-                paced = acts[-1] + _tRRD
-                if paced > at:
-                    at = paced
-                if len(acts) >= 4:
-                    paced = acts[-4] + _tFAW
-                    if paced > at:
-                        at = paced
-        ready = bank[1]
-        start = at if at > ready else ready
-        if open_row == row:
-            self.row_hits += 1
-            data_at = start + _HIT_CYCLES
-            bank[1] = start + _tCCD
-        else:
-            if open_row is None:
-                self.row_misses += 1
-                act_at = start
-                data_at = start + _MISS_CYCLES
-                bank[0] = row
-                bank[2] = start + _tRAS
-                bank[1] = start + _tRCD + _tCCD
-            else:
-                self.row_conflicts += 1
-                ras_done = bank[2]
-                if ras_done > start:
-                    start = ras_done
-                act_at = start + _tRP
-                data_at = start + _CONFLICT_CYCLES
-                bank[0] = row
-                bank[2] = start + _tRP + _tRAS
-                bank[1] = start + _tRP + _tRCD + _tCCD
-            acts = self._rank_acts.get(rank)
-            if acts is None:
-                self._rank_acts[rank] = [act_at]
-            else:
-                acts.append(act_at)
-                if len(acts) > 4:
-                    del acts[: len(acts) - 4]
-        burst_start = data_at - _tBL
-        bus_free = self._bus_free_at
-        if bus_free > burst_start:
-            burst_start = bus_free
-        data_at = burst_start + _tBL
-        self._bus_free_at = data_at
-        inflight.append(data_at)  # sorted: data_at > every earlier completion
-        self.reads += 1
-        self.total_read_latency += data_at - now
-        return data_at
-
-    def write(self, address: int, now: float) -> float:
-        """MemoryController.write (posted queue, 48/16 watermark drain)."""
-        self.writes += 1
-        if now >= self._next_refresh:
-            self._refresh(now)
-        inflight = self._write_inflight
-        retire = 0
-        n_inflight = len(inflight)
-        while retire < n_inflight and inflight[retire] <= now:
-            retire += 1
-        if retire:
-            del inflight[:retire]
-        queue = self._write_queue
-        if self._write_draining and len(queue) + len(inflight) <= 16:
-            self._write_draining = False  # WRITE_DRAIN_LOW reached
-        if len(queue) + len(inflight) >= 64:  # WRITE_QUEUE_ENTRIES
-            while queue:
-                inflight.append(self._access(queue.popleft(), now))
-            if len(inflight) >= 64:
-                freed = inflight[0]
-                del inflight[0]
-                if freed > now:
-                    now = freed
-                while inflight and inflight[0] <= now:
-                    del inflight[0]
-        queue.append(address)
-        if not self._write_draining and len(queue) + len(inflight) >= 48:
-            self._write_draining = True  # WRITE_DRAIN_HIGH crossed
-            self.write_drains += 1
-        if self._write_draining:
-            while queue:
-                inflight.append(self._access(queue.popleft(), now))
-        return now
-
-    def _access(self, address: int, now: float) -> float:
-        packed = self._coords.get(address)
-        if packed is None:
-            # AddressMapper.map for the default geometry (64B lines, 128
-            # columns/row, 16 banks, 2 ranks, 65536 rows, XOR bank hash).
-            x = address >> 13
-            bank = x & 15
-            x >>= 4
-            rank = x & 1
-            x >>= 1
-            h = 0
-            fold = x
-            while fold:
-                h ^= fold & 15
-                fold >>= 4
-            packed = ((x & 0xFFFF) << 6) | (((rank << 4) | (bank ^ h)) << 1) | rank
-            self._coords[address] = packed
-        rank = packed & 1
-        key = (packed >> 1) & 31
-        row = packed >> 6
-        bank = self._banks.get(key)
-        if bank is None:
-            bank = [None, 0.0, 0.0]
-            self._banks[key] = bank
-        open_row = bank[0]
-        if open_row != row:
-            # This access needs an ACT: honour the rank's tRRD/tFAW pacing.
-            acts = self._rank_acts.get(rank)
-            if acts:
-                paced = acts[-1] + _tRRD
-                if paced > now:
-                    now = paced
-                if len(acts) >= 4:
-                    paced = acts[-4] + _tFAW
-                    if paced > now:
-                        now = paced
-        ready = bank[1]
-        start = now if now > ready else ready
-        if open_row == row:
-            self.row_hits += 1
-            data_at = start + _HIT_CYCLES
-            bank[1] = start + _tCCD
-        else:
-            if open_row is None:
-                self.row_misses += 1
-                act_at = start
-                data_at = start + _MISS_CYCLES
-                bank[0] = row
-                bank[2] = start + _tRAS
-                bank[1] = start + _tRCD + _tCCD
-            else:
-                self.row_conflicts += 1
-                ras_done = bank[2]
-                if ras_done > start:
-                    start = ras_done
-                # The ACT can only issue once the precharge completes.
-                act_at = start + _tRP
-                data_at = start + _CONFLICT_CYCLES
-                bank[0] = row
-                bank[2] = start + _tRP + _tRAS
-                bank[1] = start + _tRP + _tRCD + _tCCD
-            # Pace the window from the instant the ACT actually issued.
-            acts = self._rank_acts.get(rank)
-            if acts is None:
-                self._rank_acts[rank] = [act_at]
-            else:
-                acts.append(act_at)
-                if len(acts) > 4:
-                    del acts[: len(acts) - 4]
-        # Bus serialization: the data burst occupies the bus for tBL.
-        burst_start = data_at - _tBL
-        bus_free = self._bus_free_at
-        if bus_free > burst_start:
-            burst_start = bus_free
-        data_at = burst_start + _tBL
-        self._bus_free_at = data_at
-        return data_at
-
-    def _refresh(self, now: float) -> None:
-        while now >= self._next_refresh:
-            at = self._next_refresh
-            for bank in self._banks.values():
-                # Bank.precharge(at), then unavailable for tRFC.
-                bank[0] = None
-                ras_done = bank[2]
-                floor = (ras_done if ras_done > at else at) + _tRP
-                ready = bank[1]
-                if floor > ready:
-                    ready = floor
-                after = at + _tRFC
-                bank[1] = after if after > ready else ready
-            self.refreshes += 1
-            self._next_refresh = at + _tREFI
-
-
-class _ReferenceControllerAdapter:
-    """Drives the scalar :class:`MemoryController` behind the same API.
-
-    Only the A/B equivalence tests use it: the timing pass run on either
-    controller implementation must produce bit-identical results.
-    """
-
-    def __init__(self) -> None:
-        self._controller = MemoryController()
-
-    def read(self, address: int, now: float) -> float:
-        return self._controller.read(address, now).data_ready_time
-
-    def write(self, address: int, now: float) -> float:
-        return self._controller.write(address, now)
-
-    def __getattr__(self, name: str):
-        return getattr(self._controller.stats, name)
-
-
 # -- pass 3: per-organization sparse timing --------------------------------------
 
 
@@ -1643,7 +1315,9 @@ def _timing_tick(content: _ContentResult, organization, controller):
     backpressure_stalls = 0
     meta_inflight: "OrderedDict[int, float]" = OrderedDict()
     meta_recent: "OrderedDict[int, float]" = OrderedDict()
-    merge_window = 1000.0  # CacheHierarchy._META_WRITE_MERGE_WINDOW
+    meta_inflight_max = CacheHierarchy.META_READ_INFLIGHT
+    meta_recent_max = CacheHierarchy.META_WRITE_RECENT
+    merge_window = CacheHierarchy.META_WRITE_MERGE_WINDOW
 
     n_cores = content.n_cores
     check = content.check_time
@@ -1739,7 +1413,7 @@ def _timing_tick(content: _ContentResult, organization, controller):
                             dram_reads += 1
                             meta_inflight[maddr] = completion
                             meta_inflight.move_to_end(maddr)
-                            while len(meta_inflight) > 8:
+                            while len(meta_inflight) > meta_inflight_max:
                                 meta_inflight.popitem(last=False)
                         ready = max(ready, completion)
                     if code == A_DEMAND_READ:
@@ -1755,7 +1429,7 @@ def _timing_tick(content: _ContentResult, organization, controller):
                             dram_writes += 1
                             meta_recent[maddr] = now_mem
                             meta_recent.move_to_end(maddr)
-                            while len(meta_recent) > 32:
+                            while len(meta_recent) > meta_recent_max:
                                 meta_recent.popitem(last=False)
                     if code == A_VICTIM_WRITE:
                         stall = (accepted - now_mem) * cpm
@@ -1808,13 +1482,8 @@ def _timing_pass(
     organization,
     config,
     diagnostics: Optional[dict] = None,
-    reference_controller: bool = False,
 ) -> SystemResult:
-    controller = (
-        _ReferenceControllerAdapter()
-        if reference_controller
-        else _FastController(content.coords)
-    )
+    controller = MemoryController(content.coords)
     measured, base, now, backpressure_stalls = _timing_tick(
         content, organization, controller
     )

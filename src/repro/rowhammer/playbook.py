@@ -602,7 +602,7 @@ class PlaybookConfig:
     #: breakthroughs produce multi-bit words that separate the schemes).
     weak_cells_per_row: int = 64
     flips_per_crossing: float = 6.0
-    #: Bank size the edge policy clamps against (model default).
+    #: Rows per bank, which the edge policy clamps against (model default).
     n_rows: int = 128
 
 

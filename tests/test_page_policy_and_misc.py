@@ -1,71 +1,11 @@
-"""Tests for the closed-page policy and remaining small behaviours."""
-
-import pytest
+"""Tests for metadata-write merging and the Monte-Carlo knobs."""
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cpu.system import System
-from repro.cpu.workloads import profile
-from repro.dram.bank import Bank
-from repro.dram.controller import MemoryController
-from repro.dram.timing import DDR4_3200
 from repro.faultsim.evaluators import SafeGuardSECDEDEvaluator, SECDEDEvaluator
 from repro.faultsim.fit import FaultMode, Scope
 from repro.faultsim.geometry import X8_SECDED_16GB
 from repro.faultsim.montecarlo import MonteCarloConfig, simulate
-from repro.perf.organizations import BASELINE_ECC, sgx_style, synergy_style
-
-
-class TestClosedPagePolicy:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            Bank(DDR4_3200, policy="lazy")
-
-    def test_closed_page_never_hits_never_conflicts(self):
-        bank = Bank(DDR4_3200, policy="closed")
-        kinds = []
-        now = 0.0
-        for row in (5, 5, 9, 5):
-            now, kind, _ = bank.access(row, now)
-            kinds.append(kind)
-        assert kinds == ["miss"] * 4
-
-    def test_open_page_beats_closed_on_streams(self):
-        open_mc = MemoryController(enable_refresh=False, page_policy="open")
-        closed_mc = MemoryController(enable_refresh=False, page_policy="closed")
-        open_t = closed_t = 0.0
-        for i in range(32):  # sequential lines: one row
-            open_t = open_mc.read(i * 64, open_t).data_ready_time
-            closed_t = closed_mc.read(i * 64, closed_t).data_ready_time
-        assert open_t < closed_t
-        assert open_mc.stats.row_hit_rate > 0.9
-        assert closed_mc.stats.row_hit_rate == 0.0
-
-    def test_closed_page_avoids_conflict_latency(self):
-        """Row-alternating accesses spaced past tRC: closed-page serves a
-        plain activate (miss latency), open-page pays the precharge-first
-        conflict path."""
-        t = DDR4_3200
-        open_bank = Bank(t, policy="open")
-        closed_bank = Bank(t, policy="closed")
-        open_bank.access(0, 0.0)
-        closed_bank.access(0, 0.0)
-        later = 4.0 * t.tRC  # well past any recovery window
-        open_at, open_kind, _ = open_bank.access(1, later)
-        closed_at, closed_kind, _ = closed_bank.access(1, later)
-        assert open_kind == "conflict" and closed_kind == "miss"
-        assert closed_at - later == t.row_miss_cycles
-        assert open_at - later == t.row_conflict_cycles
-        assert closed_at < open_at
-
-    def test_system_runs_under_closed_page(self):
-        controller = MemoryController(page_policy="closed")
-        hierarchy = CacheHierarchy(2, BASELINE_ECC, controller=controller)
-        system = System(
-            profile("gcc"), BASELINE_ECC, n_cores=2, seed=1, hierarchy=hierarchy
-        )
-        result = system.run(10_000)
-        assert result.total_cycles > 0
-        assert result.row_hit_rate == 0.0
+from repro.perf.organizations import sgx_style, synergy_style
 
 
 class TestMetaWriteMerging:

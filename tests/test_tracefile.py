@@ -1,5 +1,7 @@
 """Tests for trace recording/replay and multi-seed perf summaries."""
 
+import re
+
 import pytest
 
 from repro.cpu.system import System
@@ -46,6 +48,20 @@ class TestTraceIO:
         path = tmp_path / "bad.trace"
         path.write_text("#repro-trace v1\n1 X 40\n")
         with pytest.raises(ValueError):
+            list(read_trace(str(path)))
+
+    @pytest.mark.parametrize(
+        "op",
+        ["0 R -40", "-7 W 1000", "3 R 40 X", "3 R 40 S S", "x R 40", "3 R zz"],
+    )
+    def test_malformed_fields_rejected(self, tmp_path, op):
+        """Negative addresses and gaps, and any trailing token but ``S``,
+        are rejected with the file position (a negative address used to
+        reach the DRAM address map, whose bank-hash fold never ends on
+        one)."""
+        path = tmp_path / "bad.trace"
+        path.write_text(f"#repro-trace v1\n1 R 40\n{op}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
             list(read_trace(str(path)))
 
     def test_comments_and_blanks_skipped(self, tmp_path):

@@ -19,8 +19,7 @@ BUDGET = 340_000
 
 def _campaign():
     rows = []
-    # TRRespass with its flush rows (74-118) inside the 128-row bank.
-    for attack in (double_sided(64), many_sided(64, dummy_stride=4), half_double(64)):
+    for attack in (double_sided(64), many_sided(64), half_double(64)):
         model = DisturbanceModel(RowHammerConfig(rh_threshold=THRESHOLD, seed=1))
         mitigation = BlockHammerMitigation(design_threshold=THRESHOLD, seed=2)
         result = AttackRunner(model, mitigation).run(attack, budget=BUDGET)

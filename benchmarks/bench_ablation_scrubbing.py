@@ -7,7 +7,7 @@ scrubbing changes the 7-year failure probability for SECDED and SafeGuard
 the Figure 6 conclusions are insensitive to it).
 """
 
-from conftest import BENCH_MODULES, once
+from conftest import once
 
 from repro.faultsim.evaluators import evaluator_for
 from repro.faultsim.geometry import X8_SECDED_16GB
@@ -16,7 +16,7 @@ from repro.faultsim.montecarlo import MonteCarloConfig, simulate
 
 def _run(scrub_hours):
     config = MonteCarloConfig(
-        n_modules=BENCH_MODULES // 2,
+        n_modules=30_000,
         seed=13,
         fit_multiplier=10.0,  # boosted so collisions are visible
         scrub_interval_hours=scrub_hours,

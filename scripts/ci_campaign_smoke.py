@@ -5,7 +5,8 @@ all three campaign families, replacing the per-engine smoke steps it
 grew out of:
 
 1. **Monte-Carlo shards** (both faultsim engines): the 2-worker sharded
-   run is bit-identical to the sequential loop.
+   run is bit-identical to the sequential loop, its shards stored as
+   ordinary cells in the shared store.
 2. **Performance cells** (both perf engines): the 2-worker grid is
    bit-identical to ``run_comparison``, and a second run reloads every
    cell from the shared store.
@@ -66,7 +67,7 @@ def check_faultsim(store: str) -> None:
             config,
             workers=2,
             shards=4,
-            checkpoint_dir=os.path.join(store, f"faultsim-{engine}"),
+            checkpoint_dir=store,
         )
         assert sequential.n_failed > 0
         assert parallel.fail_times == sequential.fail_times
@@ -155,8 +156,8 @@ def check_playbook(store: str):
     return sequential
 
 
-#: Figure 1c's test scale (tests/test_experiments.py).
-FIG1C_SCALE = dict(rh_threshold=600, budget=120_000)
+#: Figure 1c's test scale.
+FIG1C_SCALE = fig1c_detection.SCALES["smoke"]
 
 
 def check_fig1c(store: str) -> None:
@@ -268,6 +269,9 @@ def check_kill_and_resume_remote(store: str, reference) -> None:
 
 def check_status(store: str) -> None:
     summary = summarize_index(store)
+    # 4 shards per engine, distinct schemes: 8 cells under 4 shard keys.
+    assert summary["faultsim"]["cells"] == 8
+    assert summary["faultsim"]["completed"] == 4
     # 4 cells per engine; "mcf" keys repeat across engines (distinct
     # fingerprints -> distinct cell files, same science key).
     assert summary["perf"]["cells"] == 8
@@ -281,7 +285,8 @@ def check_status(store: str) -> None:
         env=_env(),
     )
     assert status.returncode == 0, status.stderr
-    assert "perf" in status.stdout and "playbook" in status.stdout
+    for family in ("faultsim", "perf", "playbook"):
+        assert family in status.stdout, family
     print("campaign-status OK:")
     print(status.stdout.rstrip())
 

@@ -4,7 +4,8 @@ Usage::
 
     python -m repro list                     # available experiments
     python -m repro schemes                  # registered memory organizations
-    python -m repro fig6                     # one experiment
+    python -m repro fig6                     # one experiment (quick scale)
+    python -m repro fig6 --scale paper       # at the paper's 10M modules
     python -m repro fig6 --workers 8         # parallel Monte-Carlo (same output)
     python -m repro fig6 --scheme secded     # restrict to one organization
     python -m repro fig6 --engine fast       # vectorized Monte-Carlo engine
@@ -21,10 +22,16 @@ Usage::
     python -m repro fig7 --store-url HOST:7797      # shared networked cache
     python -m repro submit HOST:7797 playbook --watch
     python -m repro campaign-status --remote HOST:7797
-    python -m repro all                      # everything (interactive scale)
+    python -m repro all --scale smoke --out record.json  # every artifact, checked
 
 Global options, accepted by the commands whose runner declares them (any
-other command rejects them with exit code 2): ``--workers N`` fans a
+other command rejects them with exit code 2): ``--scale
+smoke|quick|paper`` sizes an experiment (or ``all``) as its module's
+``SCALES`` declare: the test suite's size, the interactive default
+(``quick``), or the record behind EXPERIMENTS.md. ``all`` runs every
+experiment once, prints each report and a per-artifact table of wall
+seconds and paper claims held, writes that record as JSON to ``--out
+PATH``, and exits 1 if any claim fails. ``--workers N`` fans a
 campaign (fig1b/fig1c, fig6/fig7/fig10-13, ``playbook run``, ``all``,
 ``serve``'s job default) across N processes with bit-identical results.
 ``--scheme NAME`` (a name from ``python -m repro schemes``) restricts
@@ -34,8 +41,8 @@ of fig6/fig10 or the perf engine of fig7/fig11/fig12/fig13; both fast
 paths are statistically equivalent to their reference loops, not
 bit-identical, and campaign caches / checkpoints never cross engines.
 ``--cache-dir PATH`` persists one verified JSON result per campaign cell
-(fig1b/fig1c, perf figures, ``playbook run``): a killed or re-scoped
-campaign recomputes only the cells it is missing; ``--store-url
+(fig1b/fig1c, fig6/fig10, perf figures, ``playbook run``, ``all``): a
+killed or re-scoped campaign recomputes only the cells it is missing; ``--store-url
 HOST:PORT`` shares the cells through a campaign server instead (the two
 are mutually exclusive). ``--profile PATH`` (fig7/fig11) additionally
 writes a per-pass cProfile breakdown of the fast perf engine as JSON
@@ -348,9 +355,12 @@ def _list(argv) -> int:
     return 0
 
 
-def _all(argv, workers=None) -> int:
-    run_all(workers=workers)
-    return 0
+def _all(argv, scale=None, out=None, workers=None, cache_dir=None) -> int:
+    """``python -m repro all``: every experiment at one scale; exit 1 if
+    a paper claim fails."""
+    options = dict(scale=scale, out=out, workers=workers, cache_dir=cache_dir)
+    failed = run_all(**{name: value for name, value in options.items() if value is not None})
+    return 1 if failed else 0
 
 
 #: Commands other than the experiments; each takes its own arguments plus

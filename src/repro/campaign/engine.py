@@ -79,10 +79,6 @@ class Campaign:
     #: Campaign family name, recorded in the store's append-only index.
     name = "campaign"
 
-    #: Whether completed cells are appended to the store index. Disabled
-    #: by stores whose exact directory contents are contractual.
-    index_results = True
-
     # -- identity ----------------------------------------------------------------
 
     def fingerprint(self, item) -> dict:
@@ -190,7 +186,7 @@ class _CampaignRun:
             item.index: campaign.fingerprint(item) for item in self.items
         }
         if store is None and store_dir:
-            store = ResultStore(store_dir, index_results=campaign.index_results)
+            store = ResultStore(store_dir)
         self.store = store
         self.progress = progress
         self.results: Dict[int, Any] = {}
@@ -301,7 +297,7 @@ class _CampaignRun:
                 self.cell_name(item),
                 fingerprint,
                 self.campaign.serialize_result(item, result),
-                campaign=self.campaign.name if self.campaign.index_results else None,
+                campaign=self.campaign.name,
                 key=self.campaign.item_key(item),
                 failures=self.campaign.result_failures(result),
             )

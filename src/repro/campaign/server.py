@@ -36,14 +36,13 @@ Start one with ``python -m repro serve --store-dir DIR`` or embed a
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from repro.campaign.progress import ProgressBase, resolve_workers
-from repro.campaign.store import ResultStore, fingerprint_digest, summarize_index
+from repro.campaign.store import ResultStore, summarize_index
 from repro.campaign.wire import (
     DEFAULT_PORT,
     PROTOCOL_VERSION,
@@ -189,21 +188,12 @@ def _job_faultsim(server: "CampaignServer", params: dict, progress):
         engine=params.get("engine"),
     )
     geometry = X8_SECDED_16GB
-    # Checkpoints keep their one-file-per-shard directory contract, so
-    # each faultsim job gets a subdirectory, not the shared cell space.
-    # It is keyed by the full science fingerprint (engine and geometry
-    # included): jobs whose results differ must not overwrite each
-    # other's shard files.
-    fingerprint = config.science_fingerprint(scheme, geometry)
-    checkpoint_dir = os.path.join(
-        server.store_dir, f"faultsim-{fingerprint_digest(fingerprint)}"
-    )
     result = simulate_parallel(
         evaluator_for(scheme, geometry),
         geometry,
         config,
         workers=server.job_workers(params),
-        checkpoint_dir=checkpoint_dir,
+        checkpoint_dir=server.store_dir,
         progress=progress,
     )
     return {

@@ -78,16 +78,10 @@ def fingerprint_digest(fingerprint: dict) -> str:
 
 
 class ResultStore:
-    """Fingerprint-verified JSON cells plus the append-only index.
+    """Fingerprint-verified JSON cells plus the append-only index."""
 
-    ``index_results=False`` disables the index for stores whose exact
-    directory contents are part of their contract (the Monte-Carlo
-    engine's checkpoint directories hold exactly one file per shard).
-    """
-
-    def __init__(self, directory: str, index_results: bool = True):
+    def __init__(self, directory: str):
         self.directory = directory
-        self.index_results = index_results
 
     def path(self, cell_name: str) -> str:
         return os.path.join(self.directory, cell_name)
@@ -140,7 +134,7 @@ class ResultStore:
             "result": result,
         }
         atomic_write_json(self.path(cell_name), payload)
-        if self.index_results and campaign is not None:
+        if campaign is not None:
             entry = {
                 "campaign": campaign,
                 "key": key,

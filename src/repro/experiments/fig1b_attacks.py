@@ -8,10 +8,9 @@ all break through. The matrix is a playbook grid
 (:mod:`repro.rowhammer.playbook`): the library's ``double-sided``,
 ``many-sided`` (TRRespass, flush rows 74-118 inside the 128-row bank)
 and ``half-double`` scenarios against six mitigations, so it caches,
-resumes and fans out like any campaign. The scaled defaults
-(``rh_threshold=1200, budget=340_000``) run the grid in about a minute
-on one core; pass ``rh_threshold=4800, budget=1_360_000`` for the
-full-scale run recorded in EXPERIMENTS.md.
+resumes and fans out like any campaign. The ``quick`` scale runs the
+grid in about a minute on one core; ``paper`` is the device threshold
+(4.8K) and a full refresh window's activations (1.36M).
 """
 
 from __future__ import annotations
@@ -44,6 +43,33 @@ MITIGATIONS = {
 #: Figure 1b counts victim flips only; one scheme consumes them.
 SCHEME = "secded"
 
+#: Threshold and activation budget, scaled together.
+SCALES = {
+    "smoke": dict(rh_threshold=600, budget=120_000),
+    "quick": dict(rh_threshold=1200, budget=340_000),
+    "paper": dict(rh_threshold=4800, budget=1_360_000),
+}
+
+
+def _broke(cells: "List[Cell]", mitigation: str, attack: str) -> bool:
+    return next(
+        c.broke_through for c in cells if (c.mitigation, c.attack) == (mitigation, attack)
+    )
+
+
+CLAIMS = {
+    "TRRespass breaks TRR (Fig. 1b, Case 2)":
+        lambda cells: _broke(cells, "trr", "many-sided(trrespass)"),
+    "Half-Double breaks Graphene (Fig. 1b, Case 1)":
+        lambda cells: _broke(cells, "graphene", "half-double"),
+    "PARA sized for the 2014 threshold (139K) fails on a 4.8K-era part "
+    "(Fig. 1b, threshold drift)":
+        lambda cells: _broke(cells, "para-stale", "double-sided"),
+    "PARA and Graphene sized for the device stop the classic patterns (Fig. 1b)":
+        lambda cells: not _broke(cells, "para", "double-sided")
+        and not _broke(cells, "graphene", "many-sided(trrespass)"),
+}
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -54,8 +80,8 @@ class Cell:
 
 
 def run(
-    rh_threshold: int = 1200,
-    budget: int = 340_000,
+    rh_threshold: int,
+    budget: int,
     victim_row: int = 64,
     seed: int = 1,
     *,
@@ -99,8 +125,7 @@ def run(
     return matrix
 
 
-def report(cells: Optional[List[Cell]] = None) -> str:
-    cells = cells or run()
+def report(cells: List[Cell]) -> str:
     print_banner("Figure 1b: attack patterns vs. precise RH mitigations")
     rows = [
         (

@@ -25,10 +25,32 @@ from repro.rowhammer.playbook import PlaybookConfig, plan_playbook, run_playbook
 #: The organizations Figure 1c compares, resolved by registry name.
 SCHEMES = ("secded", "safeguard-secded", "chipkill", "safeguard-chipkill")
 
+#: Threshold and activation budget, scaled together (as Figure 1b's).
+SCALES = {
+    "smoke": dict(rh_threshold=600, budget=120_000),
+    "quick": dict(rh_threshold=1200, budget=340_000),
+    "paper": dict(rh_threshold=4800, budget=1_360_000),
+}
+
+
+def _outcome(outcomes: "List[ConsumptionOutcome]", scheme: str) -> ConsumptionOutcome:
+    display = registry.scheme(scheme).display
+    return next(o for o in outcomes if o.organization == display)
+
+
+CLAIMS = {
+    "SafeGuard consumes no breakthrough flip silently, with SECDED or "
+    "Chipkill (Fig. 1c)":
+        lambda outcomes: not _outcome(outcomes, "safeguard-secded").security_risk
+        and not _outcome(outcomes, "safeguard-chipkill").security_risk,
+    "SafeGuard turns breakthrough flips into detected errors (DUEs) (Fig. 1c)":
+        lambda outcomes: _outcome(outcomes, "safeguard-secded").detected_ue > 0,
+}
+
 
 def run(
-    rh_threshold: int = 1200,
-    budget: int = 340_000,
+    rh_threshold: int,
+    budget: int,
     victim_row: int = 64,
     seeds: "tuple[int, ...]" = (3, 5, 7, 11, 13, 17),
     weak_cells: int = 64,
@@ -84,8 +106,7 @@ def run(
     return list(totals.values())
 
 
-def report(outcomes: Optional[List[ConsumptionOutcome]] = None) -> str:
-    outcomes = outcomes or run()
+def report(outcomes: List[ConsumptionOutcome]) -> str:
     print_banner("Figure 1c: consumption of breakthrough RH bit-flips")
     rows = [
         (

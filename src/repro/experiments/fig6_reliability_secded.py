@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.experiments.reporting import format_table, print_banner
+from repro.experiments.reporting import format_table, print_banner, wilson_interval
 from repro.faultsim.evaluators import evaluator_for
 from repro.faultsim.geometry import X8_SECDED_16GB
 from repro.faultsim.montecarlo import MonteCarloConfig, ReliabilityResult
@@ -22,22 +22,48 @@ from repro.faultsim.parallel import ProgressCallback, simulate_parallel
 #: The organizations Figure 6 compares, by registry scheme name.
 SCHEMES = ("secded", "safeguard-secded-noparity", "safeguard-secded")
 
+#: Modules per scheme; ``paper`` is the paper's own 10M devices.
+SCALES = {
+    "smoke": dict(n_modules=30_000, seed=1),
+    "quick": dict(n_modules=100_000),
+    "paper": dict(n_modules=10_000_000),
+}
+
+
+def _vs_secded(results: List[ReliabilityResult], index: int) -> float:
+    """Failures of ``results[index]`` per SECDED failure."""
+    return results[index].n_failed / max(1, results[0].n_failed)
+
+
+CLAIMS = {
+    "Without column parity SafeGuard fails ~1.25x as often as SECDED "
+    "(Fig. 6): measured ratio in (1.05, 1.6)":
+        lambda results: 1.05 < _vs_secded(results, 1) < 1.6,
+    "With column parity SafeGuard is virtually identical to SECDED "
+    "(Fig. 6): measured ratio below 1.15":
+        lambda results: _vs_secded(results, 2) < 1.15,
+    "SafeGuard never fails silently (Fig. 6): 0 SDC with or without parity":
+        lambda results: results[1].n_sdc == results[2].n_sdc == 0,
+}
+
 
 def run(
-    n_modules: int = 200_000,
+    n_modules: int,
     seed: int = 42,
     workers: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     schemes: "tuple[str, ...]" = SCHEMES,
     engine: Optional[str] = None,
+    cache_dir: Optional[str] = None,
     store=None,
 ) -> List[ReliabilityResult]:
     """``workers``/``REPRO_WORKERS`` parallelize without changing output.
 
     ``engine`` picks the Monte-Carlo engine (``"fast"``/``"reference"``;
     default: ``REPRO_FAULTSIM`` or reference) — statistically equivalent
-    curves, not bit-identical ones. ``store`` shares shard results
-    through a ready store object (e.g. a networked
+    curves, not bit-identical ones. ``cache_dir`` keeps every shard as a
+    store cell, so a rerun resumes; ``store`` shares them through a
+    ready store object instead (e.g. a networked
     :class:`repro.campaign.RemoteResultStore`).
     """
     config = MonteCarloConfig(n_modules=n_modules, seed=seed, engine=engine)
@@ -49,6 +75,7 @@ def run(
             geometry,
             config,
             workers=workers,
+            checkpoint_dir=cache_dir,
             store=store,
             progress=progress,
         )
@@ -56,19 +83,21 @@ def run(
     ]
 
 
-def report(results: Optional[List[ReliabilityResult]] = None) -> str:
-    results = results or run()
-    print_banner("Figure 6: probability of system failure (x8 16GB, 7 years)")
+def report(results: List[ReliabilityResult]) -> str:
+    print_banner(
+        "Figure 6: probability of system failure (x8 16GB, 7 years, "
+        f"{results[0].n_modules:,} modules)"
+    )
     years = [1, 2, 3, 4, 5, 6, 7]
     rows = []
     for r in results:
         rows.append(
             [r.scheme]
             + [f"{r.probability_at_years(y):.4%}" for y in years]
-            + [f"{r.n_due}/{r.n_sdc}"]
+            + [wilson_interval(r), f"{r.n_due}/{r.n_sdc}"]
         )
     table = format_table(
-        ["Scheme"] + [f"{y}y" for y in years] + ["DUE/SDC"], rows
+        ["Scheme"] + [f"{y}y" for y in years] + ["95% CI (7y)", "DUE/SDC"], rows
     )
     print(table)
     base = results[0].final_fail_probability

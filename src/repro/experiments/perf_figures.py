@@ -42,6 +42,85 @@ class PerfFigure:
 #: The three MAC organizations Figures 12/13 compare, by registry name.
 MAC_SCHEMES = ("safeguard-secded", "sgx-mac", "synergy-mac")
 
+_SMOKE = PerfConfig(n_cores=2, instructions_per_core=20_000, warmup_instructions=5_000)
+_QUICK = PerfConfig(instructions_per_core=150_000, warmup_instructions=40_000)
+_PAPER = PerfConfig(instructions_per_core=300_000, warmup_instructions=60_000)
+#: Read-heavy, write-heavy and compute-bound profiles, for the quick scale.
+_MIXED = ("perlbench", "gcc", "mcf", "omnetpp", "leela", "bwaves", "lbm", "roms")
+
+#: Per scale and figure, the arguments of ``run_fig7`` (Figures 7 and 11
+#: share its run), ``run_fig12`` and ``run_fig13``; ``workloads=None`` is
+#: the whole 17-profile suite.
+SCALES = {
+    "smoke": {
+        "fig7": dict(workloads=("gcc", "omnetpp"), config=_SMOKE),
+        "fig12": dict(workloads=("mcf",), config=_SMOKE),
+        "fig13": dict(latencies=(8, 80), workloads=("omnetpp",), config=_SMOKE),
+    },
+    "quick": {
+        "fig7": dict(workloads=_MIXED, config=_QUICK),
+        "fig12": dict(workloads=_MIXED, config=_QUICK),
+        "fig13": dict(
+            latencies=(8, 40, 80), workloads=("mcf", "omnetpp", "leela"), config=_QUICK
+        ),
+    },
+    "paper": {
+        "fig7": dict(workloads=None, config=_PAPER),
+        "fig12": dict(workloads=None, config=_PAPER),
+        "fig13": dict(
+            latencies=(8, 24, 40, 56, 80),
+            workloads=("mcf", "omnetpp", "xz", "lbm", "bwaves", "leela"),
+            config=_PAPER,
+        ),
+    },
+}
+
+#: The memory-heavy workloads on which Figure 11 would diverge from
+#: Figure 7, if the Chipkill organization changed the data path.
+FIG11_WORKLOADS = ("mcf", "omnetpp", "xalancbmk", "xz", "bwaves", "lbm", "fotonik3d", "roms")
+
+
+def _slowdown(figure: "PerfFigure", index: int = 0, workloads=None) -> float:
+    """Geometric-mean slowdown (%) of the figure's ``index``-th
+    organization, over ``workloads`` (default: every row)."""
+    rows = [r for r in figure.results if workloads is None or r.workload in workloads]
+    return geomean_slowdown_percent(rows, figure.organizations[index])
+
+
+#: Per figure, as :data:`SCALES`.
+CLAIMS = {
+    "fig7": {
+        "SafeGuard slows the average workload by 0.7 % (Fig. 7): measured "
+        "geometric mean in (-0.5 %, 3 %)":
+            lambda figure: -0.5 < _slowdown(figure) < 3.0,
+        "The worst workload, omnetpp, slows by 3.6 % (Fig. 7): every "
+        "workload below 8 %":
+            lambda figure: max(
+                r.slowdown_percent(figure.organizations[0]) for r in figure.results
+            ) < 8.0,
+        "SafeGuard costs Chipkill the same 0.7 % (Fig. 11): geometric mean "
+        "over the memory-heavy workloads in (-0.5 %, 4 %)":
+            lambda figure: -0.5 < _slowdown(figure, workloads=FIG11_WORKLOADS) < 4.0,
+    },
+    "fig12": {
+        "SafeGuard (0.7 %) < Synergy-style (7.8 %) < SGX-style (18.7 %) "
+        "average slowdown (Fig. 12)":
+            lambda figure: _slowdown(figure, 0) < _slowdown(figure, 2) < _slowdown(figure, 1),
+        "SGX-style MACs cost 18.7 % (Fig. 12): measured above 8 %":
+            lambda figure: _slowdown(figure, 1) > 8.0,
+        "SafeGuard costs 0.7 % (Fig. 12): measured below 3 %":
+            lambda figure: _slowdown(figure, 0) < 3.0,
+    },
+    "fig13": {
+        "SafeGuard stays below SGX-style at every MAC latency, 5.8 % vs "
+        "25 %+ at 80 cycles (Fig. 13)":
+            lambda sweep: all(_slowdown(f, 0) < _slowdown(f, 1) for f in sweep.values()),
+        "SafeGuard's slowdown grows with MAC latency, from 0.7 % at 8 cycles "
+        "to 5.8 % at 80 (Fig. 13)":
+            lambda sweep: _slowdown(sweep[max(sweep)]) > _slowdown(sweep[min(sweep)]),
+    },
+}
+
 
 def _run(
     organizations: Sequence[PerfOrganization],
@@ -124,7 +203,7 @@ def run_fig12(
 
 
 def run_fig13(
-    latencies: Sequence[int] = (8, 24, 40, 56, 80),
+    latencies: Sequence[int],
     workloads: Optional[Sequence[str]] = None,
     config: Optional[PerfConfig] = None,
     workers: Optional[int] = None,

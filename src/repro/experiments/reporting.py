@@ -31,6 +31,13 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
+def wilson_interval(result) -> str:
+    """A reliability result's 95 % Wilson interval on its final failure
+    probability, as ``[low%, high%]``."""
+    low, high = result.confidence_interval()
+    return f"[{low:.4%}, {high:.4%}]"
+
+
 def print_banner(title: str) -> None:
     print()
     print("=" * max(30, len(title)))

@@ -1,25 +1,39 @@
-"""Experiment dispatcher: run any paper table/figure by name.
+"""Experiment dispatcher: run any paper table/figure by name, at a declared scale.
 
-Used by the CLI (``python -m repro <experiment>``) and handy from a REPL::
+Used by the CLI (``python -m repro <experiment>``, ``python -m repro
+all``) and handy from a REPL::
 
-    from repro.experiments.runner import run_experiment, EXPERIMENTS
-    run_experiment("fig6")
-    run_experiment("fig6", workers=8)   # parallel Monte-Carlo, same output
+    from repro.experiments.runner import run_all, run_experiment
+    run_experiment("fig6")                              # the quick scale
+    run_experiment("fig6", scale="paper", workers=8)    # parallel, same output
+    run_all(scale="smoke", out="record.json")           # every artifact, checked
 
-Each runner declares the options it accepts as keyword parameters —
+Each runner takes ``scale`` (a name from
+:data:`repro.experiments.SCALE_NAMES`, sized by its module's ``SCALES``)
+and declares the other options it accepts as keyword parameters —
 ``workers``, ``scheme``, ``engine``, ``cache_dir``, ``profile_to``,
 ``store_url`` — and :func:`check_options` rejects any other from its
-signature. The campaign experiments (fig1b/fig1c, fig6/fig7/fig10-13)
-fan their cells across ``workers`` processes with bit-identical output.
+signature. A runner prints the artifact's report and returns its result;
+:data:`CLAIMS` holds the paper claims that result must satisfy. The
+campaign experiments (fig1b/fig1c, fig6/fig7/fig10-13) fan their cells
+across ``workers`` processes with bit-identical output.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
+import os
+import subprocess
 import sys
+import time
+from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.experiments import (
+    SCALE_NAMES,
+    failed_claims,
     fig1b_attacks,
     fig1c_detection,
     fig6_reliability_secded,
@@ -34,35 +48,25 @@ from repro.experiments import (
     table4_resiliency,
     table5_storage,
 )
-from repro.campaign import ProgressBase
+from repro.campaign import ProgressBase, resolve_workers
 from repro.core import registry
-from repro.perf.model import PerfConfig
+from repro.experiments.reporting import format_table, print_banner
+
+#: The scale of a run that names none.
+DEFAULT_SCALE = "quick"
 
 
-class _open_store:
-    """Context manager for an optional ``--store-url`` networked store.
+@contextmanager
+def _open_store(store_url: Optional[str]):
+    """The networked store at ``store_url`` (None: no store), closed —
+    releasing any claims the run still holds — when the run ends."""
+    if store_url is None:
+        yield None
+        return
+    from repro.campaign import RemoteResultStore
 
-    ``None`` URL yields ``None`` (runners fall back to ``cache_dir`` /
-    local behaviour); otherwise yields a connected
-    :class:`repro.campaign.RemoteResultStore` and closes it — releasing
-    any claims the run still holds — when the experiment finishes.
-    """
-
-    def __init__(self, store_url: Optional[str]):
-        self.store_url = store_url
-        self.store = None
-
-    def __enter__(self):
-        if self.store_url is None:
-            return None
-        from repro.campaign import RemoteResultStore
-
-        self.store = RemoteResultStore(self.store_url)
-        return self.store
-
-    def __exit__(self, *exc) -> None:
-        if self.store is not None:
-            self.store.close()
+    with RemoteResultStore(store_url) as store:
+        yield store
 
 
 def _print_progress(stats: ProgressBase) -> None:
@@ -76,202 +80,180 @@ def _print_progress(stats: ProgressBase) -> None:
     print(f"  {stats.describe()}", end=end, file=sys.stderr, flush=True)
 
 
-def _table1() -> None:
-    table1_thresholds.report()
+def _run_and_report(module, scale: str):
+    """``module.run`` at ``scale``, then its report."""
+    result = module.run(**module.SCALES[scale])
+    module.report(result)
+    return result
 
 
-def _table2() -> None:
+def _campaign(run, sizes: dict, report, workers=None, store_url=None, **options):
+    """One campaign artifact: ``run(**sizes, **options)`` on ``workers``
+    processes (with a progress line if several), through the networked
+    store at ``store_url`` if one is given; then ``report`` its result."""
+    progress = _print_progress if workers and workers > 1 else None
+    with _open_store(store_url) as store:
+        result = run(**sizes, workers=workers, store=store, progress=progress, **options)
+    report(result)
+    return result
+
+
+def _schemes(scheme: Optional[str], module) -> tuple:
+    """``scheme`` alone, else every scheme ``module`` compares."""
+    return (scheme,) if scheme else module.SCHEMES
+
+
+def _table1(scale=DEFAULT_SCALE):
+    return _run_and_report(table1_thresholds, scale)
+
+
+def _table2(scale=DEFAULT_SCALE):
     table2_table3_config.report_table2()
 
 
-def _table3() -> None:
+def _table3(scale=DEFAULT_SCALE):
     table2_table3_config.report_table3()
 
 
-def _table4() -> None:
-    table4_resiliency.report(table4_resiliency.run(trials=60))
+def _table4(scale=DEFAULT_SCALE):
+    return _run_and_report(table4_resiliency, scale)
 
 
-def _table5() -> None:
-    table5_storage.report()
+def _table5(scale=DEFAULT_SCALE):
+    return _run_and_report(table5_storage, scale)
 
 
-def _fig1b(
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    store_url: Optional[str] = None,
-) -> None:
-    progress = _print_progress if workers and workers > 1 else None
-    with _open_store(store_url) as store:
-        fig1b_attacks.report(
-            fig1b_attacks.run(
-                workers=workers, cache_dir=cache_dir, store=store, progress=progress
-            )
-        )
-
-
-def _fig1c(
-    workers: Optional[int] = None,
-    scheme: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    store_url: Optional[str] = None,
-) -> None:
-    progress = _print_progress if workers and workers > 1 else None
-    schemes = (scheme,) if scheme else fig1c_detection.SCHEMES
-    with _open_store(store_url) as store:
-        fig1c_detection.report(
-            fig1c_detection.run(
-                schemes=schemes,
-                workers=workers,
-                cache_dir=cache_dir,
-                store=store,
-                progress=progress,
-            )
-        )
-
-
-def _fig6(
-    workers: Optional[int] = None,
-    scheme: Optional[str] = None,
-    engine: Optional[str] = None,
-    store_url: Optional[str] = None,
-) -> None:
-    progress = _print_progress if workers and workers > 1 else None
-    schemes = (scheme,) if scheme else fig6_reliability_secded.SCHEMES
-    with _open_store(store_url) as store:
-        fig6_reliability_secded.report(
-            fig6_reliability_secded.run(
-                n_modules=100_000,
-                workers=workers,
-                progress=progress,
-                schemes=schemes,
-                engine=engine,
-                store=store,
-            )
-        )
-
-
-def _fig10(
-    workers: Optional[int] = None,
-    scheme: Optional[str] = None,
-    engine: Optional[str] = None,
-) -> None:
-    progress = _print_progress if workers and workers > 1 else None
-    schemes = (scheme,) if scheme else fig10_reliability_chipkill.SCHEMES
-    fig10_reliability_chipkill.report(
-        fig10_reliability_chipkill.run(
-            n_modules=50_000,
-            workers=workers,
-            progress=progress,
-            schemes=schemes,
-            engine=engine,
-        )
+def _fig1b(scale=DEFAULT_SCALE, workers=None, cache_dir=None, store_url=None):
+    module = fig1b_attacks
+    return _campaign(
+        module.run, module.SCALES[scale], module.report, workers, store_url, cache_dir=cache_dir
     )
 
 
-_PERF_CONFIG = PerfConfig(instructions_per_core=150_000, warmup_instructions=40_000)
-_PERF_WORKLOADS = ["perlbench", "gcc", "mcf", "omnetpp", "leela", "bwaves", "lbm", "roms"]
+def _fig1c(scale=DEFAULT_SCALE, workers=None, scheme=None, cache_dir=None, store_url=None):
+    module = fig1c_detection
+    return _campaign(
+        module.run,
+        module.SCALES[scale],
+        module.report,
+        workers,
+        store_url,
+        schemes=_schemes(scheme, module),
+        cache_dir=cache_dir,
+    )
+
+
+def _fig6(
+    scale=DEFAULT_SCALE, workers=None, scheme=None, engine=None, cache_dir=None, store_url=None
+):
+    module = fig6_reliability_secded
+    return _campaign(
+        module.run,
+        module.SCALES[scale],
+        module.report,
+        workers,
+        store_url,
+        schemes=_schemes(scheme, module),
+        engine=engine,
+        cache_dir=cache_dir,
+    )
+
+
+def _fig10(
+    scale=DEFAULT_SCALE, workers=None, scheme=None, engine=None, cache_dir=None, store_url=None
+):
+    module = fig10_reliability_chipkill
+    return _campaign(
+        module.run,
+        module.SCALES[scale],
+        module.report,
+        workers,
+        store_url,
+        schemes=_schemes(scheme, module),
+        engine=engine,
+        cache_dir=cache_dir,
+    )
 
 
 def _fig7(
-    workers: Optional[int] = None,
-    scheme: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    engine: Optional[str] = None,
-    profile_to: Optional[str] = None,
-    store_url: Optional[str] = None,
-) -> None:
-    progress = _print_progress if workers and workers > 1 else None
-    with _open_store(store_url) as store:
-        perf_figures.report_per_workload(
-            perf_figures.run_fig7(
-                workloads=_PERF_WORKLOADS,
-                config=_PERF_CONFIG,
-                scheme=scheme or "safeguard-secded",
-                workers=workers,
-                cache_dir=cache_dir,
-                store=store,
-                progress=progress,
-                engine=engine,
-            ),
-            "Figure 7: SafeGuard vs. conventional ECC",
-        )
+    scale=DEFAULT_SCALE,
+    workers=None,
+    scheme=None,
+    cache_dir=None,
+    engine=None,
+    profile_to=None,
+    store_url=None,
+):
+    sizes = perf_figures.SCALES[scale]["fig7"]
+    scheme = scheme or "safeguard-secded"
+    figure = _campaign(
+        partial(perf_figures.run_fig7, scheme=scheme),
+        sizes,
+        partial(perf_figures.report_per_workload, title="Figure 7: SafeGuard vs. conventional ECC"),
+        workers,
+        store_url,
+        cache_dir=cache_dir,
+        engine=engine,
+    )
     if profile_to:
         from repro.perf.organizations import BASELINE_ECC, organization_for
         from repro.perf.profiling import profile_passes, write_profile
 
         report = profile_passes(
-            _PERF_WORKLOADS,
-            _PERF_CONFIG,
-            [BASELINE_ECC, organization_for(scheme or "safeguard-secded", 8)],
+            [row.workload for row in figure.results],
+            sizes["config"],
+            [BASELINE_ECC, organization_for(scheme, 8)],
         )
         write_profile(report, profile_to)
         print(f"per-pass fast-engine profile written to {profile_to}")
+    return figure
 
 
-def _fig12(
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    engine: Optional[str] = None,
-    store_url: Optional[str] = None,
-) -> None:
-    progress = _print_progress if workers and workers > 1 else None
-    with _open_store(store_url) as store:
-        perf_figures.report_per_workload(
-            perf_figures.run_fig12(
-                workloads=_PERF_WORKLOADS,
-                config=_PERF_CONFIG,
-                workers=workers,
-                cache_dir=cache_dir,
-                store=store,
-                progress=progress,
-                engine=engine,
-            ),
-            "Figure 12: per-line MAC organizations",
-        )
+def _fig12(scale=DEFAULT_SCALE, workers=None, cache_dir=None, engine=None, store_url=None):
+    return _campaign(
+        perf_figures.run_fig12,
+        perf_figures.SCALES[scale]["fig12"],
+        partial(perf_figures.report_per_workload, title="Figure 12: per-line MAC organizations"),
+        workers,
+        store_url,
+        cache_dir=cache_dir,
+        engine=engine,
+    )
 
 
-def _fig13(
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    engine: Optional[str] = None,
-    store_url: Optional[str] = None,
-) -> None:
-    progress = _print_progress if workers and workers > 1 else None
-    with _open_store(store_url) as store:
-        perf_figures.report_fig13(
-            perf_figures.run_fig13(
-                latencies=(8, 40, 80),
-                workloads=["mcf", "omnetpp", "leela"],
-                config=_PERF_CONFIG,
-                workers=workers,
-                cache_dir=cache_dir,
-                store=store,
-                progress=progress,
-                engine=engine,
-            )
-        )
+def _fig13(scale=DEFAULT_SCALE, workers=None, cache_dir=None, engine=None, store_url=None):
+    return _campaign(
+        perf_figures.run_fig13,
+        perf_figures.SCALES[scale]["fig13"],
+        perf_figures.report_fig13,
+        workers,
+        store_url,
+        cache_dir=cache_dir,
+        engine=engine,
+    )
 
 
-def _sec4b() -> None:
-    sec4b_birthday.report()
+def _sec4b(scale=DEFAULT_SCALE):
+    return _run_and_report(sec4b_birthday, scale)
 
 
-def _sec4c() -> None:
-    sec4c_column_recovery.report()
+def _sec4c(scale=DEFAULT_SCALE):
+    return _run_and_report(sec4c_column_recovery, scale)
 
 
-def _sec7() -> None:
-    sec7_security.report()
+def _sec7(scale=DEFAULT_SCALE):
+    return _run_and_report(sec7_security, scale)
 
 
-def _sec7e() -> None:
-    sec7e_mac_escape.report()
+def _sec7e(scale=DEFAULT_SCALE):
+    results = sec7e_mac_escape.run(**sec7e_mac_escape.SCALES[scale])
+    sec7e_mac_escape.report(*results)
+    return results
 
 
 #: Experiment name -> runner. ``fig11`` aliases ``fig7`` (the SafeGuard
 #: data path is identical in both organizations; see perf_figures).
-EXPERIMENTS: Dict[str, Callable[..., None]] = {
+EXPERIMENTS: Dict[str, Callable[..., object]] = {
     "table1": _table1,
     "table2": _table2,
     "table3": _table3,
@@ -292,9 +274,31 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "sec7e": _sec7e,
 }
 
+#: Runner -> the claims its result must satisfy (sentence -> predicate).
+CLAIMS: Dict[Callable[..., object], Dict[str, Callable[[object], bool]]] = {
+    _table1: table1_thresholds.CLAIMS,
+    _table2: table2_table3_config.CLAIMS,
+    _table3: table2_table3_config.CLAIMS,
+    _table4: table4_resiliency.CLAIMS,
+    _table5: table5_storage.CLAIMS,
+    _fig1b: fig1b_attacks.CLAIMS,
+    _fig1c: fig1c_detection.CLAIMS,
+    _fig6: fig6_reliability_secded.CLAIMS,
+    _fig7: perf_figures.CLAIMS["fig7"],
+    _fig10: fig10_reliability_chipkill.CLAIMS,
+    _fig12: perf_figures.CLAIMS["fig12"],
+    _fig13: perf_figures.CLAIMS["fig13"],
+    _sec4b: sec4b_birthday.CLAIMS,
+    _sec4c: sec4c_column_recovery.CLAIMS,
+    _sec7: sec7_security.CLAIMS,
+    _sec7e: sec7e_mac_escape.CLAIMS,
+}
 
-#: The CLI flag of each runner option.
+
+#: The CLI flag of each global option (a runner's or command's keyword).
 FLAGS = {
+    "scale": "--scale",
+    "out": "--out",
     "workers": "--workers",
     "scheme": "--scheme",
     "engine": "--engine",
@@ -309,7 +313,8 @@ def check_options(label: str, target: Callable, options: Dict[str, object]) -> D
 
     Raises ``ValueError`` naming the first option missing from
     ``target``'s signature (``label`` names the experiment or command),
-    or when ``--store-url`` and ``--cache-dir`` are combined.
+    for a ``scale`` that is not one of :data:`SCALE_NAMES`, or when
+    ``--store-url`` and ``--cache-dir`` are combined.
     """
     accepted = inspect.signature(target).parameters
     given = {option: value for option, value in options.items() if value is not None}
@@ -319,6 +324,10 @@ def check_options(label: str, target: Callable, options: Dict[str, object]) -> D
             raise ValueError(
                 f"{label} does not take {FLAGS[option]}; it takes {takes or 'no options'}"
             )
+    if "scale" in given and given["scale"] not in SCALE_NAMES:
+        raise ValueError(
+            f"--scale must be one of {', '.join(SCALE_NAMES)}, got {given['scale']!r}"
+        )
     if "store_url" in given and "cache_dir" in given:
         raise ValueError(
             "--store-url and --cache-dir are mutually exclusive: the "
@@ -331,24 +340,19 @@ def experiment_names() -> List[str]:
     return sorted(EXPERIMENTS)
 
 
-def run_experiment(
-    name: str,
-    workers: Optional[int] = None,
-    scheme: Optional[str] = None,
-    engine: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    profile_to: Optional[str] = None,
-    store_url: Optional[str] = None,
-) -> None:
-    """Run one experiment by name; raises KeyError for unknown names.
+def run_experiment(name: str, **options):
+    """Run one experiment by name and return its result; raises KeyError
+    for unknown names.
 
-    The options (None means absent) go to the experiment's runner, which
-    must accept each given one (:func:`check_options`): ``scheme`` (a registry name) restricts
-    scheme-aware experiments to a single organization; ``engine``
-    selects the Monte-Carlo or perf engine; ``cache_dir`` persists
-    per-cell campaign results; ``store_url`` routes them through a
-    shared networked store instead; ``profile_to`` additionally writes a
-    per-pass cProfile dump of the fast perf engine.
+    The options (keys of :data:`FLAGS`; None means absent) go to the
+    experiment's runner, which must accept each given one
+    (:func:`check_options`): ``scale`` picks
+    the sizes (default :data:`DEFAULT_SCALE`); ``scheme`` (a registry
+    name) restricts scheme-aware experiments to a single organization;
+    ``engine`` selects the Monte-Carlo or perf engine; ``cache_dir``
+    persists per-cell campaign results; ``store_url`` routes them through
+    a shared networked store instead; ``profile_to`` additionally writes
+    a per-pass cProfile dump of the fast perf engine.
     """
     try:
         runner = EXPERIMENTS[name]
@@ -356,26 +360,74 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {name!r}; available: {', '.join(experiment_names())}"
         ) from None
-    options = dict(
-        workers=workers,
-        scheme=scheme,
-        engine=engine,
-        cache_dir=cache_dir,
-        profile_to=profile_to,
-        store_url=store_url,
-    )
     kwargs = check_options(f"experiment {name!r}", runner, options)
     if "scheme" in kwargs:
         registry.scheme(kwargs["scheme"])  # unknown scheme names fail with the full list
-    runner(**kwargs)
+    return runner(**kwargs)
 
 
-def run_all(workers: Optional[int] = None) -> None:
-    """Run every experiment at interactive scale (``workers`` where taken)."""
-    seen = set()
+def _commit() -> str:
+    """The checkout's ``git describe --always --dirty``, or ``"unknown"``."""
+    command = ["git", "describe", "--always", "--dirty"]
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        described = subprocess.run(command, cwd=here, capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return described.stdout.strip() or "unknown"
+
+
+def run_all(
+    scale: str = DEFAULT_SCALE,
+    out: Optional[str] = None,
+    workers: Optional[int] = None,
+    cache_dir: Optional[str] = None,
+) -> List[str]:
+    """Run every experiment once at ``scale`` and check its claims.
+
+    Prints each report, then one line per artifact (wall seconds, claims
+    held); ``workers`` and ``cache_dir`` reach the runners that take
+    them. With ``out``, writes the record as JSON: the scale, commit,
+    cpu_count and workers, and per experiment name its wall seconds and
+    each claim's verdict (an alias repeats its artifact's entry and
+    names it under ``same_run_as``). Returns the failed claims as
+    ``"name: sentence"``, each also printed to stderr.
+    """
+    options = {"workers": workers, "cache_dir": cache_dir}
+    record = {
+        "scale": scale,
+        "commit": _commit(),
+        "cpu_count": os.cpu_count(),
+        "workers": resolve_workers(workers),
+        "artifacts": {},
+    }
+    artifacts = record["artifacts"]
+    first_name: Dict[Callable[..., object], str] = {}
+    failed: List[str] = []
+    rows = []
     for name, runner in EXPERIMENTS.items():
-        if runner in seen:
+        if runner in first_name:
+            artifacts[name] = {**artifacts[first_name[runner]], "same_run_as": first_name[runner]}
             continue
-        seen.add(runner)
-        takes_workers = "workers" in inspect.signature(runner).parameters
-        run_experiment(name, workers=workers if takes_workers else None)
+        first_name[runner] = name
+        accepted = inspect.signature(runner).parameters
+        given = {key: value for key, value in options.items() if value and key in accepted}
+        started = time.perf_counter()
+        result = runner(scale=scale, **given)
+        wall_s = time.perf_counter() - started
+        missed = failed_claims(CLAIMS[runner], result)
+        failed += [f"{name}: {sentence}" for sentence in missed]
+        verdicts = {sentence: sentence not in missed for sentence in CLAIMS[runner]}
+        artifacts[name] = {"wall_s": round(wall_s, 3), "claims": verdicts}
+        rows.append((name, f"{wall_s:.1f}", f"{len(verdicts) - len(missed)}/{len(verdicts)}"))
+    record["failed"] = failed
+
+    print_banner(f"Claims at the {scale} scale")
+    print(format_table(["Artifact", "Wall (s)", "Claims held"], rows))
+    for line in failed:
+        print(f"FAILED {line}", file=sys.stderr)
+    if out:
+        with open(out, "w") as handle:
+            json.dump(record, handle, indent=2)
+            handle.write("\n")
+    return failed

@@ -12,8 +12,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.analysis import BirthdayAnalysis, birthday_analysis
+from repro.experiments import UNSCALED
 from repro.experiments.reporting import format_table, print_banner
 from repro.utils.rng import make_rng
+
+SCALES = UNSCALED
+
+CLAIMS = {
+    "About sqrt(N) = 2^15 single-bit faults land before two share a line "
+    "(Section IV-B)":
+        lambda results: results[0].faults_for_collision == (1 << 15),
+    "SECDED beats SafeGuard with probability 3.51e-5 (Section IV-B): "
+    "measured below 1e-4":
+        lambda results: results[0].p_secded_superior < 1e-4,
+    "Two faults in one line take millennia even at 100x FIT (Section IV-B): "
+    "over 1,000 years":
+        lambda results: results[0].years_to_two_faults > 1000,
+    "Faults to the first shared line average sqrt(pi/2) sqrt(N) = 1.25 sqrt(N) "
+    "(birthday bound): measured ratio in (1.0, 1.6)":
+        lambda results: 1.0 < results[1].ratio < 1.6,
+}
 
 
 @dataclass

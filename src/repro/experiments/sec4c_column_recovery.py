@@ -15,8 +15,20 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core import registry
+from repro.experiments import UNSCALED
 from repro.experiments.reporting import format_table, print_banner
 from repro.utils.rng import make_rng
+
+SCALES = UNSCALED
+
+CLAIMS = {
+    "A first column recovery tries at most the 64 candidate pins "
+    "(Section IV-C): at most 66 MAC checks and 64 iterations":
+        lambda points: points[0].mac_checks <= 66 and points[0].iterations <= 64,
+    "Under a permanent column failure the latency overhead remains "
+    "approximately one MAC check (Section IV-C): 1 check, 1 iteration":
+        lambda points: points[-1].mac_checks == points[-1].iterations == 1,
+}
 
 
 @dataclass

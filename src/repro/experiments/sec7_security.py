@@ -27,11 +27,38 @@ from dataclasses import dataclass
 
 from repro.core import registry
 from repro.core.types import ReadStatus
+from repro.experiments import UNSCALED
 from repro.experiments.reporting import format_table, print_banner
 from repro.rowhammer.eccploit import ECCploitAttack
 from repro.security.dos import DUEMonitor, RegionVerdict
 from repro.security.rambleed import RAMBleedExperiment, TMEEncryptedMemory
 from repro.security.replay import ReplayAttack, rowhammer_replay_feasibility
+
+
+SCALES = UNSCALED
+
+CLAIMS = {
+    "A persistent DUE spammer is attributed as malicious while a natural "
+    "DUE region stays healthy (Section VII-B)":
+        lambda r: r.dos_attacker_verdict is RegionVerdict.MALICIOUS
+        and r.dos_background_verdict is RegionVerdict.HEALTHY,
+    "Same-address replay verifies; relocation and splicing are detected "
+    "(Section VII-C)":
+        lambda r: r.replay_same_address
+        and r.replay_relocation_detected
+        and r.replay_splice_detected,
+    "A Row-Hammer-mounted replay needs over 10^30 refresh windows "
+    "(Section VII-C)":
+        lambda r: r.replay_log10_windows > 30,
+    "ECCploit silently corrupts SECDED but ends in a DUE under SafeGuard "
+    "(Section VII-D)":
+        lambda r: r.eccploit_secded_silent
+        and r.eccploit_safeguard_status is ReadStatus.DETECTED_UE,
+    "RAMBleed reads plain memory (accuracy > 0.8) but only guesses under "
+    "TME-style encryption (0.5 +/- 0.15) (Section VII-D)":
+        lambda r: r.rambleed_plain_accuracy > 0.8
+        and abs(r.rambleed_tme_accuracy - 0.5) < 0.15,
+}
 
 
 @dataclass

@@ -49,7 +49,7 @@ def analytic() -> List[Tuple[str, EscapeAnalysis]]:
 
 
 def empirical(
-    widths: Sequence[int] = (8, 10, 12), trials: int = 40_000, seed: int = 17
+    widths: Sequence[int], trials: int, seed: int = 17
 ) -> List[EmpiricalEscape]:
     """Measure escape rates of the real MAC at narrow widths."""
     rng = make_rng(seed)
@@ -70,9 +70,51 @@ def empirical(
     return out
 
 
-def report(analytic_rows=None, empirical_rows=None) -> str:
-    analytic_rows = analytic_rows or analytic()
-    empirical_rows = empirical_rows or empirical()
+def run(
+    widths: Sequence[int], trials: int
+) -> Tuple[List[Tuple[str, EscapeAnalysis]], List[EmpiricalEscape]]:
+    """The analytic scenarios, and the empirical escape rate at each of
+    ``widths`` over ``trials`` corruptions."""
+    return analytic(), empirical(widths, trials)
+
+
+#: MAC widths and corruptions per width of the empirical check.
+SCALES = {
+    "smoke": dict(widths=(8,), trials=5_000),
+    "quick": dict(widths=(8, 10, 12), trials=40_000),
+    "paper": dict(widths=(8, 10, 12, 14), trials=120_000),
+}
+
+
+def _years(results, scenario: str) -> float:
+    """Expected years to an escape in the analytic scenario whose label
+    names ``scenario``."""
+    return next(a for label, a in results[0] if scenario in label).expected_years_to_escape
+
+
+CLAIMS = {
+    "A 46-bit MAC checked once per fault takes 1000+ years to escape "
+    "(Section VII-E)":
+        lambda results: _years(results, "MAC-46") > 1000,
+    "A 32-bit MAC with iterative correction escapes within 6 months "
+    "(Section VII-E): measured 3-12 months":
+        lambda results: 3 < 12 * _years(results, "iterative") < 12,
+    "Eager correction stretches that to about 9 years, 18x "
+    "(Section VII-E): measured 7-11 years":
+        lambda results: 7 < _years(results, "eager") < 11,
+    "A permanent chip failure without eager correction escapes in less "
+    "than 1 minute (Section V-C)":
+        lambda results: chip_failure_escape_time() < 60,
+    "The real MAC's escape rate scales as 2^-n (Section VII-E): each "
+    "measured rate within 0.2x-5x of 2^-n":
+        lambda results: all(
+            0.2 * e.expected_rate < max(e.measured_rate, 1e-9) < 5 * e.expected_rate + 1e-9
+            for e in results[1]
+        ),
+}
+
+
+def report(analytic_rows, empirical_rows) -> str:
     print_banner("Section VII-E: expected time for RH corruption to escape the MAC")
     rows = []
     for label, a in analytic_rows:

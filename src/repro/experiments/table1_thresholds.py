@@ -4,8 +4,18 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.experiments import UNSCALED
 from repro.experiments.reporting import format_table, print_banner
 from repro.rowhammer.thresholds import RH_THRESHOLDS, ThresholdEntry, reduction_factor
+
+SCALES = UNSCALED
+
+CLAIMS = {
+    "DDR3 (2014) flips at 139K activations (Table I)":
+        lambda entries: entries[0].threshold == 139_000,
+    "LPDDR4 (2020) flips at 4.8K activations (Table I)":
+        lambda entries: entries[-1].threshold == 4_800,
+}
 
 
 def run() -> List[ThresholdEntry]:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from repro.experiments import UNSCALED
 from repro.experiments.reporting import format_table, print_banner
 from repro.faultsim.fit import FAULT_MODES, total_fit
 
+#: Both tables are inputs, packaged verbatim: nothing to size or check.
+SCALES = UNSCALED
+CLAIMS = {}
 
 TABLE2_ROWS = [
     ("Core", "6-wide OoO (ROB-limited model), 224-entry ROB, 3.2GHz, 4 cores"),

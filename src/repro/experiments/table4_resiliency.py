@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.core import registry
 from repro.experiments.reporting import format_table, print_banner
@@ -115,7 +115,34 @@ SCHEMES: "List[Tuple[str, str]]" = [
 ]
 
 
-def run(trials: int = 60, seed: int = 11) -> List[ModeScore]:
+SCALES = {
+    "smoke": dict(trials=25, seed=2),
+    "quick": dict(trials=60),
+    "paper": dict(trials=200),
+}
+
+
+def _corrects(scores: List[ModeScore], mode: str, scheme: str) -> str:
+    """The correct mark of ``scheme`` under ``mode``."""
+    return next(s.correct_mark for s in scores if (s.mode, s.scheme) == (mode, scheme))
+
+
+CLAIMS = {
+    "SECDED and SafeGuard both correct a bit fault (Table IV)":
+        lambda scores: _corrects(scores, "bit", "SECDED")
+        == _corrects(scores, "bit", "SafeGuard") == "yes",
+    "SECDED corrects a column fault; SafeGuard without column parity "
+    "cannot (Table IV)":
+        lambda scores: _corrects(scores, "column", "SECDED") == "yes"
+        and _corrects(scores, "column", "SafeGuard (no parity)") == "no",
+    "SafeGuard detects every fault mode: no silent corruption (Table IV)":
+        lambda scores: all(
+            s.silent == 0 for s in scores if s.scheme.startswith("SafeGuard")
+        ),
+}
+
+
+def run(trials: int, seed: int = 11) -> List[ModeScore]:
     key = b"table4-demo-key!"
     schemes: List[Tuple[str, Callable[[], object]]] = [
         (label, lambda name=name: registry.create(name, key=key))
@@ -147,8 +174,7 @@ def run(trials: int = 60, seed: int = 11) -> List[ModeScore]:
     return scores
 
 
-def report(scores: Optional[List[ModeScore]] = None) -> str:
-    scores = scores or run()
+def report(scores: List[ModeScore]) -> str:
     print_banner("Table IV: resiliency of SECDED vs. SafeGuard (measured)")
     by_mode: Dict[str, Dict[str, ModeScore]] = {}
     for s in scores:

@@ -12,13 +12,15 @@ the sequential loop would have, and merging the shard results
 
 Robustness and observability (all supplied by the shared core):
 
-- ``checkpoint_dir`` writes one fingerprint-verified JSON file per
-  completed shard through the unified :class:`repro.campaign.ResultStore`;
-  a killed run restarted with the same config loads verified checkpoints
-  and only recomputes the missing (or corrupted / stale) shards. A
-  shard's result is its :class:`FailureColumns`, stored as base64 column
-  bytes, and the population's Poisson counts are drawn only once some
-  shard actually has to run.
+- ``checkpoint_dir`` writes one fingerprint-verified cell per completed
+  shard through the unified :class:`repro.campaign.ResultStore`, named
+  ``faultsim-<digest>.json`` like every other family's cells and logged
+  in the store's index, so runs of different schemes, scales or engines
+  share one directory; a killed run restarted with the same config
+  loads verified cells and only recomputes the missing (or corrupted /
+  stale) shards. A shard's result is its :class:`FailureColumns`,
+  stored as base64 column bytes, and the population's Poisson counts
+  are drawn only once some shard actually has to run.
 - ``progress`` receives a :class:`ProgressStats` snapshot after every
   shard completes (modules/sec, ETA, failures so far, and — when a
   resume rejected checkpoints — why: corrupt vs. stale).
@@ -44,11 +46,9 @@ from repro.campaign import (
     Campaign,
     CampaignProgress,
     ProgressBase,
-    fingerprint_digest,
     resolve_workers,
     run_campaign,
 )
-from repro.campaign.store import STORE_VERSION
 from repro.faultsim import fastpath
 from repro.faultsim.geometry import ModuleGeometry
 from repro.faultsim.montecarlo import (
@@ -60,9 +60,6 @@ from repro.faultsim.montecarlo import (
     scheme_name,
     simulate_range,
 )
-
-#: Checkpoint schema version (the unified store's cell version).
-CHECKPOINT_VERSION = STORE_VERSION
 
 ProgressCallback = Callable[["ProgressStats"], None]
 
@@ -182,20 +179,9 @@ class _ShardItem:
 
 
 class _FaultSimCampaign(Campaign):
-    """Monte-Carlo reliability as a :class:`repro.campaign.Campaign`.
-
-    Checkpoint directories keep their historical contract — exactly one
-    ``shard-NNNNN.json`` per shard and nothing else — so the store's
-    index is disabled; checkpoints are per-run scratch, not a shared
-    result cache. ``shared_store=True`` (a store *object* was supplied,
-    e.g. a networked :class:`repro.campaign.RemoteResultStore`) flips
-    both decisions: cells get digest-based names so different runs'
-    shards can coexist in one shared namespace, and completions are
-    indexed so ``campaign-status`` sees the family.
-    """
+    """Monte-Carlo reliability as a :class:`repro.campaign.Campaign`."""
 
     name = "faultsim"
-    index_results = False
 
     def __init__(
         self,
@@ -204,16 +190,12 @@ class _FaultSimCampaign(Campaign):
         config: MonteCarloConfig,
         engine: str,
         base_fingerprint: dict,
-        shared_store: bool = False,
     ):
         self.evaluator = evaluator
         self.geometry = geometry
         self.config = config
         self.engine = engine
         self.base_fingerprint = base_fingerprint
-        self.shared_store = shared_store
-        if shared_store:
-            self.index_results = True
 
     def fingerprint(self, item: _ShardItem) -> dict:
         shard = item.shard
@@ -221,11 +203,6 @@ class _FaultSimCampaign(Campaign):
             **self.base_fingerprint,
             "shard": {"index": shard.index, "lo": shard.lo, "hi": shard.hi},
         }
-
-    def cell_name(self, item: _ShardItem, fingerprint: dict) -> str:
-        if self.shared_store:
-            return f"faultsim-{fingerprint_digest(fingerprint)}.json"
-        return f"shard-{item.index:05d}.json"
 
     def run_item(self, item: _ShardItem) -> FailureColumns:
         # ``engine`` was resolved once by the coordinator and travels
@@ -272,14 +249,13 @@ def simulate_parallel(
     """Sharded equivalent of :func:`simulate`; identical output.
 
     Neither ``workers`` nor ``shards`` (None: a few per worker) changes
-    the science output. ``checkpoint_dir`` keeps one checkpoint file per
+    the science output. ``checkpoint_dir`` keeps one store cell per
     shard, so a re-run with the same config resumes, skipping shards whose
-    checkpoints verify. With ``workers == 1`` the shards run in-process
+    cells verify. With ``workers == 1`` the shards run in-process
     (no pool), which still exercises checkpointing and progress
     reporting. ``store`` accepts a ready store object (e.g. a networked
     :class:`repro.campaign.RemoteResultStore`); it takes precedence over
-    ``checkpoint_dir`` and switches the campaign to digest-based cell
-    names so shards from different runs share one namespace safely.
+    ``checkpoint_dir``.
     """
     config = config or MonteCarloConfig()
     workers = resolve_workers(workers)
@@ -293,14 +269,7 @@ def simulate_parallel(
     fingerprint = config.science_fingerprint(scheme, geometry)
     plan = plan_shards(config.n_modules, shards)
 
-    campaign = _FaultSimCampaign(
-        evaluator,
-        geometry,
-        config,
-        engine,
-        fingerprint,
-        shared_store=store is not None,
-    )
+    campaign = _FaultSimCampaign(evaluator, geometry, config, engine, fingerprint)
     population = _Population(config, geometry)
     items = [_ShardItem(shard, population) for shard in plan]
 

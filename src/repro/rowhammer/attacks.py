@@ -263,7 +263,7 @@ def double_sided(
     )
 
 
-def many_sided(victim: int, n_dummies: int = 12, dummy_stride: int = 7,
+def many_sided(victim: int, n_dummies: int = 12, dummy_stride: int = 4,
                flush_burst: int = 6, n_rows: Optional[int] = None,
                edge_policy: str = "clamp") -> AttackPattern:
     """TRRespass-style many-sided pattern (REF-synchronized).
@@ -273,7 +273,10 @@ def many_sided(victim: int, n_dummies: int = 12, dummy_stride: int = 7,
     activations flushes the recency-limited TRR tracker, so the rows the
     mitigation refreshes at REF time are the dummies' neighbours — never
     the real victim. (Real TRRespass discovers the REF cadence from
-    timing; here the cadence is a parameter of the schedule.)
+    timing; here the cadence is a parameter of the schedule.) The
+    defaults are the playbook library's ``many-sided``: dummies at
+    ``victim + 10, + 14, ..., + 54``, so ``many_sided(64)`` stays inside
+    the default 128-row bank.
     """
     victims = clip_victims((victim,), n_rows, edge_policy)
     true_pair = clip_rows(

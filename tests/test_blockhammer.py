@@ -53,8 +53,7 @@ class TestBlockHammer:
         assert result.blocked_activations > 0
 
     def test_stops_trrespass(self):
-        # Flush rows 74-118: inside the 128-row bank.
-        result, _ = run(lambda victim: many_sided(victim, dummy_stride=4), THRESHOLD)
+        result, _ = run(many_sided, THRESHOLD)
         assert not result.broke_through
 
     def test_stops_half_double(self):

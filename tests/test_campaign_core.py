@@ -315,11 +315,6 @@ class TestIndex:
         assert read_index(str(tmp_path)) == []
         assert summarize_index(str(tmp_path)) == {}
 
-    def test_index_disabled(self, tmp_path):
-        store = ResultStore(str(tmp_path), index_results=False)
-        store.store("a.json", FP, 1, campaign="alpha", key=["a"])
-        assert not (tmp_path / INDEX_NAME).exists()
-
 
 # -- a minimal concrete campaign (module level: workers pickle it) ---------------
 

@@ -1,9 +1,13 @@
 """Tests for the experiment dispatcher and CLI."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.__main__ import main
 from repro.core.registry import names as scheme_names
+from repro.experiments import runner, table5_storage
 from repro.experiments.runner import EXPERIMENTS, experiment_names, run_experiment
 
 
@@ -162,3 +166,57 @@ class TestGlobalOptions:
         assert seen == {"workers": 3, "engine": "fast"}
         with pytest.raises(ValueError, match="does not take --scheme; it takes --workers, --engine"):
             run_experiment("probe", scheme="secded")
+
+
+class TestAll:
+    """``all`` runs each artifact once, records its wall time and claim
+    verdicts, and exits 1 when a claim fails."""
+
+    @pytest.fixture
+    def cheap(self, monkeypatch):
+        """Only the instant artifacts, one of them under an alias."""
+        names = ("table1", "fig1a", "table5", "sec4c")
+        monkeypatch.setattr(runner, "EXPERIMENTS", {name: EXPERIMENTS[name] for name in names})
+        return names
+
+    def test_record_covers_every_name(self, cheap, tmp_path, capsys):
+        out = tmp_path / "record.json"
+        assert main(["all", "--scale", "smoke", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert record["scale"] == "smoke" and record["failed"] == []
+        assert record["workers"] == 1 and record["cpu_count"] >= 1 and record["commit"]
+        assert list(record["artifacts"]) == list(cheap)
+        for entry in record["artifacts"].values():
+            assert entry["wall_s"] >= 0
+            assert entry["claims"] and all(entry["claims"].values())
+        assert record["artifacts"]["fig1a"]["same_run_as"] == "table1"
+        assert record["artifacts"]["fig1a"]["claims"] == record["artifacts"]["table1"]["claims"]
+        assert "Claims at the smoke scale" in capsys.readouterr().out
+
+    def test_failing_claim_exits_1_and_names_the_paper_number(
+        self, cheap, monkeypatch, tmp_path, capsys
+    ):
+        """A Table V whose MAC organizations lost no capacity contradicts
+        the paper's 12.5 %."""
+        rows = table5_storage.run()
+        monkeypatch.setattr(
+            table5_storage,
+            "run",
+            lambda: [dataclasses.replace(r, sgx_synergy_loss_gb=0.0) for r in rows],
+        )
+        out = tmp_path / "record.json"
+        assert main(["all", "--scale", "smoke", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED table5: SGX/Synergy-style MACs lose 12.5 %" in err
+        verdicts = json.loads(out.read_text())["artifacts"]["table5"]["claims"]
+        assert sorted(verdicts.values()) == [False, True]
+
+    def test_scale_reaches_one_experiment(self, capsys):
+        assert main(["sec7e", "--scale", "smoke"]) == 0
+        assert "5000" in capsys.readouterr().out
+
+    def test_bad_scale_and_out_elsewhere_are_rejected(self, capsys):
+        assert main(["table1", "--scale", "huge"]) == 2
+        assert "--scale must be one of smoke, quick, paper" in capsys.readouterr().err
+        assert main(["table1", "--out", "r.json"]) == 2
+        assert "does not take --out" in capsys.readouterr().err

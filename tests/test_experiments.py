@@ -1,9 +1,17 @@
-"""Smoke tests: every experiment module runs and reports at small scale."""
+"""Every experiment runs, reports and keeps its paper claims at the smoke scale.
 
+Each artifact runs once through the runner at the sizes its module's
+``SCALES["smoke"]`` declares; the tests below pin its values, check its
+report, and check that none of its ``CLAIMS`` fails.
+"""
+
+import functools
 
 import pytest
 
 from repro.experiments import (
+    SCALE_NAMES,
+    failed_claims,
     fig1b_attacks,
     fig1c_detection,
     fig6_reliability_secded,
@@ -18,9 +26,16 @@ from repro.experiments import (
     table4_resiliency,
     table5_storage,
 )
-from repro.perf.model import PerfConfig
+from repro.experiments.runner import CLAIMS, EXPERIMENTS, run_experiment
 
-FAST_PERF = PerfConfig(instructions_per_core=20_000, warmup_instructions=5_000, n_cores=2)
+#: One name per artifact: fig1a and fig11 alias table1 and fig7.
+ARTIFACTS = [name for name in EXPERIMENTS if name not in ("fig1a", "fig11")]
+
+
+@functools.lru_cache(maxsize=None)
+def smoke(name):
+    """The experiment's result at the smoke scale, computed once."""
+    return run_experiment(name, scale="smoke")
 
 
 class TestStaticTables:
@@ -44,7 +59,7 @@ class TestStaticTables:
 @pytest.mark.slow
 class TestFig1b:
     def test_matrix_shape_and_breakthroughs(self):
-        cells = fig1b_attacks.run(rh_threshold=600, budget=120_000)
+        cells = smoke("fig1b")
         assert len(cells) == 18  # 6 mitigations x 3 attacks
         by = {(c.mitigation, c.attack): c for c in cells}
         # Victim flips per (double-sided, many-sided, half-double).
@@ -74,14 +89,13 @@ class TestFig1b:
             assert not by[("blockhammer", attack)].broke_through
 
     def test_report_runs(self, capsys):
-        cells = fig1b_attacks.run(rh_threshold=600, budget=120_000)
-        fig1b_attacks.report(cells)
+        fig1b_attacks.report(smoke("fig1b"))
         assert "BREAKTHROUGH" in capsys.readouterr().out
 
 
 class TestFig1c:
     def test_safeguard_never_silent(self, capsys):
-        outcomes = fig1c_detection.run(rh_threshold=600, budget=120_000)
+        outcomes = smoke("fig1c")
         by = {o.organization: o for o in outcomes}
         assert {
             o.organization: (o.lines_read, o.corrected, o.detected_ue, o.silent_corruptions)
@@ -101,7 +115,7 @@ class TestFig1c:
 
 class TestTable4:
     def test_matrix_matches_paper(self):
-        scores = table4_resiliency.run(trials=25, seed=2)
+        scores = smoke("table4")
         by = {(s.mode, s.scheme): s for s in scores}
         # Single bit: both correct.
         assert by[("bit", "SECDED")].correct_mark == "yes"
@@ -128,13 +142,13 @@ class TestTable4:
 
 class TestReliabilityFigures:
     def test_fig6_small(self, capsys):
-        results = fig6_reliability_secded.run(n_modules=30_000, seed=1)
+        results = smoke("fig6")
         assert len(results) == 3
         fig6_reliability_secded.report(results)
         assert "SafeGuard+ColumnParity" in capsys.readouterr().out
 
     def test_fig10_small(self, capsys):
-        results = fig10_reliability_chipkill.run(n_modules=15_000, seed=1)
+        results = smoke("fig10")
         assert set(results) == {1.0, 10.0}
         fig10_reliability_chipkill.report(results)
         assert "Chipkill" in capsys.readouterr().out
@@ -142,21 +156,19 @@ class TestReliabilityFigures:
 
 class TestPerfFigures:
     def test_fig7_runs(self, capsys):
-        figure = perf_figures.run_fig7(workloads=["gcc", "omnetpp"], config=FAST_PERF)
+        figure = smoke("fig7")
         perf_figures.report_per_workload(figure, "Figure 7 (fast)")
         out = capsys.readouterr().out
         assert "GMEAN" in out
 
     def test_fig12_ordering(self):
-        figure = perf_figures.run_fig12(workloads=["mcf"], config=FAST_PERF)
+        figure = smoke("fig12")
         slow = figure.gmean_slowdowns()
         names = figure.organizations
         assert slow[names[0]] < slow[names[1]]  # safeguard < sgx
 
     def test_fig13_monotone_in_latency(self, capsys):
-        sweep = perf_figures.run_fig13(
-            latencies=(8, 80), workloads=["omnetpp"], config=FAST_PERF
-        )
+        sweep = smoke("fig13")
         sg8 = sweep[8].gmean_slowdowns()[sweep[8].organizations[0]]
         sg80 = sweep[80].gmean_slowdowns()[sweep[80].organizations[0]]
         assert sg80 > sg8
@@ -166,20 +178,20 @@ class TestPerfFigures:
 
 class TestAnalysisSections:
     def test_sec4b(self, capsys):
-        analysis, check = sec4b_birthday.run()
+        analysis, check = smoke("sec4b")
         assert 1.0 < check.ratio < 1.6
         sec4b_birthday.report((analysis, check))
         assert "birthday" in capsys.readouterr().out.lower()
 
     def test_sec4c_progression(self, capsys):
-        points = sec4c_column_recovery.run()
+        points = smoke("sec4c")
         assert points[0].mac_checks > points[-1].mac_checks
         assert points[-1].mac_checks == 1
         sec4c_column_recovery.report(points)
         assert "MAC check" in capsys.readouterr().out
 
     def test_sec7_security(self, capsys):
-        report = sec7_security.run()
+        report = smoke("sec7")
         assert report.replay_same_address
         assert not report.eccploit_safeguard_status.value == "clean"
         sec7_security.report(report)
@@ -187,9 +199,29 @@ class TestAnalysisSections:
         assert "RAMBleed" in out and "replay" in out.lower()
 
     def test_sec7e(self, capsys):
-        rows = sec7e_mac_escape.analytic()
+        rows, empirical = smoke("sec7e")
         assert rows[0][1].expected_years_to_escape > 1000
-        empirical = sec7e_mac_escape.empirical(widths=(8,), trials=5_000)
         assert 0.2 * 2 ** -8 < empirical[0].measured_rate < 5 * 2 ** -8
         sec7e_mac_escape.report(rows, empirical)
         assert "escape" in capsys.readouterr().out.lower()
+
+
+class TestClaims:
+    @pytest.mark.parametrize(
+        "name",
+        [pytest.param(n, marks=pytest.mark.slow) if n == "fig1b" else n for n in ARTIFACTS],
+    )
+    def test_no_claim_fails_at_smoke(self, name):
+        assert failed_claims(CLAIMS[EXPERIMENTS[name]], smoke(name)) == []
+
+    def test_every_runner_has_claims_and_every_module_three_scales(self):
+        assert set(CLAIMS) == set(EXPERIMENTS.values())
+        modules = (
+            fig1b_attacks, fig1c_detection, fig6_reliability_secded,
+            fig10_reliability_chipkill, perf_figures, sec4b_birthday,
+            sec4c_column_recovery, sec7_security, sec7e_mac_escape,
+            table1_thresholds, table2_table3_config, table4_resiliency,
+            table5_storage,
+        )
+        for module in modules:
+            assert tuple(module.SCALES) == SCALE_NAMES, module.__name__

@@ -439,7 +439,7 @@ class TestCrossEngineCheckpoints:
             shards=3,
             checkpoint_dir=str(tmp_path),
         )
-        assert len(list(tmp_path.iterdir())) == 3
+        assert len(list(tmp_path.glob("faultsim-*.json"))) == 3
         reference_config = MonteCarloConfig(seed=3, engine="reference", **STAT)
         events = []
         resumed = simulate_parallel(

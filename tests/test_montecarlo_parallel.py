@@ -4,8 +4,8 @@ Three pillars:
 
 - **Equivalence** — any sharding/worker count reproduces the sequential
   ``simulate()`` output bit-for-bit (fail times, curves, scope counts).
-- **Checkpoint/resume** — a killed run resumes from per-shard checkpoint
-  files; corrupted or stale checkpoints fall back to recomputation.
+- **Checkpoint/resume** — a killed run resumes from per-shard store
+  cells; corrupted or stale cells fall back to recomputation.
 - **Merge algebra** — ``ReliabilityResult.merge`` is associative and
   order-independent, its Wilson interval equals the pooled-n
   computation, and the ``derive_seed`` streams feeding the engine are
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import INDEX_NAME, read_index
 from repro.faultsim.evaluators import (
     Outcome,
     SafeGuardSECDEDEvaluator,
@@ -72,6 +73,14 @@ def assert_identical(a: ReliabilityResult, b: ReliabilityResult) -> None:
     assert a.fail_probability == b.fail_probability
     assert (a.n_failed, a.n_due, a.n_sdc) == (b.n_failed, b.n_due, b.n_sdc)
     assert a.failures_by_scope == b.failures_by_scope
+
+
+def shard_cells(directory) -> dict:
+    """Shard index -> path of its cell, from the store's index."""
+    return {
+        entry["key"][0]: directory / entry["cell"]
+        for entry in read_index(str(directory))
+    }
 
 
 def failure_rows(failures: FailureColumns) -> list:
@@ -234,11 +243,15 @@ class TestCheckpointResume:
 
     def test_resume_after_kill_matches_uninterrupted(self, tmp_path):
         uninterrupted = self._run(tmp_path)
-        files = sorted(os.listdir(tmp_path))
-        assert files == [f"shard-{i:05d}.json" for i in range(5)]
+        cells = shard_cells(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [INDEX_NAME] + [path.name for path in cells.values()]
+        )
+        assert sorted(cells) == list(range(5))
+        assert all(path.name.startswith("faultsim-") for path in cells.values())
         # Simulate a killed run: two shards never finished.
-        (tmp_path / files[1]).unlink()
-        (tmp_path / files[4]).unlink()
+        cells[1].unlink()
+        cells[4].unlink()
         events = []
         resumed = self._run(tmp_path, progress=events.append)
         assert_identical(uninterrupted, resumed)
@@ -246,11 +259,12 @@ class TestCheckpointResume:
 
     def test_corrupted_checkpoint_recomputed(self, tmp_path):
         reference = self._run(tmp_path, shards=7)
-        (tmp_path / "shard-00002.json").write_text("{ not json")
-        (tmp_path / "shard-00003.json").write_text(json.dumps({"version": 1}))
+        cells = shard_cells(tmp_path)
+        cells[2].write_text("{ not json")
+        cells[3].write_text(json.dumps({"version": 1}))
 
-        def damage(name, column, mangle):
-            path = tmp_path / name
+        def damage(index, column, mangle):
+            path = cells[index]
             cell = json.loads(path.read_text())
             raw = base64.b64decode(cell["result"][column])
             assert raw  # the shard has failures to damage
@@ -262,10 +276,10 @@ class TestCheckpointResume:
 
         # Well-formed JSON under the right fingerprint, damaged columns:
         # ragged, not base64, and an out-of-range scope code.
-        damage("shard-00000.json", "outcome", lambda raw: encode(raw[:-1]))
-        damage("shard-00001.json", "time_hours", lambda raw: "@@" + encode(raw))
+        damage(0, "outcome", lambda raw: encode(raw[:-1]))
+        damage(1, "time_hours", lambda raw: "@@" + encode(raw))
         damage(
-            "shard-00005.json",
+            5,
             "scope",
             lambda raw: encode(bytes([len(SCOPES)]) + raw[1:]),
         )
@@ -299,12 +313,13 @@ class TestCheckpointResume:
             shards=4,
             checkpoint_dir=str(tmp_path),
         )
-        assert len(os.listdir(tmp_path)) == 4
+        assert len(shard_cells(tmp_path)) == 4
         resumed = self._run(tmp_path, config=dataclasses.replace(config), shards=4)
         assert_identical(pooled, resumed)
 
     def test_other_geometry_ignores_checkpoints(self, tmp_path):
-        """Same geometry name, other dimensions: every shard is stale."""
+        """Same geometry name, other dimensions: every shard recomputes
+        (the fingerprint, and so the cell name, covers every field)."""
         config = MonteCarloConfig(
             n_modules=20_000, seed=5, fit_multiplier=50.0, engine="fast"
         )
@@ -325,7 +340,7 @@ class TestCheckpointResume:
         events = []
         resumed = run(small, progress=events.append)
         assert events[-1].shards_from_checkpoint == 0
-        assert events[-1].rejected_stale == 2
+        assert len([n for n in os.listdir(tmp_path) if n.startswith("faultsim-")]) == 4
         fresh = simulate(SafeGuardSECDEDEvaluator(small), small, config)
         assert_identical(fresh, resumed)
 
@@ -345,8 +360,9 @@ class TestCheckpointResume:
         self._run(tmp_path, progress=events.append)
         assert events[-1].shards_from_checkpoint == 5
         # With shards to recompute, the population is drawn exactly once.
-        (tmp_path / "shard-00001.json").unlink()
-        (tmp_path / "shard-00003.json").unlink()
+        cells = shard_cells(tmp_path)
+        cells[1].unlink()
+        cells[3].unlink()
         monkeypatch.setattr(parallel, "draw_fault_counts", counting_draw)
         self._run(tmp_path)
         assert calls == [FAST["n_modules"]]
@@ -359,8 +375,7 @@ class TestCheckpointResume:
         current fingerprint is corrupt.
         """
         reference = self._run(tmp_path)
-        for index in range(5):
-            path = tmp_path / f"shard-{index:05d}.json"
+        for index, path in shard_cells(tmp_path).items():
             cell = json.loads(path.read_text())
             failures = FailureColumns.from_cell(cell["result"])
             cell["result"] = [
@@ -376,6 +391,38 @@ class TestCheckpointResume:
         assert events[-1].shards_from_checkpoint == 0
         assert events[-1].rejected_stale == 4
         assert events[-1].rejected_corrupt == 1
+
+
+    def test_runs_sharing_a_directory_keep_their_cells(self, tmp_path):
+        """Figure 6's schemes can share one checkpoint directory.
+
+        Both reruns load every shard: neither run's cells overwrite the
+        other's (shard files named by index used to collide, so the
+        rerun of the first scheme found four stale shards).
+        """
+        config = MonteCarloConfig(n_modules=4_000, seed=42)
+
+        def run(evaluator, **kwargs):
+            return simulate_parallel(
+                evaluator,
+                X8_SECDED_16GB,
+                config,
+                workers=1,
+                shards=4,
+                checkpoint_dir=str(tmp_path),
+                **kwargs,
+            )
+
+        secded = SECDEDEvaluator(X8_SECDED_16GB)
+        safeguard = SafeGuardSECDEDEvaluator(X8_SECDED_16GB)
+        first = {evaluator: run(evaluator) for evaluator in (secded, safeguard)}
+        for evaluator in (secded, safeguard):
+            events = []
+            assert_identical(first[evaluator], run(evaluator, progress=events.append))
+            assert events[-1].shards_from_checkpoint == 4
+            assert events[-1].rejected_stale == 0
+        cells = [name for name in os.listdir(tmp_path) if name.startswith("faultsim-")]
+        assert len(cells) == 8
 
 
 class TestEmptyPopulation:

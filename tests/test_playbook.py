@@ -120,12 +120,20 @@ class TestCompilerBitIdentity:
             (single_sided(64), _legacy_round_robin([64])),
             (double_sided(64), _legacy_round_robin([63, 65])),
             (half_double(64), _legacy_round_robin([62, 66])),
-            (many_sided(64), _legacy_many_sided(64)),
+            (many_sided(64, dummy_stride=7), _legacy_many_sided(64)),
         ]
         for pattern, legacy in pairs:
             assert list(pattern.activations(budget, ref_period)) == list(
                 legacy(budget, ref_period)
             ), pattern.name
+
+    @pytest.mark.parametrize("budget,ref_period", REGIMES)
+    def test_many_sided_factory_is_the_library_scenario(self, budget, ref_period):
+        """``many_sided(64)`` is the library's TRRespass, inside the bank."""
+        factory = list(many_sided(64).activations(budget, ref_period))
+        library = pb.compile_playbook(pb.scenario("many-sided"), base_row=64, n_rows=128)
+        assert factory == list(library.activations(budget, ref_period))
+        assert max(factory) < 128
 
     @pytest.mark.parametrize("budget,ref_period", REGIMES)
     def test_genome_replays_legacy_stream(self, budget, ref_period):

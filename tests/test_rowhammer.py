@@ -30,9 +30,8 @@ def run(attack, mitigation, seed=1, budget=FAST_BUDGET, **model_kwargs):
 
 
 #: TRRespass with its flush rows (74-118) inside the 128-row bank, the
-#: playbook library's many-sided; the factory's default stride of 7
-#: reaches row 151.
-IN_BANK_TRRESPASS = many_sided(64, dummy_stride=4)
+#: playbook library's many-sided.
+IN_BANK_TRRESPASS = many_sided(64)
 
 
 class TestThresholds:
@@ -172,9 +171,9 @@ class TestAttackOutcomes:
         assert not result.broke_through
 
     def test_activation_outside_the_bank_is_rejected(self):
-        """Regression: ``many_sided(64)``'s flush rows 130, 137, 144 and
-        151 lie outside the 128-row bank; the runner used to spend budget
-        and TRR tracker entries on them."""
+        """Regression: ``many_sided(64, dummy_stride=7)``'s flush rows 130,
+        137, 144 and 151 lie outside the 128-row bank; the runner used to
+        spend budget and TRR tracker entries on them."""
         seen = []
 
         class Spy(NoMitigation):
@@ -184,7 +183,9 @@ class TestAttackOutcomes:
 
         model = fast_model()
         with pytest.raises(ValueError, match=r"row 130, outside the bank \(n_rows=128\)"):
-            AttackRunner(model, Spy()).run(many_sided(64), budget=FAST_BUDGET)
+            AttackRunner(model, Spy()).run(
+                many_sided(64, dummy_stride=7), budget=FAST_BUDGET
+            )
         # Rejected before the model or the mitigation saw it.
         assert seen and max(seen) < 128
         assert model.activations == len(seen)

@@ -8,18 +8,24 @@ design-point threshold dependence. This bench measures all three.
 
 from conftest import once
 
-from repro.rowhammer.attacks import double_sided, half_double, many_sided
+from repro.rowhammer.attacks import compile_playbook
 from repro.rowhammer.blockhammer import BlockHammerMitigation
 from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
+from repro.rowhammer.playbook import scenario
 from repro.rowhammer.runner import AttackRunner
 
 THRESHOLD = 1200
 BUDGET = 340_000
 
 
+def _attack(name):
+    """The library scenario ``name`` at victim row 64."""
+    return compile_playbook(scenario(name), base_row=64)
+
+
 def _campaign():
     rows = []
-    for attack in (double_sided(64), many_sided(64), half_double(64)):
+    for attack in map(_attack, ("double-sided", "many-sided", "half-double")):
         model = DisturbanceModel(RowHammerConfig(rh_threshold=THRESHOLD, seed=1))
         mitigation = BlockHammerMitigation(design_threshold=THRESHOLD, seed=2)
         result = AttackRunner(model, mitigation).run(attack, budget=BUDGET)
@@ -27,7 +33,7 @@ def _campaign():
     # Threshold drift: designed for the 2014 threshold, deployed today.
     model = DisturbanceModel(RowHammerConfig(rh_threshold=THRESHOLD, seed=1))
     stale = BlockHammerMitigation(design_threshold=139_000, seed=2)
-    drift = AttackRunner(model, stale).run(double_sided(64), budget=BUDGET)
+    drift = AttackRunner(model, stale).run(_attack("double-sided"), budget=BUDGET)
     return rows, drift
 
 

@@ -11,21 +11,24 @@ Run:  python examples/mitigation_design_space.py
 """
 
 from repro.experiments.reporting import format_table, print_banner
-from repro.rowhammer.attacks import double_sided
+from repro.rowhammer.attacks import compile_playbook
 from repro.rowhammer.blockhammer import BlockHammerMitigation
 from repro.rowhammer.mitigations import PARA, GrapheneMitigation
 from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
+from repro.rowhammer.playbook import scenario
 from repro.rowhammer.runner import AttackRunner
 
 DEVICE_THRESHOLDS = [2400, 1200, 600]
 DESIGN_POINTS = [2400, 1200, 600]
 BUDGET = 180_000
+#: The library's double-sided playbook around victim row 64.
+DOUBLE_SIDED = compile_playbook(scenario("double-sided"), base_row=64)
 
 
 def breakthrough(mitigation_factory, device_threshold):
     model = DisturbanceModel(RowHammerConfig(rh_threshold=device_threshold, seed=1))
     runner = AttackRunner(model, mitigation_factory())
-    result = runner.run(double_sided(64), windows=1, budget=BUDGET)
+    result = runner.run(DOUBLE_SIDED, windows=1, budget=BUDGET)
     return result.intended_flips
 
 

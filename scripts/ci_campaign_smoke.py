@@ -269,9 +269,9 @@ def check_kill_and_resume_remote(store: str, reference) -> None:
 
 def check_status(store: str) -> None:
     summary = summarize_index(store)
-    # 4 shards per engine, distinct schemes: 8 cells under 4 shard keys.
+    # 4 shards per engine, distinct schemes: 8 cells, 8 (scheme, shard) keys.
     assert summary["faultsim"]["cells"] == 8
-    assert summary["faultsim"]["completed"] == 4
+    assert summary["faultsim"]["completed"] == 8
     # 4 cells per engine; "mcf" keys repeat across engines (distinct
     # fingerprints -> distinct cell files, same science key).
     assert summary["perf"]["cells"] == 8

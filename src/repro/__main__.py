@@ -36,7 +36,8 @@ campaign (fig1b/fig1c, fig6/fig7/fig10-13, ``playbook run``, ``all``,
 ``serve``'s job default) across N processes with bit-identical results.
 ``--scheme NAME`` (a name from ``python -m repro schemes``) restricts
 fig1c/fig6/fig7/fig10/fig11/``playbook run`` to one memory
-organization. ``--engine fast|reference`` selects the Monte-Carlo engine
+organization (fig6 takes only its x8 schemes, fig10 only its x4
+Chipkill ones). ``--engine fast|reference`` selects the Monte-Carlo engine
 of fig6/fig10 or the perf engine of fig7/fig11/fig12/fig13; both fast
 paths are statistically equivalent to their reference loops, not
 bit-identical, and campaign caches / checkpoints never cross engines.
@@ -46,7 +47,7 @@ killed or re-scoped campaign recomputes only the cells it is missing; ``--store-
 HOST:PORT`` shares the cells through a campaign server instead (the two
 are mutually exclusive). ``--profile PATH`` (fig7/fig11) additionally
 writes a per-pass cProfile breakdown of the fast perf engine as JSON
-(see ``scripts/profile_fastpath.py``). ``campaign-status DIR`` prints
+and prints its summary (:mod:`repro.perf.profiling`). ``campaign-status DIR`` prints
 per-campaign completion and failure counts from a store's index
 (``--remote HOST:PORT`` asks a running campaign server instead).
 
@@ -234,6 +235,7 @@ def _playbook(argv, workers=None, scheme=None, cache_dir=None,
     import json
 
     from repro.rowhammer import playbook as pb
+    from repro.rowhammer.attacks import compile_playbook, expand_spec
 
     parser = argparse.ArgumentParser(
         prog="python -m repro playbook",
@@ -274,7 +276,7 @@ def _playbook(argv, workers=None, scheme=None, cache_dir=None,
 
     if args.action == "list":
         for spec in pb.SCENARIOS.values():
-            variants = len(pb.expand_spec(spec))
+            variants = len(expand_spec(spec))
             suffix = f" ({variants} variants)" if variants > 1 else ""
             print(f"{spec.name:24} {spec.summary}{suffix}")
         return 0
@@ -285,8 +287,8 @@ def _playbook(argv, workers=None, scheme=None, cache_dir=None,
         spec = pb.scenario(args.target)
         print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         config = pb.PlaybookConfig()
-        for variant in pb.expand_spec(spec):
-            pattern = pb.compile_playbook(
+        for variant in expand_spec(spec):
+            pattern = compile_playbook(
                 variant, base_row=config.victim_row, n_rows=config.n_rows
             )
             head = list(pattern.activations(24))

@@ -176,7 +176,7 @@ def _job_perf(server: "CampaignServer", params: dict, progress):
 
 def _job_faultsim(server: "CampaignServer", params: dict, progress):
     from repro.faultsim.evaluators import evaluator_for
-    from repro.faultsim.geometry import X8_SECDED_16GB
+    from repro.faultsim.geometry import geometry_for
     from repro.faultsim.montecarlo import MonteCarloConfig
     from repro.faultsim.parallel import simulate_parallel
 
@@ -187,7 +187,7 @@ def _job_faultsim(server: "CampaignServer", params: dict, progress):
         seed=seed,
         engine=params.get("engine"),
     )
-    geometry = X8_SECDED_16GB
+    geometry = geometry_for(scheme)
     result = simulate_parallel(
         evaluator_for(scheme, geometry),
         geometry,

@@ -157,16 +157,6 @@ class SafeGuardChipkill(MemoryController):
         if diff and bin(diff).count("1") == 1:
             self.spares.insert(address, int_to_bytes(repaired))
 
-    # -- introspection shims (pre-pipeline attribute names) ----------------------
-
-    @property
-    def _known_failed_chip(self):
-        return self.chips.known
-
-    @property
-    def _ping_pong(self) -> int:
-        return self.chips.ping_pong
-
     # -- fault-injection conveniences ------------------------------------------------
 
     def inject_chip_failure(self, address: int, chip: int, error_mask32: int) -> None:

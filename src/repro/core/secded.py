@@ -173,16 +173,6 @@ class SafeGuardSECDED(MemoryController):
                 return self._result(ctx, repaired, ReadStatus.CORRECTED_COLUMN, pin)
         return self._due(ctx, raw)
 
-    # -- introspection shims (pre-pipeline attribute names) ----------------------
-
-    @property
-    def _last_column(self):
-        return self.columns.last
-
-    @property
-    def _consecutive_column_hits(self) -> int:
-        return self.columns.streak
-
     # -- fault-injection conveniences (used by tests and experiments) -------------
 
     def inject_pin_failure(self, address: int, pin: int, symbol_error: int) -> None:

@@ -86,7 +86,3 @@ class Core:
             out.popleft()
             while out and out[0][1] <= self.time:
                 out.popleft()
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.time if self.time else 0.0

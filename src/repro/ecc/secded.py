@@ -41,15 +41,6 @@ class SECDED72:
         """72-bit codeword -> corrected 64-bit word + status."""
         return self._code.decode(codeword)
 
-    def check_bit_difference(self, codeword: int) -> int:
-        """XOR of the codeword against a clean re-encode of its data.
-
-        Zero iff the check bits are consistent with the data bits; used by
-        diagnostics that want "which check bits disagree" without running
-        the full decode.
-        """
-        return codeword ^ self._code.encode(self._code._extract_data(codeword))
-
 
 @dataclass(frozen=True)
 class LineDecodeResult:

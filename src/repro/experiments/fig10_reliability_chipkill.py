@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.reporting import format_table, print_banner, wilson_interval
 from repro.faultsim.evaluators import evaluator_for
-from repro.faultsim.geometry import X4_CHIPKILL_16GB
+from repro.faultsim.geometry import X4_CHIPKILL_16GB, geometry_for
 from repro.faultsim.montecarlo import MonteCarloConfig, ReliabilityResult
 from repro.faultsim.parallel import ProgressCallback, simulate_parallel
 
@@ -62,6 +62,13 @@ def run(
     ``store`` keeps every shard as a store cell, as in Figure 6.
     """
     geometry = X4_CHIPKILL_16GB
+    for name in schemes:
+        if geometry_for(name) is not geometry:
+            raise ValueError(
+                f"Figure 10 simulates the {geometry.name} module, and {name!r} "
+                f"runs on {geometry_for(name).name}; Figure 10's schemes: "
+                f"{', '.join(SCHEMES)}"
+            )
     out: Dict[float, List[ReliabilityResult]] = {}
     for multiplier in fit_multipliers:
         config = MonteCarloConfig(

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.experiments.reporting import format_table, print_banner, wilson_interval
 from repro.faultsim.evaluators import evaluator_for
-from repro.faultsim.geometry import X8_SECDED_16GB
+from repro.faultsim.geometry import X8_SECDED_16GB, geometry_for
 from repro.faultsim.montecarlo import MonteCarloConfig, ReliabilityResult
 from repro.faultsim.parallel import ProgressCallback, simulate_parallel
 
@@ -68,6 +68,13 @@ def run(
     """
     config = MonteCarloConfig(n_modules=n_modules, seed=seed, engine=engine)
     geometry = X8_SECDED_16GB
+    for name in schemes:
+        if geometry_for(name) is not geometry:
+            raise ValueError(
+                f"Figure 6 simulates the {geometry.name} module, and {name!r} "
+                f"runs on {geometry_for(name).name}; Figure 6's schemes: "
+                f"{', '.join(SCHEMES)}"
+            )
     evaluators = [evaluator_for(name, geometry) for name in schemes]
     return [
         simulate_parallel(

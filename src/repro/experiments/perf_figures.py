@@ -30,7 +30,6 @@ class PerfFigure:
 
     organizations: List[str]
     results: List[WorkloadResult]
-    seeds: int = 1
 
     def gmean_slowdowns(self) -> Dict[str, float]:
         return {

@@ -197,7 +197,7 @@ def _fig7(
     )
     if profile_to:
         from repro.perf.organizations import BASELINE_ECC, organization_for
-        from repro.perf.profiling import profile_passes, write_profile
+        from repro.perf.profiling import describe, profile_passes, write_profile
 
         report = profile_passes(
             [row.workload for row in figure.results],
@@ -205,6 +205,7 @@ def _fig7(
             [BASELINE_ECC, organization_for(scheme, 8)],
         )
         write_profile(report, profile_to)
+        print(describe(report))
         print(f"per-pass fast-engine profile written to {profile_to}")
     return figure
 

@@ -59,11 +59,6 @@ class FaultInstance:
         """Per-word damage footprint of this fault."""
         return _SCOPE_PATTERN[self.scope]
 
-    @property
-    def bits_per_word(self) -> int:
-        """Worst-case corrupted bits in one word codeword (chip-local)."""
-        return 1 if self.pattern in (Pattern.SINGLE_BIT, Pattern.VERTICAL) else -1
-
     # -- overlap -----------------------------------------------------------------
 
     def overlaps(self, other: "FaultInstance", line_granularity: bool) -> bool:
@@ -84,16 +79,6 @@ class FaultInstance:
             col_a = None if col_a is None else col_a // 8
             col_b = None if col_b is None else col_b // 8
         return _wild_eq(col_a, col_b)
-
-    def same_word_bit_conflict(self, other: "FaultInstance") -> bool:
-        """Whether two 1-bit-per-word faults can hit the *same* word.
-
-        A BIT fault and a COLUMN fault overlap in a word only when the
-        column's bank/bit-line intersects the bit's exact address; the
-        column's per-word damage is at its own bit position, so two
-        vertical faults always conflict in every shared word.
-        """
-        return self.overlaps(other, line_granularity=False)
 
 
 def _wild_eq(a: Optional[int], b: Optional[int]) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import List
 
 
 class Scope(enum.Enum):
@@ -65,14 +65,3 @@ def scale_fit(factor: float, modes: List[FaultMode] = FAULT_MODES) -> List[Fault
         for mode in modes
     ]
 
-
-def mode_table(modes: List[FaultMode] = FAULT_MODES) -> Dict[str, Dict[str, float]]:
-    """Table III as a printable dict (used by the benches)."""
-    return {
-        mode.scope.value: {
-            "transient": mode.transient_fit,
-            "permanent": mode.permanent_fit,
-            "total": mode.total_fit,
-        }
-        for mode in modes
-    }

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core import registry
+
 
 @dataclass(frozen=True)
 class ModuleGeometry:
@@ -75,3 +77,15 @@ X4_CHIPKILL_16GB = ModuleGeometry(
     rows=65536,
     cols=1024,
 )
+
+
+def geometry_for(scheme_name: str) -> ModuleGeometry:
+    """The module a registered scheme's reliability is simulated on.
+
+    Chipkill organizations (the registry's ``chipkill`` flag) run on the
+    x4 module of Figure 10, every other scheme on the x8 module of
+    Figure 6. Unknown names raise ``KeyError`` with the registered ones.
+    """
+    if registry.scheme(scheme_name).chipkill:
+        return X4_CHIPKILL_16GB
+    return X8_SECDED_16GB

@@ -43,7 +43,6 @@ from repro.campaign import (
     resolve_workers,
     run_campaign,
 )
-from repro.campaign.store import STORE_VERSION
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetcher import StreamPrefetcher
 from repro.cpu.core import CoreConfig
@@ -62,9 +61,6 @@ from repro.perf.model import (
 )
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization
 from repro.switches import PERF
-
-#: Cell-cache schema version (the unified store's cell version).
-CACHE_VERSION = STORE_VERSION
 
 #: Bumped whenever the cycle-level model's *behaviour* changes (new
 #: timing constraint, bug fix, different warmup discipline, ...). It
@@ -177,10 +173,6 @@ def cell_fingerprint(cell: CampaignCell, config: PerfConfig) -> dict:
         "core": {"width": defaults.width, "rob_entries": defaults.rob_entries},
         "warm_bytes": TraceGenerator.WARM_BYTES,
     }
-
-
-def _fingerprint_digest(fingerprint: dict) -> str:
-    return fingerprint_digest(fingerprint)
 
 
 def _cell_name(fingerprint: dict) -> str:

@@ -5,9 +5,9 @@ into trace synthesis, an organization-independent content pass, and a
 per-organization timing pass. Perf PRs against the engine should start
 from a measured per-pass breakdown rather than guesses, so this module
 profiles each pass separately over a workload grid and reports the
-top-N functions by cumulative time in a JSON-friendly shape
-(``scripts/profile_fastpath.py`` is the CLI; ``python -m repro fig7
---profile OUT.json`` runs it on the experiment grid).
+top-N functions by cumulative time in a JSON-friendly shape. The CLI
+is ``python -m repro fig7 --profile OUT.json``: it profiles the grid of
+the figure's ``--scale`` (``smoke``: 2 cores, 20K instructions each).
 
 Scope notes: the content pass synthesizes its own traces, so synthesis
 frames also appear inside the ``content`` section — the ``synthesis``

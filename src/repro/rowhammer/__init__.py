@@ -9,9 +9,10 @@ Implements the threat the paper defends against (Sections I, II):
   (the lever Half-Double pulls).
 - :mod:`repro.rowhammer.mitigations` — PARA (probabilistic), TRR-style
   capacity-limited tracking, and Graphene-style Misra-Gries tracking.
-- :mod:`repro.rowhammer.attacks` — access-pattern generators: single- and
-  double-sided hammering, TRRespass many-sided (tracker-eviction), and
-  Half-Double (mitigation-assisted distance-2).
+- :mod:`repro.rowhammer.attacks` — the one attack format: declarative
+  JSON/dict playbooks (victim and aggressor rows, per-phase reads and
+  weights, REF-gated flush bursts, sweep axes) and the compiler that
+  turns them into activation streams.
 - :mod:`repro.rowhammer.runner` — drives an attack against a mitigation
   for a number of refresh windows and reports the victim bit-flips.
 - :mod:`repro.rowhammer.integration` — wires breakthrough flips into the
@@ -20,12 +21,12 @@ Implements the threat the paper defends against (Sections I, II):
   (Figure 1c).
 - :mod:`repro.rowhammer.eccploit` — the ECCploit-style timing-channel
   attack against word-granularity SECDED (Section II-E, Case-3).
-- :mod:`repro.rowhammer.playbook` — the one attack campaign:
-  declarative JSON/dict attack playbooks compiled through the shared
-  schedule compiler, a library of named scenarios, and campaign
-  execution (scenarios x mitigations x schemes) over the generic
-  campaign core (``python -m repro playbook``; Figures 1b and 1c run as
-  playbook grids).
+- :mod:`repro.rowhammer.playbook` — the one attack campaign: the
+  library of named scenarios (single-, double- and many-sided
+  hammering, Half-Double, fuzzed champions, ...) and campaign execution
+  (scenarios x mitigations x schemes) over the generic campaign core
+  (``python -m repro playbook``; Figures 1b and 1c run as playbook
+  grids).
 """
 
 from repro.rowhammer.thresholds import RH_THRESHOLDS, threshold_for
@@ -51,11 +52,10 @@ from repro.rowhammer.global_refresh import (
 )
 from repro.rowhammer.fuzzer import PatternFuzzer, PatternGenome, FuzzResult
 from repro.rowhammer.attacks import (
-    single_sided,
-    double_sided,
-    many_sided,
-    half_double,
     AttackPattern,
+    PlaybookSpec,
+    compile_playbook,
+    expand_spec,
 )
 from repro.rowhammer.runner import AttackRunner, AttackResult
 from repro.rowhammer.integration import VictimArray, ConsumptionOutcome
@@ -64,9 +64,6 @@ from repro.rowhammer.playbook import (
     PlaybookCell,
     PlaybookConfig,
     PlaybookOutcome,
-    PlaybookSpec,
-    compile_playbook,
-    expand_spec,
     lint_scenarios,
     plan_playbook,
     register_scenario,
@@ -97,10 +94,6 @@ __all__ = [
     "PatternFuzzer",
     "PatternGenome",
     "FuzzResult",
-    "single_sided",
-    "double_sided",
-    "many_sided",
-    "half_double",
     "AttackPattern",
     "AttackRunner",
     "AttackResult",

@@ -20,12 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from repro.rowhammer.attacks import (
-    AttackPattern,
-    SchedulePhase,
-    compile_schedule,
-    expand_weights,
-)
+from repro.rowhammer.attacks import PlaybookSpec, compile_playbook
 from repro.rowhammer.mitigations import Mitigation
 from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
 from repro.rowhammer.runner import AttackRunner
@@ -36,8 +31,7 @@ class PatternGenome:
     """A randomized hammering schedule around a victim row.
 
     Construction validates the genome: it must hammer *something* (at
-    least one aggressor with positive weight — an all-zero-weight genome
-    used to crash ``to_attack`` with a ``ZeroDivisionError``), aggressor
+    least one aggressor with positive weight), aggressor
     offsets must not be 0, and flush offsets must stay out of
     ``{-1, 0, +1}`` — a flush row landing on the victim refreshes it,
     and one landing on a distance-1 neighbour doubles as an extra true
@@ -79,31 +73,12 @@ class PatternGenome:
                 f"flush_burst must be >= 0, got {self.flush_burst}"
             )
 
-    def to_attack(self, victim: int) -> AttackPattern:
-        phases = [
-            SchedulePhase(
-                rows=expand_weights(
-                    [(victim + offset, weight) for offset, weight in self.aggressors]
-                )
-            )
-        ]
-        flush = tuple(victim + offset for offset in self.flush_rows)
-        if flush and self.flush_burst > 0:
-            phases.append(SchedulePhase(rows=flush, reads=self.flush_burst))
-        return AttackPattern(
-            name="fuzzed",
-            aggressors=tuple(sorted({victim + o for o, _ in self.aggressors})),
-            intended_victims=(victim,),
-            schedule=compile_schedule(phases),
-        )
-
     def to_playbook(self, name: str, summary: str = "") -> dict:
         """The genome as a playbook payload (victim-relative offsets).
 
-        Compiling the returned payload reproduces ``to_attack``'s
-        activation stream bit-identically for any in-bank victim, which
-        is how fuzzer champions become named library scenarios in
-        :mod:`repro.rowhammer.playbook`.
+        The fuzzer scores a genome by compiling this payload at its
+        victim, and fuzzer champions become named library scenarios in
+        :mod:`repro.rowhammer.playbook` the same way.
         """
         phases: List[dict] = [
             {
@@ -203,7 +178,12 @@ class PatternFuzzer:
             RowHammerConfig(rh_threshold=self.rh_threshold, seed=seed)
         )
         runner = AttackRunner(model, self.mitigation_factory())
-        result = runner.run(genome.to_attack(self.victim), windows=1, budget=self.budget)
+        attack = compile_playbook(
+            PlaybookSpec.from_dict(genome.to_playbook("fuzzed")),
+            base_row=self.victim,
+            n_rows=model.config.n_rows,
+        )
+        result = runner.run(attack, windows=1, budget=self.budget)
         return result.intended_flips
 
     def search(self, n_trials: int = 30) -> FuzzResult:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.rowhammer.attacks import AttackPattern, _round_robin
+from repro.rowhammer.attacks import PlaybookSpec, compile_playbook
 from repro.rowhammer.mitigations import Mitigation, NoMitigation
 from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
 from repro.rowhammer.runner import AttackRunner
@@ -107,12 +107,15 @@ def evaluate_isolation(
     guard_rows = set(layout.guard_rows)
 
     boundary = attacker_rows[-1]
-    aggressors = [boundary, boundary - 2]  # a legal pseudo-double-sided pair
-    attack = AttackPattern(
-        name=f"boundary-hammer(guard={guard_distance})",
-        aggressors=tuple(aggressors),
-        intended_victims=tuple(sorted(victim_rows)),
-        schedule=_round_robin(aggressors),
+    playbook = {
+        "name": f"boundary-hammer(guard={guard_distance})",
+        "base_row": boundary,
+        "victims": [{"row": row} for row in sorted(victim_rows)],
+        # A legal pseudo-double-sided pair: both rows are the attacker's.
+        "phases": [{"rows": [{"row": boundary}, {"row": boundary - 2}]}],
+    }
+    attack = compile_playbook(
+        PlaybookSpec.from_dict(playbook), n_rows=config.n_rows
     )
     mitigation = mitigation_factory() if mitigation_factory else NoMitigation()
     result = AttackRunner(model, mitigation).run(attack, windows=1, budget=budget)

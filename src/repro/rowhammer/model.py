@@ -118,9 +118,6 @@ class DisturbanceModel:
     def disturbance(self, row: int) -> float:
         return self._disturbance.get(row, 0.0)
 
-    def flips_in(self, row: int) -> Set[int]:
-        return self.flipped.get(row, set())
-
     def total_flips(self) -> int:
         return sum(len(bits) for bits in self.flipped.values())
 

@@ -1,52 +1,14 @@
-"""Declarative attack playbooks over the Row-Hammer substrate.
+"""The attack-playbook library and campaign over the Row-Hammer substrate.
 
-The litex-rowhammer-tester analogue for this codebase: instead of
-hand-writing an :class:`AttackPattern` factory per attack, a *playbook*
-is a plain JSON/dict document — victim and aggressor row specs, per-phase
-read counts and weights, REF gating for tracker-flush bursts, a
-data-inversion toggle, sweep axes over any field — that compiles through
-the shared schedule compiler of :mod:`repro.rowhammer.attacks` and runs
-as a campaign (attack variants x mitigations x the full scheme registry)
-through :mod:`repro.campaign`.
+Attacks are playbooks: plain JSON/dict documents in the format of
+:mod:`repro.rowhammer.attacks`, which also compiles them. This module
+holds what is built on that format: the scenario library
+(:data:`SCENARIOS`, >= 8 named playbooks, including two TRRespass-fuzzed
+presets frozen from genuine :class:`PatternFuzzer` champions via
+``PatternGenome.to_playbook``), the campaign that runs them (attack
+variants x mitigations x the full scheme registry, through
+:mod:`repro.campaign`), its report and the library lint.
 
-Playbook format (``PlaybookSpec.from_dict``)::
-
-    {
-      "name": "double-sided-decoy",        # required, unique
-      "summary": "one line for `playbook list`",
-      "base_row": null,                    # victim anchor; null = campaign default
-      "n_rows": null,                      # bank size; null = campaign default
-      "edge_policy": "clamp",              # clamp | drop | error (attacks.EDGE_POLICIES)
-      "min_fill": 1,                       # floor of the fill phase's slots
-      "data_inversion": false,             # consume 0x5A-filled rows instead of 0xA5
-      "victims": [0],                      # ints = offsets from base_row; {"row": N} pins
-      "phases": [                          # one entry per SchedulePhase
-        {"rows": [-1, 1], "restart": false},          # reads omitted -> fill phase
-        {"rows": [{"offset": 10, "weight": 2},        # weighted + absolute rows
-                  {"row": 100}],
-         "reads": 6}                                  # REF-gated burst length
-      ],
-      "sweep": {"phases.1.reads": [2, 6, 10]}         # axes -> expanded variants
-    }
-
-Row entries are either a bare int (an offset from the resolved base row)
-or a dict with exactly one of ``offset``/``row`` plus an optional
-``weight``. Sweep axes address any field of the canonical dict by dotted
-path (list indices are numeric segments); :func:`expand_spec` takes the
-cartesian product over all axes and names each variant
-``name[path=value,...]``.
-
-Compilation (:func:`compile_playbook`) resolves rows against the base
-row, applies the edge policy once — out-of-range rows clamped into the
-bank, rows landing on an intended victim dropped, out-of-range victims
-dropped (see ``attacks.clip_rows``) — and hands the phases to
-``attacks.compile_schedule``, so a playbook's activation stream is a
-pure function of its dict: same dict, same ``(budget, ref_period)``,
-bit-identical stream.
-
-The scenario library (:data:`SCENARIOS`) registers >= 8 named playbooks,
-including two TRRespass-fuzzed presets frozen from genuine
-:class:`PatternFuzzer` champions via ``PatternGenome.to_playbook``.
 Batch execution (:func:`plan_playbook` / :func:`run_playbook`) walks
 scenario variants x mitigations x every registered scheme through
 ``_PlaybookCampaign`` — fingerprint-keyed resume, group scheduling by
@@ -68,10 +30,9 @@ campaign server runs grids as ``playbook`` jobs. CLI::
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign import (
     Campaign,
@@ -80,15 +41,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.core import registry
-from repro.rowhammer.attacks import (
-    EDGE_POLICIES,
-    AttackPattern,
-    SchedulePhase,
-    clip_rows,
-    clip_victims,
-    compile_schedule,
-    expand_weights,
-)
+from repro.rowhammer import attacks
 from repro.rowhammer.blockhammer import BlockHammerMitigation
 from repro.rowhammer.fuzzer import PatternGenome
 from repro.rowhammer.integration import VictimArray
@@ -113,345 +66,6 @@ PLAYBOOK_VERSION = 1
 #: is not part of a point's fingerprint, so they stay fixed.
 PLAYBOOK_KEY = b"hammer-sweep-key"
 
-#: Fill pattern of consumed victim rows; ``data_inversion`` flips it so
-#: anti-cell rows (charged '0' cells) are exercised too.
-FILL_BYTE = b"\xa5"
-INVERTED_FILL_BYTE = b"\x5a"
-
-
-# ---------------------------------------------------------------------------
-# Spec dataclasses + dict round-trip
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RowSpec:
-    """One row reference: an offset from the base row XOR an absolute row."""
-
-    offset: Optional[int] = None
-    row: Optional[int] = None
-    weight: int = 1
-
-    def __post_init__(self) -> None:
-        if (self.offset is None) == (self.row is None):
-            raise ValueError(
-                "a row spec needs exactly one of 'offset' (relative to the "
-                f"base row) or 'row' (absolute); got {self!r}"
-            )
-        if self.weight < 0:
-            raise ValueError(f"row weight must be >= 0, got {self.weight}")
-
-    def resolve(self, base_row: int) -> int:
-        return self.row if self.row is not None else base_row + self.offset
-
-    def to_dict(self) -> dict:
-        payload: Dict[str, int] = {}
-        if self.offset is not None:
-            payload["offset"] = self.offset
-        else:
-            payload["row"] = self.row
-        payload["weight"] = self.weight
-        return payload
-
-
-@dataclass(frozen=True)
-class PhaseSpec:
-    """One schedule phase: rows plus an optional REF-gated read count."""
-
-    rows: Tuple[RowSpec, ...]
-    reads: Optional[int] = None
-    restart: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise ValueError("a phase needs at least one row")
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "reads": self.reads,
-            "restart": self.restart,
-        }
-
-
-@dataclass(frozen=True)
-class PlaybookSpec:
-    """A validated playbook document."""
-
-    name: str
-    phases: Tuple[PhaseSpec, ...]
-    victims: Tuple[RowSpec, ...]
-    base_row: Optional[int] = None
-    n_rows: Optional[int] = None
-    edge_policy: str = "clamp"
-    min_fill: int = 1
-    data_inversion: bool = False
-    #: Sorted ``(dotted path, values)`` sweep axes.
-    sweep: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
-    summary: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError("a playbook needs a non-empty string name")
-        if not self.phases:
-            raise ValueError(f"playbook {self.name!r} has no phases")
-        if not self.victims:
-            raise ValueError(f"playbook {self.name!r} names no victims")
-        if self.edge_policy not in EDGE_POLICIES:
-            raise ValueError(
-                f"playbook {self.name!r}: unknown edge policy "
-                f"{self.edge_policy!r}; known: {', '.join(EDGE_POLICIES)}"
-            )
-        if self.min_fill < 1:
-            raise ValueError(
-                f"playbook {self.name!r}: min_fill must be >= 1, "
-                f"got {self.min_fill}"
-            )
-
-    @property
-    def fill_byte(self) -> bytes:
-        return INVERTED_FILL_BYTE if self.data_inversion else FILL_BYTE
-
-    # -- dict round-trip -----------------------------------------------------
-
-    _FIELDS = (
-        "name",
-        "summary",
-        "base_row",
-        "n_rows",
-        "edge_policy",
-        "min_fill",
-        "data_inversion",
-        "victims",
-        "phases",
-        "sweep",
-    )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "PlaybookSpec":
-        unknown = sorted(set(payload) - set(cls._FIELDS))
-        if unknown:
-            raise ValueError(
-                f"unknown playbook field(s) {', '.join(unknown)}; "
-                f"known: {', '.join(cls._FIELDS)}"
-            )
-        name = payload.get("name", "")
-        phases = tuple(
-            _phase_from_dict(name, index, entry)
-            for index, entry in enumerate(payload.get("phases", ()))
-        )
-        victims = tuple(
-            _row_from_entry(entry) for entry in payload.get("victims", ())
-        )
-        sweep_payload = payload.get("sweep", {})
-        if not isinstance(sweep_payload, Mapping):
-            raise ValueError(
-                f"playbook {name!r}: 'sweep' must map dotted paths to "
-                "value lists"
-            )
-        sweep = []
-        for path in sorted(sweep_payload):
-            values = sweep_payload[path]
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError(
-                    f"playbook {name!r}: sweep axis {path!r} needs a "
-                    "non-empty value list"
-                )
-            sweep.append((path, tuple(values)))
-        return cls(
-            name=name,
-            phases=phases,
-            victims=victims,
-            base_row=payload.get("base_row"),
-            n_rows=payload.get("n_rows"),
-            edge_policy=payload.get("edge_policy", "clamp"),
-            min_fill=payload.get("min_fill", 1),
-            data_inversion=bool(payload.get("data_inversion", False)),
-            sweep=tuple(sweep),
-            summary=payload.get("summary", ""),
-        )
-
-    def to_dict(self) -> dict:
-        """The canonical dict form: every field present, rows as dicts.
-
-        Canonical means sweep paths always resolve and two specs compare
-        equal iff their dicts do — the form fingerprints embed.
-        """
-        return {
-            "name": self.name,
-            "summary": self.summary,
-            "base_row": self.base_row,
-            "n_rows": self.n_rows,
-            "edge_policy": self.edge_policy,
-            "min_fill": self.min_fill,
-            "data_inversion": self.data_inversion,
-            "victims": [victim.to_dict() for victim in self.victims],
-            "phases": [phase.to_dict() for phase in self.phases],
-            "sweep": {path: list(values) for path, values in self.sweep},
-        }
-
-
-def _row_from_entry(entry) -> RowSpec:
-    if isinstance(entry, bool):
-        raise ValueError(f"row entry {entry!r} is not an int or mapping")
-    if isinstance(entry, int):
-        return RowSpec(offset=entry)
-    if isinstance(entry, Mapping):
-        unknown = sorted(set(entry) - {"offset", "row", "weight"})
-        if unknown:
-            raise ValueError(
-                f"unknown row field(s) {', '.join(unknown)}; "
-                "known: offset, row, weight"
-            )
-        return RowSpec(
-            offset=entry.get("offset"),
-            row=entry.get("row"),
-            weight=entry.get("weight", 1),
-        )
-    raise ValueError(f"row entry {entry!r} is not an int or mapping")
-
-
-def _phase_from_dict(name: str, index: int, entry) -> PhaseSpec:
-    if not isinstance(entry, Mapping):
-        raise ValueError(
-            f"playbook {name!r}: phase {index} must be a mapping, "
-            f"got {entry!r}"
-        )
-    unknown = sorted(set(entry) - {"rows", "reads", "restart"})
-    if unknown:
-        raise ValueError(
-            f"playbook {name!r}: unknown phase field(s) "
-            f"{', '.join(unknown)}; known: rows, reads, restart"
-        )
-    return PhaseSpec(
-        rows=tuple(_row_from_entry(row) for row in entry.get("rows", ())),
-        reads=entry.get("reads"),
-        restart=bool(entry.get("restart", False)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Compilation + sweep-axis expansion
-# ---------------------------------------------------------------------------
-
-
-def compile_playbook(
-    spec: PlaybookSpec,
-    base_row: Optional[int] = None,
-    n_rows: Optional[int] = None,
-) -> AttackPattern:
-    """Compile a playbook into an :class:`AttackPattern`.
-
-    ``base_row``/``n_rows`` are campaign defaults: the spec's own fields
-    win when set. ``n_rows=None`` (both places) leaves the bank unbounded
-    above — only the ``row >= 0`` edge applies.
-    """
-    base = spec.base_row if spec.base_row is not None else base_row
-    if base is None:
-        raise ValueError(
-            f"playbook {spec.name!r} pins no base_row; pass one "
-            "(the campaign's victim_row)"
-        )
-    bank = spec.n_rows if spec.n_rows is not None else n_rows
-    victims = clip_victims(
-        [victim.resolve(base) for victim in spec.victims],
-        bank,
-        spec.edge_policy,
-    )
-    phases: List[SchedulePhase] = []
-    aggressors: List[int] = []
-    for index, phase in enumerate(spec.phases):
-        pairs = clip_rows(
-            [(row.resolve(base), row.weight) for row in phase.rows],
-            victims,
-            bank,
-            spec.edge_policy,
-        )
-        try:
-            rows = expand_weights(pairs)
-        except ValueError as exc:
-            raise ValueError(
-                f"playbook {spec.name!r}: phase {index} is empty after the "
-                f"{spec.edge_policy!r} edge policy ({exc})"
-            ) from None
-        for row in rows:
-            if row not in aggressors:
-                aggressors.append(row)
-        phases.append(
-            SchedulePhase(rows=rows, reads=phase.reads, restart=phase.restart)
-        )
-    return AttackPattern(
-        name=spec.name,
-        aggressors=tuple(aggressors),
-        intended_victims=victims,
-        schedule=compile_schedule(phases, min_fill=spec.min_fill),
-    )
-
-
-def _set_path(payload: dict, path: str, value) -> None:
-    """Set a dotted path inside the canonical dict (lists by index)."""
-    segments = path.split(".")
-    cursor = payload
-    walked = []
-    for segment in segments[:-1]:
-        walked.append(segment)
-        if isinstance(cursor, list):
-            try:
-                cursor = cursor[int(segment)]
-            except (ValueError, IndexError):
-                raise ValueError(
-                    f"sweep path {path!r}: no list index {segment!r} "
-                    f"at {'.'.join(walked)}"
-                ) from None
-        elif isinstance(cursor, dict):
-            if segment not in cursor:
-                raise ValueError(
-                    f"sweep path {path!r}: no field {segment!r} "
-                    f"at {'.'.join(walked)}"
-                )
-            cursor = cursor[segment]
-        else:
-            raise ValueError(
-                f"sweep path {path!r}: {'.'.join(walked[:-1])} is not "
-                "a container"
-            )
-    leaf = segments[-1]
-    if isinstance(cursor, list):
-        try:
-            cursor[int(leaf)] = value
-        except (ValueError, IndexError):
-            raise ValueError(
-                f"sweep path {path!r}: no list index {leaf!r}"
-            ) from None
-    elif isinstance(cursor, dict):
-        cursor[leaf] = value
-    else:
-        raise ValueError(f"sweep path {path!r} does not address a field")
-
-
-def expand_spec(spec: PlaybookSpec) -> List[PlaybookSpec]:
-    """Expand sweep axes into concrete variants (axes in sorted order).
-
-    A sweep-free playbook expands to itself; axes expand to the cartesian
-    product, each variant named ``name[path=value,...]`` and re-validated
-    through :meth:`PlaybookSpec.from_dict`.
-    """
-    if not spec.sweep:
-        return [spec]
-    paths = [path for path, _ in spec.sweep]
-    variants: List[PlaybookSpec] = []
-    for combo in itertools.product(*(values for _, values in spec.sweep)):
-        payload = spec.to_dict()
-        payload["sweep"] = {}
-        for path, value in zip(paths, combo):
-            _set_path(payload, path, value)
-        payload["name"] = "{}[{}]".format(
-            spec.name,
-            ",".join(f"{path}={value}" for path, value in zip(paths, combo)),
-        )
-        variants.append(PlaybookSpec.from_dict(payload))
-    return variants
-
 
 # ---------------------------------------------------------------------------
 # Scenario library
@@ -470,19 +84,19 @@ _FUZZED_TRR = PatternGenome(
 _FUZZED_PARA = PatternGenome(aggressors=((1, 3),), flush_rows=(), flush_burst=0)
 
 #: The named scenario library, in registration order.
-SCENARIOS: Dict[str, PlaybookSpec] = {}
+SCENARIOS: Dict[str, attacks.PlaybookSpec] = {}
 
 
-def register_scenario(payload: Mapping) -> PlaybookSpec:
+def register_scenario(payload: Mapping) -> attacks.PlaybookSpec:
     """Validate and register a playbook under its name (names are unique)."""
-    spec = PlaybookSpec.from_dict(payload)
+    spec = attacks.PlaybookSpec.from_dict(payload)
     if spec.name in SCENARIOS:
         raise ValueError(f"scenario {spec.name!r} is already registered")
     SCENARIOS[spec.name] = spec
     return spec
 
 
-def scenario(name: str) -> PlaybookSpec:
+def scenario(name: str) -> attacks.PlaybookSpec:
     try:
         return SCENARIOS[name]
     except KeyError:
@@ -696,13 +310,13 @@ class PlaybookOutcome:
 
 def _resolve_variants(
     scenario_name: str, extra_specs: Optional[Mapping[str, dict]] = None
-) -> Dict[str, PlaybookSpec]:
+) -> Dict[str, attacks.PlaybookSpec]:
     """A scenario's expanded variants, name -> spec (expansion order)."""
     if extra_specs and scenario_name in extra_specs:
-        spec = PlaybookSpec.from_dict(extra_specs[scenario_name])
+        spec = attacks.PlaybookSpec.from_dict(extra_specs[scenario_name])
     else:
         spec = scenario(scenario_name)
-    return {variant.name: variant for variant in expand_spec(spec)}
+    return {variant.name: variant for variant in attacks.expand_spec(spec)}
 
 
 class _PlaybookCampaign(Campaign):
@@ -725,7 +339,7 @@ class _PlaybookCampaign(Campaign):
         self.config = config
         self.extra_specs = dict(extra_specs or {})
 
-    def _spec(self, cell: PlaybookCell) -> PlaybookSpec:
+    def _spec(self, cell: PlaybookCell) -> attacks.PlaybookSpec:
         variants = _resolve_variants(cell.scenario, self.extra_specs)
         try:
             return variants[cell.variant]
@@ -790,7 +404,9 @@ class _PlaybookCampaign(Campaign):
         return outcome.silent_corruptions
 
 
-def _attack_result(spec: PlaybookSpec, cell: PlaybookCell, config: PlaybookConfig):
+def _attack_result(
+    spec: attacks.PlaybookSpec, cell: PlaybookCell, config: PlaybookConfig
+):
     """Simulate the attack half of a point (organization-independent)."""
     rh_config = RowHammerConfig(
         n_rows=config.n_rows,
@@ -803,7 +419,7 @@ def _attack_result(spec: PlaybookSpec, cell: PlaybookCell, config: PlaybookConfi
         DisturbanceModel(rh_config),
         make_mitigation(cell.mitigation, config, cell.seed),
     )
-    pattern = compile_playbook(
+    pattern = attacks.compile_playbook(
         spec, base_row=config.victim_row, n_rows=config.n_rows
     )
     return (
@@ -819,7 +435,9 @@ def _attack_result(spec: PlaybookSpec, cell: PlaybookCell, config: PlaybookConfi
 _PLAYBOOK_MEMO: dict = {}
 
 
-def _memoized_attack(spec: PlaybookSpec, cell: PlaybookCell, config: PlaybookConfig):
+def _memoized_attack(
+    spec: attacks.PlaybookSpec, cell: PlaybookCell, config: PlaybookConfig
+):
     key = (
         json.dumps(spec.to_dict(), sort_keys=True),
         cell.mitigation,
@@ -868,7 +486,7 @@ def plan_playbook(
         for name in names:
             variants = _resolve_variants(name, extras)
             for variant_name, variant in variants.items():
-                compile_playbook(
+                attacks.compile_playbook(
                     variant, base_row=config.victim_row, n_rows=config.n_rows
                 )
                 for mitigation in mitigations:
@@ -1016,7 +634,7 @@ def lint_scenarios(config: Optional[PlaybookConfig] = None) -> List[str]:
         variants = _resolve_variants(name)
         n_aggressors = []
         for variant in variants.values():
-            pattern = compile_playbook(
+            pattern = attacks.compile_playbook(
                 variant, base_row=config.victim_row, n_rows=config.n_rows
             )
             n_aggressors.append(len(pattern.aggressors))

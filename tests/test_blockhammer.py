@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.rowhammer.attacks import double_sided, half_double, many_sided
 from repro.rowhammer.blockhammer import (
     BlockHammerMitigation,
     CountingBloomFilter,
@@ -10,15 +9,17 @@ from repro.rowhammer.blockhammer import (
 )
 from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
 from repro.rowhammer.runner import AttackRunner
+from tests.test_playbook import library
 
 THRESHOLD = 600
 BUDGET = 180_000
 
 
-def run(attack, design_threshold, device_threshold=THRESHOLD, budget=BUDGET):
+def run(name, design_threshold, device_threshold=THRESHOLD, budget=BUDGET):
+    """Run the library scenario ``name`` at victim row 64."""
     model = DisturbanceModel(RowHammerConfig(rh_threshold=device_threshold, seed=1))
     mitigation = BlockHammerMitigation(design_threshold=design_threshold, seed=2)
-    result = AttackRunner(model, mitigation).run(attack(64), budget=budget)
+    result = AttackRunner(model, mitigation).run(library(name, 64), budget=budget)
     return result, mitigation
 
 
@@ -48,24 +49,24 @@ class TestCountingBloomFilter:
 
 class TestBlockHammer:
     def test_stops_double_sided(self):
-        result, _ = run(double_sided, THRESHOLD)
+        result, _ = run("double-sided", THRESHOLD)
         assert not result.broke_through
         assert result.blocked_activations > 0
 
     def test_stops_trrespass(self):
-        result, _ = run(many_sided, THRESHOLD)
+        result, _ = run("many-sided", THRESHOLD)
         assert not result.broke_through
 
     def test_stops_half_double(self):
         """BlockHammer issues no victim refreshes, so Half-Double has
         nothing to exploit — the structural advantage of throttling."""
-        result, _ = run(half_double, THRESHOLD, budget=400_000)
+        result, _ = run("half-double", THRESHOLD, budget=400_000)
         assert not result.broke_through
         assert result.mitigation_refreshes == 0
 
     def test_threshold_drift_still_breaks_it(self):
         """Sized for 139K but deployed on a 600-threshold module."""
-        result, _ = run(double_sided, 139_000)
+        result, _ = run("double-sided", 139_000)
         assert result.broke_through
 
     def test_benign_traffic_unthrottled(self):
@@ -92,6 +93,6 @@ class TestBlockHammer:
         assert mitigation.permits(5).allowed
 
     def test_aggressors_capped_below_half_threshold(self):
-        _, mitigation = run(double_sided, THRESHOLD)
+        _, mitigation = run("double-sided", THRESHOLD)
         # The cap guarantees no row exceeded design/2 activations.
         assert mitigation.activation_cap < THRESHOLD / 2

@@ -341,3 +341,31 @@ class TestJobs:
         resumed, fast_again = run("fast")
         assert resumed == 1
         assert fast_again == fast_first
+
+    def test_chipkill_job_runs_on_the_x4_module(self, server):
+        """Regression: the faultsim job simulated every scheme on the x8
+        SECDED module, Chipkill included."""
+        from repro.faultsim.evaluators import evaluator_for
+        from repro.faultsim.geometry import X4_CHIPKILL_16GB
+        from repro.faultsim.montecarlo import MonteCarloConfig
+        from repro.faultsim.parallel import simulate_parallel
+
+        with CampaignClient(server.url) as client:
+            job = client.submit(
+                "faultsim",
+                {"scheme": "chipkill", "n_modules": 2000, "seed": 42, "workers": 1},
+            )
+            assert client.wait(job, poll_s=0.05)["state"] == "done"
+            results = client.job_results(job)
+        expected = simulate_parallel(
+            evaluator_for("chipkill", X4_CHIPKILL_16GB),
+            X4_CHIPKILL_16GB,
+            MonteCarloConfig(n_modules=2000, seed=42),
+            workers=1,
+        )
+        assert expected.n_failed > 0
+        assert (results["n_due"], results["n_sdc"]) == (expected.n_due, expected.n_sdc)
+        assert results["final_fail_probability"] == expected.final_fail_probability
+        assert results["probability_at_years"] == {
+            str(y): expected.probability_at_years(y) for y in range(1, 8)
+        }

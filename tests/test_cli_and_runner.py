@@ -79,6 +79,15 @@ class TestCLI:
         assert main(["table1", "--scheme", "secded"]) == 2
         assert "does not take --scheme" in capsys.readouterr().err
 
+    def test_reliability_figures_reject_the_other_organization(self, capsys):
+        """Regression: ``fig6 --scheme chipkill`` printed a Chipkill row
+        simulated on Figure 6's x8 SECDED module."""
+        assert main(["fig6", "--scheme", "chipkill", "--scale", "smoke"]) == 2
+        err = capsys.readouterr().err
+        assert "secded, safeguard-secded-noparity, safeguard-secded" in err
+        assert main(["fig10", "--scheme", "secded", "--scale", "smoke"]) == 2
+        assert "chipkill, safeguard-chipkill" in capsys.readouterr().err
+
 
 class TestGlobalOptions:
     """Global options reach the commands that declare them and are

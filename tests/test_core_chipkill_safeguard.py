@@ -121,7 +121,7 @@ class TestEagerCorrection:
         result = controller.read(0x80)
         assert result.status is ReadStatus.CLEAN
         assert result.data == line
-        assert controller._known_failed_chip is None
+        assert controller.chips.known is None
 
     def test_eager_falls_back_to_other_chip(self):
         controller = make(eager_correction=True, spare_lines=0)

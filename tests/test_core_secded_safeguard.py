@@ -173,7 +173,7 @@ class TestColumnRecovery:
         controller.write(0x8000, line)
         clean = controller.read(0x8000)
         assert clean.status is ReadStatus.CLEAN
-        assert controller._consecutive_column_hits == 0
+        assert controller.columns.streak == 0
 
 
 class TestDetection:

@@ -11,6 +11,7 @@ from repro.core.secded import SafeGuardSECDED
 from repro.core.types import ReadStatus
 from repro.rowhammer.fuzzer import PatternFuzzer, PatternGenome
 from repro.rowhammer.mitigations import NoMitigation, TRRMitigation
+from tests.test_playbook import genome_playbook
 
 MAC_KEY = b"mac-key-16bytes!"
 ENC_KEY = b"enc-key-16bytes!"
@@ -101,14 +102,14 @@ class TestEncryptedController:
 class TestPatternGenome:
     def test_attack_generation(self):
         genome = PatternGenome(aggressors=((-1, 2), (1, 1)), flush_rows=(), flush_burst=0)
-        attack = genome.to_attack(64)
+        attack = genome_playbook(genome)
         rows = list(attack.activations(9, ref_period=100))
         assert set(rows) <= {63, 65}
         assert rows.count(63) > rows.count(65)  # weight 2 vs 1
 
     def test_flush_synchronized_with_ref(self):
         genome = PatternGenome(aggressors=((-1, 1),), flush_rows=(20, 27), flush_burst=2)
-        attack = genome.to_attack(64)
+        attack = genome_playbook(genome)
         rows = list(attack.activations(20, ref_period=10))
         # Each 10-slot chunk ends with 2 flush activations.
         assert rows[8] in (84, 91) and rows[9] in (84, 91)

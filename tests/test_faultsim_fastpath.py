@@ -35,7 +35,7 @@ from repro.faultsim.evaluators import (
     SECDEDEvaluator,
 )
 from repro.faultsim.faults import place_fault
-from repro.faultsim.geometry import X4_CHIPKILL_16GB, X8_SECDED_16GB
+from repro.faultsim.geometry import X4_CHIPKILL_16GB, X8_SECDED_16GB, geometry_for
 from repro.faultsim.montecarlo import (
     CODE_OUTCOMES,
     FailureColumns,
@@ -51,10 +51,6 @@ from tests.test_montecarlo_parallel import assert_identical, failure_rows
 
 #: Busy-module-rich population that still runs in well under a second.
 STAT = dict(n_modules=6_000, fit_multiplier=5.0)
-
-
-def geometry_for(scheme: str):
-    return X4_CHIPKILL_16GB if "chipkill" in scheme else X8_SECDED_16GB
 
 
 # --- mode plumbing ---------------------------------------------------------

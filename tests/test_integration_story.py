@@ -10,10 +10,11 @@ import random
 from repro.core.baselines import ConventionalSECDED
 from repro.core.config import SafeGuardConfig
 from repro.core.secded import SafeGuardSECDED
-from repro.rowhammer.attacks import half_double
+from repro.rowhammer.attacks import compile_playbook
 from repro.rowhammer.integration import VictimArray
 from repro.rowhammer.mitigations import TRRMitigation
 from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
+from repro.rowhammer.playbook import scenario
 from repro.rowhammer.runner import AttackRunner
 from repro.security.dos import DUEMonitor, RegionVerdict
 
@@ -26,7 +27,8 @@ def test_full_pipeline_breakthrough_to_quarantine():
                                 flips_per_crossing=6.0)
     model = DisturbanceModel(rh_config)
     runner = AttackRunner(model, TRRMitigation(4))
-    result = runner.run(half_double(64), windows=1, budget=180_000)
+    attack = compile_playbook(scenario("half-double"), base_row=64)
+    result = runner.run(attack, windows=1, budget=180_000)
     assert result.broke_through, "the mitigation must be broken for the story"
 
     # Stage 2: the same flips hit two systems' stored bits.

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import INDEX_NAME, read_index
+from repro.campaign import INDEX_NAME, read_index, summarize_index
 from repro.faultsim.evaluators import (
     Outcome,
     SafeGuardSECDEDEvaluator,
@@ -423,6 +423,20 @@ class TestCheckpointResume:
             assert events[-1].rejected_stale == 0
         cells = [name for name in os.listdir(tmp_path) if name.startswith("faultsim-")]
         assert len(cells) == 8
+
+    def test_index_counts_each_runs_shards(self, tmp_path):
+        """Regression: a shard's index key was its ``(index, lo, hi)``
+        only, so ``campaign-status`` counted Figure 6's three schemes (and
+        Figure 10's two FIT rates) as one completed item."""
+        from repro.__main__ import main
+
+        store = str(tmp_path)
+        assert main(["fig6", "--scale", "smoke", "--cache-dir", store]) == 0
+        summary = summarize_index(store)["faultsim"]
+        assert (summary["completed"], summary["cells"]) == (3, 3)
+        assert main(["fig10", "--scale", "smoke", "--cache-dir", store]) == 0
+        summary = summarize_index(store)["faultsim"]
+        assert (summary["completed"], summary["cells"]) == (7, 7)
 
 
 class TestEmptyPopulation:

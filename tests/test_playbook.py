@@ -1,9 +1,10 @@
-"""Tests for the declarative attack-playbook engine (repro.rowhammer.playbook).
+"""Tests for the attack-playbook format and compiler
+(repro.rowhammer.attacks) and the scenario library and campaign built
+on it (repro.rowhammer.playbook).
 
-Also hosts the regression tests for the attack-substrate bugfix sweep
-that landed with the playbook: the unified schedule compiler must replay
-the legacy generators bit-identically, the edge policy must tame the
-out-of-range rows the old factories emitted, and the REF-period default
+Also hosts the regression tests for the attack substrate: library and
+genome playbooks must replay the legacy generators bit-identically, the
+edge policy must keep rows inside the bank, and the REF-period default
 must be the one derived constant.
 """
 
@@ -17,12 +18,12 @@ from repro.dram.timing import max_activations_per_refresh_window
 from repro.rowhammer import playbook as pb
 from repro.rowhammer.attacks import (
     AttackPattern,
+    PlaybookSpec,
+    RowSpec,
     SchedulePhase,
+    compile_playbook,
     compile_schedule,
-    double_sided,
-    half_double,
-    many_sided,
-    single_sided,
+    expand_spec,
 )
 from repro.rowhammer.fuzzer import PatternGenome
 from repro.rowhammer.model import DEFAULT_REF_PERIOD, REFS_PER_WINDOW
@@ -45,6 +46,33 @@ def tiny_cells():
 
 def as_json(results):
     return {key: outcome.to_json() for key, outcome in results.items()}
+
+
+def library(name, base_row, n_rows=128, **fields):
+    """The library scenario ``name`` at ``base_row``, with ``fields``
+    overriding its dict (e.g. another edge policy)."""
+    spec = PlaybookSpec.from_dict({**pb.scenario(name).to_dict(), **fields})
+    return compile_playbook(spec, base_row=base_row, n_rows=n_rows)
+
+
+def genome_playbook(genome, victim=64):
+    """A genome's playbook compiled at ``victim``, as the fuzzer scores it."""
+    spec = PlaybookSpec.from_dict(genome.to_playbook("genome"))
+    return compile_playbook(spec, base_row=victim, n_rows=128)
+
+
+#: TRRespass as the legacy generator hammered it: flush rows at stride 7,
+#: 74-151 around victim 64, past the 128-row bank (compile it without
+#: ``n_rows`` to keep them).
+STRIDE_7_TRRESPASS = {
+    "name": "many-sided(stride 7)",
+    "victims": [0],
+    "min_fill": 2,
+    "phases": [
+        {"rows": [-1, 1], "restart": True},
+        {"rows": [10 + 7 * i for i in range(12)], "reads": 6},
+    ],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +144,18 @@ REGIMES = [(2000, 21), (1000, 1), (5003, 15)]
 class TestCompilerBitIdentity:
     @pytest.mark.parametrize("budget,ref_period", REGIMES)
     def test_factories_replay_legacy_streams(self, budget, ref_period):
+        """The library playbooks replay the legacy single-, double-sided,
+        Half-Double and (stride-7) TRRespass generators."""
         pairs = [
-            (single_sided(64), _legacy_round_robin([64])),
-            (double_sided(64), _legacy_round_robin([63, 65])),
-            (half_double(64), _legacy_round_robin([62, 66])),
-            (many_sided(64, dummy_stride=7), _legacy_many_sided(64)),
+            (library("one-location", 65), _legacy_round_robin([64])),
+            (library("double-sided", 64), _legacy_round_robin([63, 65])),
+            (library("half-double", 64), _legacy_round_robin([62, 66])),
+            (
+                compile_playbook(
+                    PlaybookSpec.from_dict(STRIDE_7_TRRESPASS), base_row=64
+                ),
+                _legacy_many_sided(64),
+            ),
         ]
         for pattern, legacy in pairs:
             assert list(pattern.activations(budget, ref_period)) == list(
@@ -129,11 +164,13 @@ class TestCompilerBitIdentity:
 
     @pytest.mark.parametrize("budget,ref_period", REGIMES)
     def test_many_sided_factory_is_the_library_scenario(self, budget, ref_period):
-        """``many_sided(64)`` is the library's TRRespass, inside the bank."""
-        factory = list(many_sided(64).activations(budget, ref_period))
-        library = pb.compile_playbook(pb.scenario("many-sided"), base_row=64, n_rows=128)
-        assert factory == list(library.activations(budget, ref_period))
-        assert max(factory) < 128
+        """The library's ``many-sided`` is the legacy TRRespass at stride
+        4, inside the bank."""
+        stream = list(library("many-sided", 64).activations(budget, ref_period))
+        assert stream == list(
+            _legacy_many_sided(64, dummy_stride=4)(budget, ref_period)
+        )
+        assert max(stream) < 128
 
     @pytest.mark.parametrize("budget,ref_period", REGIMES)
     def test_genome_replays_legacy_stream(self, budget, ref_period):
@@ -142,7 +179,7 @@ class TestCompilerBitIdentity:
         )
         plain = PatternGenome(aggressors=((1, 3),), flush_rows=(), flush_burst=0)
         for genome in (flushing, plain):
-            assert list(genome.to_attack(64).activations(budget, ref_period)) == list(
+            assert list(genome_playbook(genome).activations(budget, ref_period)) == list(
                 _legacy_genome(genome, 64)(budget, ref_period)
             )
 
@@ -170,36 +207,38 @@ class TestCompilerBitIdentity:
 
 
 class TestEdgePolicy:
-    """Regression: the legacy factories emitted out-of-range rows at the
-    bank edge — ``single_sided(0)`` listed victim -1, ``double_sided(0)``
-    hammered row -1."""
+    """Regression: attacks at the bank edge used to emit out-of-range
+    rows — hammering one row at row 0 listed victim -1, double-sided
+    hammering of row 0 hammered row -1."""
 
     def test_single_sided_at_row_zero_drops_missing_victim(self):
-        assert single_sided(0).intended_victims == (1,)
+        pattern = library("one-location", 1)
+        assert pattern.aggressors == (0,)
+        assert pattern.intended_victims == (1,)
 
     def test_double_sided_at_row_zero_never_hammers_below_the_bank(self):
-        pattern = double_sided(0)
+        pattern = library("double-sided", 0)
         assert pattern.aggressors == (1,)
         assert min(pattern.activations(500, 10)) >= 0
 
     def test_upper_edge_clamps_into_the_bank(self):
-        pattern = double_sided(127, n_rows=128)
+        pattern = library("double-sided", 127)
         assert pattern.aggressors == (126,)
         assert max(pattern.activations(500, 10)) < 128
 
     def test_error_policy_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside the bank"):
-            double_sided(0, edge_policy="error")
+            library("double-sided", 0, edge_policy="error")
 
     def test_drop_policy_discards_without_clamping(self):
-        pattern = many_sided(64, n_rows=100, edge_policy="drop")
+        pattern = library("many-sided", 64, n_rows=100, edge_policy="drop")
         assert all(row < 100 for row in pattern.aggressors)
-        clamped = many_sided(64, n_rows=100, edge_policy="clamp")
+        clamped = library("many-sided", 64, n_rows=100, edge_policy="clamp")
         assert 99 in clamped.aggressors
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown edge policy"):
-            single_sided(5, edge_policy="wrap")
+            library("one-location", 5, edge_policy="wrap")
 
 
 class TestRefPeriodConstant:
@@ -222,9 +261,9 @@ class TestRefPeriodConstant:
 
 
 class TestGenomeValidation:
-    """Regression: an all-zero-weight genome used to crash ``to_attack``
-    with ZeroDivisionError, and flush offsets in {-1, 0, +1} silently
-    mis-scored genomes."""
+    """Regression: an all-zero-weight genome used to crash with
+    ZeroDivisionError when compiled, and flush offsets in {-1, 0, +1}
+    silently mis-scored genomes."""
 
     def test_all_zero_weights_rejected_at_construction(self):
         with pytest.raises(ValueError, match="every aggressor weight is 0"):
@@ -259,53 +298,53 @@ class TestFormat:
     def test_round_trip_is_stable(self):
         spec = pb.scenario("many-sided")
         payload = json.loads(json.dumps(spec.to_dict()))
-        again = pb.PlaybookSpec.from_dict(payload)
+        again = PlaybookSpec.from_dict(payload)
         assert again == spec
         assert again.to_dict() == spec.to_dict()
 
     def test_int_row_entries_are_offsets(self):
-        spec = pb.PlaybookSpec.from_dict(
+        spec = PlaybookSpec.from_dict(
             {"name": "x", "victims": [0], "phases": [{"rows": [-1, 1]}]}
         )
-        assert spec.phases[0].rows[0] == pb.RowSpec(offset=-1)
+        assert spec.phases[0].rows[0] == RowSpec(offset=-1)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown playbook field"):
-            pb.PlaybookSpec.from_dict(
+            PlaybookSpec.from_dict(
                 {"name": "x", "victims": [0], "phases": [{"rows": [1]}],
                  "phasez": []}
             )
         with pytest.raises(ValueError, match="unknown phase field"):
-            pb.PlaybookSpec.from_dict(
+            PlaybookSpec.from_dict(
                 {"name": "x", "victims": [0],
                  "phases": [{"rows": [1], "readz": 2}]}
             )
         with pytest.raises(ValueError, match="unknown row field"):
-            pb.PlaybookSpec.from_dict(
+            PlaybookSpec.from_dict(
                 {"name": "x", "victims": [0],
                  "phases": [{"rows": [{"ofset": 1}]}]}
             )
 
     def test_row_needs_exactly_one_of_offset_and_row(self):
         with pytest.raises(ValueError, match="exactly one"):
-            pb.RowSpec(offset=1, row=5)
+            RowSpec(offset=1, row=5)
         with pytest.raises(ValueError, match="exactly one"):
-            pb.RowSpec()
+            RowSpec()
 
     def test_structural_validation(self):
         with pytest.raises(ValueError, match="no phases"):
-            pb.PlaybookSpec.from_dict({"name": "x", "victims": [0], "phases": []})
+            PlaybookSpec.from_dict({"name": "x", "victims": [0], "phases": []})
         with pytest.raises(ValueError, match="names no victims"):
-            pb.PlaybookSpec.from_dict(
+            PlaybookSpec.from_dict(
                 {"name": "x", "victims": [], "phases": [{"rows": [1]}]}
             )
         with pytest.raises(ValueError, match="unknown edge policy"):
-            pb.PlaybookSpec.from_dict(
+            PlaybookSpec.from_dict(
                 {"name": "x", "victims": [0], "phases": [{"rows": [1]}],
                  "edge_policy": "wrap"}
             )
         with pytest.raises(ValueError, match="non-empty value list"):
-            pb.PlaybookSpec.from_dict(
+            PlaybookSpec.from_dict(
                 {"name": "x", "victims": [0], "phases": [{"rows": [1]}],
                  "sweep": {"min_fill": []}}
             )
@@ -316,8 +355,8 @@ class TestCompilePlaybook:
         payload = pb.scenario("many-sided").to_dict()
         streams = [
             list(
-                pb.compile_playbook(
-                    pb.PlaybookSpec.from_dict(json.loads(json.dumps(payload))),
+                compile_playbook(
+                    PlaybookSpec.from_dict(json.loads(json.dumps(payload))),
                     base_row=64,
                     n_rows=128,
                 ).activations(20_000, 14)
@@ -327,45 +366,41 @@ class TestCompilePlaybook:
         assert streams[0] == streams[1]
 
     def test_library_double_sided_matches_the_legacy_factory(self):
-        pattern = pb.compile_playbook(
-            pb.scenario("double-sided"), base_row=64, n_rows=128
-        )
+        pattern = library("double-sided", 64)
         assert list(pattern.activations(2000, 21)) == list(
-            double_sided(64).activations(2000, 21)
+            _legacy_round_robin([63, 65])(2000, 21)
         )
 
     def test_base_row_is_required_somewhere(self):
         with pytest.raises(ValueError, match="pins no base_row"):
-            pb.compile_playbook(pb.scenario("double-sided"))
+            compile_playbook(pb.scenario("double-sided"))
 
     def test_spec_base_row_wins_over_the_default(self):
-        pattern = pb.compile_playbook(
+        pattern = compile_playbook(
             pb.scenario("edge-double"), base_row=64, n_rows=128
         )
         assert pattern.intended_victims == (0,)
         assert pattern.aggressors == (1,)
 
     def test_phase_emptied_by_policy_is_a_compile_error(self):
-        spec = pb.PlaybookSpec.from_dict(
+        spec = PlaybookSpec.from_dict(
             {"name": "x", "victims": [0], "phases": [{"rows": [-1]}]}
         )
         with pytest.raises(ValueError, match="empty after the 'clamp'"):
-            pb.compile_playbook(spec, base_row=0, n_rows=128)
+            compile_playbook(spec, base_row=0, n_rows=128)
 
     def test_genome_bridge_is_bit_identical(self):
         genome = PatternGenome(
             aggressors=((1, 4), (-1, 2)), flush_rows=(30, 14, 25), flush_burst=4
         )
-        spec = pb.PlaybookSpec.from_dict(genome.to_playbook("bridge"))
-        pattern = pb.compile_playbook(spec, base_row=64, n_rows=128)
-        assert list(pattern.activations(5003, 15)) == list(
-            genome.to_attack(64).activations(5003, 15)
+        assert list(genome_playbook(genome).activations(5003, 15)) == list(
+            _legacy_genome(genome, 64)(5003, 15)
         )
 
 
 class TestSweepAxes:
     def test_axes_expand_to_the_cartesian_product(self):
-        spec = pb.PlaybookSpec.from_dict(
+        spec = PlaybookSpec.from_dict(
             {
                 "name": "x",
                 "victims": [0],
@@ -377,7 +412,7 @@ class TestSweepAxes:
                 "sweep": {"phases.1.reads": [2, 6], "min_fill": [1, 2]},
             }
         )
-        variants = pb.expand_spec(spec)
+        variants = expand_spec(spec)
         assert [v.name for v in variants] == [
             "x[min_fill=1,phases.1.reads=2]",
             "x[min_fill=1,phases.1.reads=6]",
@@ -390,12 +425,12 @@ class TestSweepAxes:
         assert all(not v.sweep for v in variants)
 
     def test_bad_sweep_path_fails_at_expansion(self):
-        spec = pb.PlaybookSpec.from_dict(
+        spec = PlaybookSpec.from_dict(
             {"name": "x", "victims": [0], "phases": [{"rows": [1]}],
              "sweep": {"phases.7.reads": [1]}}
         )
         with pytest.raises(ValueError, match="no list index"):
-            pb.expand_spec(spec)
+            expand_spec(spec)
 
 
 class TestLibrary:
@@ -422,7 +457,7 @@ class TestPlan:
 
         cells = pb.plan_playbook(config=TINY)
         variants = sum(
-            len(pb.expand_spec(spec)) for spec in pb.SCENARIOS.values()
+            len(expand_spec(spec)) for spec in pb.SCENARIOS.values()
         )
         assert len(cells) == variants * len(pb.DEFAULT_MITIGATIONS) * len(
             registry.names()

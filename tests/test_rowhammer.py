@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rowhammer.attacks import double_sided, half_double, many_sided, single_sided
+from repro.rowhammer.attacks import PlaybookSpec, compile_playbook
 from repro.rowhammer.mitigations import (
     GrapheneMitigation,
     NoMitigation,
@@ -12,6 +12,7 @@ from repro.rowhammer.mitigations import (
 from repro.rowhammer.model import DisturbanceModel, RowHammerConfig
 from repro.rowhammer.runner import AttackRunner
 from repro.rowhammer.thresholds import RH_THRESHOLDS, reduction_factor, threshold_for
+from tests.test_playbook import STRIDE_7_TRRESPASS, library
 
 #: Small threshold / budget so each scenario runs in well under a second.
 FAST_THRESHOLD = 600
@@ -31,7 +32,7 @@ def run(attack, mitigation, seed=1, budget=FAST_BUDGET, **model_kwargs):
 
 #: TRRespass with its flush rows (74-118) inside the 128-row bank, the
 #: playbook library's many-sided.
-IN_BANK_TRRESPASS = many_sided(64)
+IN_BANK_TRRESPASS = library("many-sided", 64)
 
 
 class TestThresholds:
@@ -145,21 +146,21 @@ class TestAttackOutcomes:
     """The Figure 1b matrix at fast scale."""
 
     def test_double_sided_breaks_unprotected(self):
-        assert run(double_sided(64), NoMitigation()).broke_through
+        assert run(library("double-sided", 64), NoMitigation()).broke_through
 
     def test_single_sided_breaks_unprotected(self):
-        assert run(single_sided(64), NoMitigation()).broke_through
+        assert run(library("one-location", 65), NoMitigation()).broke_through
 
     def test_para_stops_double_sided(self):
-        assert not run(double_sided(64), PARA.sized_for(FAST_THRESHOLD)).broke_through
+        assert not run(library("double-sided", 64), PARA.sized_for(FAST_THRESHOLD)).broke_through
 
     def test_stale_para_design_point_fails(self):
         """Sized for a 139K-threshold module, deployed on a low-threshold
         one (the Table I trend): flips get through."""
-        assert run(double_sided(64), PARA.sized_for(139_000)).broke_through
+        assert run(library("double-sided", 64), PARA.sized_for(139_000)).broke_through
 
     def test_trr_stops_double_sided(self):
-        assert not run(double_sided(64), TRRMitigation(4)).broke_through
+        assert not run(library("double-sided", 64), TRRMitigation(4)).broke_through
 
     def test_trrespass_breaks_trr(self):
         assert run(IN_BANK_TRRESPASS, TRRMitigation(4)).broke_through
@@ -171,9 +172,10 @@ class TestAttackOutcomes:
         assert not result.broke_through
 
     def test_activation_outside_the_bank_is_rejected(self):
-        """Regression: ``many_sided(64, dummy_stride=7)``'s flush rows 130,
-        137, 144 and 151 lie outside the 128-row bank; the runner used to
-        spend budget and TRR tracker entries on them."""
+        """Regression: TRRespass with flush rows at stride 7 (74-151)
+        names rows 130, 137, 144 and 151 outside the 128-row bank; the
+        runner used to spend budget and TRR tracker entries on them."""
+        stride_7 = PlaybookSpec.from_dict(STRIDE_7_TRRESPASS)
         seen = []
 
         class Spy(NoMitigation):
@@ -184,26 +186,26 @@ class TestAttackOutcomes:
         model = fast_model()
         with pytest.raises(ValueError, match=r"row 130, outside the bank \(n_rows=128\)"):
             AttackRunner(model, Spy()).run(
-                many_sided(64, dummy_stride=7), budget=FAST_BUDGET
+                compile_playbook(stride_7, base_row=64), budget=FAST_BUDGET
             )
         # Rejected before the model or the mitigation saw it.
         assert seen and max(seen) < 128
         assert model.activations == len(seen)
 
     def test_half_double_needs_a_mitigation_to_exploit(self):
-        assert not run(half_double(64), NoMitigation()).broke_through
+        assert not run(library("half-double", 64), NoMitigation()).broke_through
 
     def test_half_double_breaks_graphene(self):
         result = run(
-            half_double(64), GrapheneMitigation(FAST_THRESHOLD, FAST_BUDGET)
+            library("half-double", 64), GrapheneMitigation(FAST_THRESHOLD, FAST_BUDGET)
         )
         assert result.broke_through
 
     def test_half_double_breaks_para(self):
-        assert run(half_double(64), PARA.sized_for(FAST_THRESHOLD)).broke_through
+        assert run(library("half-double", 64), PARA.sized_for(FAST_THRESHOLD)).broke_through
 
     def test_result_bookkeeping(self):
-        result = run(double_sided(64), NoMitigation())
+        result = run(library("double-sided", 64), NoMitigation())
         assert result.attack == "double-sided"
         assert result.mitigation == "none"
         assert result.total_flips >= result.intended_flips > 0

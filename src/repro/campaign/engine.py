@@ -79,6 +79,10 @@ class Campaign:
     #: Campaign family name, recorded in the store's append-only index.
     name = "campaign"
 
+    #: The run's settings, which end every tuple index key: the index
+    #: then counts runs of one grid at different sizes apart.
+    config_key: tuple = ()
+
     # -- identity ----------------------------------------------------------------
 
     def fingerprint(self, item) -> dict:
@@ -86,9 +90,12 @@ class Campaign:
         raise NotImplementedError
 
     def item_key(self, item) -> Any:
-        """JSON-able stable identity recorded in the index."""
+        """JSON-able stable identity recorded in the index: the item's
+        ``key`` (a tuple with :attr:`config_key` appended), or its index."""
         key = getattr(item, "key", None)
-        return list(key) if isinstance(key, tuple) else (key if key is not None else item.index)
+        if isinstance(key, tuple):
+            return [*key, *self.config_key]
+        return key if key is not None else item.index
 
     def cell_name(self, item, fingerprint: dict) -> str:
         """Store file name for the item (must be unique per campaign)."""

@@ -1,4 +1,5 @@
-"""One module per paper table/figure (the per-experiment index of DESIGN.md).
+"""One module per paper table/figure or ablation/extension study (the
+per-experiment index of DESIGN.md).
 
 Each module exposes ``run(...)``, returning a structured result, and
 ``report(result)``, printing the same rows/series the paper presents.

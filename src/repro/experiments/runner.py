@@ -1,4 +1,4 @@
-"""Experiment dispatcher: run any paper table/figure by name, at a declared scale.
+"""Experiment dispatcher: run any paper table, figure or study by name, at a declared scale.
 
 Used by the CLI (``python -m repro <experiment>``, ``python -m repro
 all``) and handy from a REPL::
@@ -33,11 +33,19 @@ from typing import Callable, Dict, List, Optional
 
 from repro.experiments import (
     SCALE_NAMES,
+    ablation_bamboo,
+    ablation_blockhammer,
+    ablation_crc_vs_mac,
+    ablation_eager_correction,
+    ablation_isolation,
+    ablation_scrubbing,
+    extension_fuzzer,
     failed_claims,
     fig1b_attacks,
     fig1c_detection,
     fig6_reliability_secded,
     fig10_reliability_chipkill,
+    methodology_variance,
     perf_figures,
     sec4b_birthday,
     sec4c_column_recovery,
@@ -80,8 +88,9 @@ def _print_progress(stats: ProgressBase) -> None:
     print(f"  {stats.describe()}", end=end, file=sys.stderr, flush=True)
 
 
-def _run_and_report(module, scale: str):
-    """``module.run`` at ``scale``, then its report."""
+def _run_and_report(module, scale: str = DEFAULT_SCALE):
+    """``module.run`` at ``scale``, then its report: the runner of every
+    artifact that takes no option but its scale."""
     result = module.run(**module.SCALES[scale])
     module.report(result)
     return result
@@ -103,24 +112,12 @@ def _schemes(scheme: Optional[str], module) -> tuple:
     return (scheme,) if scheme else module.SCHEMES
 
 
-def _table1(scale=DEFAULT_SCALE):
-    return _run_and_report(table1_thresholds, scale)
-
-
 def _table2(scale=DEFAULT_SCALE):
     table2_table3_config.report_table2()
 
 
 def _table3(scale=DEFAULT_SCALE):
     table2_table3_config.report_table3()
-
-
-def _table4(scale=DEFAULT_SCALE):
-    return _run_and_report(table4_resiliency, scale)
-
-
-def _table5(scale=DEFAULT_SCALE):
-    return _run_and_report(table5_storage, scale)
 
 
 def _fig1b(scale=DEFAULT_SCALE, workers=None, cache_dir=None, store_url=None):
@@ -234,33 +231,18 @@ def _fig13(scale=DEFAULT_SCALE, workers=None, cache_dir=None, engine=None, store
     )
 
 
-def _sec4b(scale=DEFAULT_SCALE):
-    return _run_and_report(sec4b_birthday, scale)
-
-
-def _sec4c(scale=DEFAULT_SCALE):
-    return _run_and_report(sec4c_column_recovery, scale)
-
-
-def _sec7(scale=DEFAULT_SCALE):
-    return _run_and_report(sec7_security, scale)
-
-
-def _sec7e(scale=DEFAULT_SCALE):
-    results = sec7e_mac_escape.run(**sec7e_mac_escape.SCALES[scale])
-    sec7e_mac_escape.report(*results)
-    return results
-
-
-#: Experiment name -> runner. ``fig11`` aliases ``fig7`` (the SafeGuard
-#: data path is identical in both organizations; see perf_figures).
-EXPERIMENTS: Dict[str, Callable[..., object]] = {
-    "table1": _table1,
+#: Experiment name -> its runner or, for an artifact that takes no option
+#: but ``scale``, its module (run by :func:`_run_and_report`, answering
+#: to the module's ``CLAIMS``). ``fig1a`` aliases ``table1`` and
+#: ``fig11`` aliases ``fig7`` (the SafeGuard data path is identical in
+#: both organizations; see perf_figures).
+_ENTRIES = {
+    "table1": table1_thresholds,
     "table2": _table2,
     "table3": _table3,
-    "table4": _table4,
-    "table5": _table5,
-    "fig1a": _table1,
+    "table4": table4_resiliency,
+    "table5": table5_storage,
+    "fig1a": table1_thresholds,
     "fig1b": _fig1b,
     "fig1c": _fig1c,
     "fig6": _fig6,
@@ -269,19 +251,35 @@ EXPERIMENTS: Dict[str, Callable[..., object]] = {
     "fig11": _fig7,
     "fig12": _fig12,
     "fig13": _fig13,
-    "sec4b": _sec4b,
-    "sec4c": _sec4c,
-    "sec7": _sec7,
-    "sec7e": _sec7e,
+    "sec4b": sec4b_birthday,
+    "sec4c": sec4c_column_recovery,
+    "sec7": sec7_security,
+    "sec7e": sec7e_mac_escape,
+    "ablation-bamboo": ablation_bamboo,
+    "ablation-blockhammer": ablation_blockhammer,
+    "ablation-crc-vs-mac": ablation_crc_vs_mac,
+    "ablation-eager-correction": ablation_eager_correction,
+    "ablation-isolation": ablation_isolation,
+    "ablation-scrubbing": ablation_scrubbing,
+    "extension-fuzzer": extension_fuzzer,
+    "methodology-variance": methodology_variance,
+}
+
+#: Module -> its runner, one per module so an alias shares its run.
+_SIZED = {
+    entry: partial(_run_and_report, entry) for entry in _ENTRIES.values() if not callable(entry)
+}
+
+#: Experiment name -> runner.
+EXPERIMENTS: Dict[str, Callable[..., object]] = {
+    name: _SIZED.get(entry, entry) for name, entry in _ENTRIES.items()
 }
 
 #: Runner -> the claims its result must satisfy (sentence -> predicate).
 CLAIMS: Dict[Callable[..., object], Dict[str, Callable[[object], bool]]] = {
-    _table1: table1_thresholds.CLAIMS,
+    **{runner: module.CLAIMS for module, runner in _SIZED.items()},
     _table2: table2_table3_config.CLAIMS,
     _table3: table2_table3_config.CLAIMS,
-    _table4: table4_resiliency.CLAIMS,
-    _table5: table5_storage.CLAIMS,
     _fig1b: fig1b_attacks.CLAIMS,
     _fig1c: fig1c_detection.CLAIMS,
     _fig6: fig6_reliability_secded.CLAIMS,
@@ -289,10 +287,6 @@ CLAIMS: Dict[Callable[..., object], Dict[str, Callable[[object], bool]]] = {
     _fig10: fig10_reliability_chipkill.CLAIMS,
     _fig12: perf_figures.CLAIMS["fig12"],
     _fig13: perf_figures.CLAIMS["fig13"],
-    _sec4b: sec4b_birthday.CLAIMS,
-    _sec4c: sec4c_column_recovery.CLAIMS,
-    _sec7: sec7_security.CLAIMS,
-    _sec7e: sec7e_mac_escape.CLAIMS,
 }
 
 

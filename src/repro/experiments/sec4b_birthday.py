@@ -75,8 +75,8 @@ def run() -> "tuple[BirthdayAnalysis, CollisionCheck]":
     return birthday_analysis(), monte_carlo_collision()
 
 
-def report(results=None) -> str:
-    analysis, check = results or run()
+def report(results) -> str:
+    analysis, check = results
     print_banner("Section IV-B: birthday bound for two faults in one line")
     rows = [
         ("memory", f"{analysis.memory_bytes // (1 << 30)}GB ({analysis.n_lines:,} lines)"),

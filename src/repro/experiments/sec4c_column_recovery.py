@@ -12,7 +12,7 @@ approximately one MAC check").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core import registry
 from repro.experiments import UNSCALED
@@ -81,8 +81,7 @@ def run(pin: int = 29, reads: int = 8, seed: int = 9) -> List[RecoveryPoint]:
     return points
 
 
-def report(points: Optional[List[RecoveryPoint]] = None) -> str:
-    points = points or run()
+def report(points: List[RecoveryPoint]) -> str:
     print_banner("Section IV-C: iterative column recovery (measured data path)")
     table = format_table(
         ["Phase", "MAC checks", "Iterations", "Added cycles", "Status"],

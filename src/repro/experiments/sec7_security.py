@@ -20,8 +20,6 @@ Four sub-experiments corresponding to Sections VII-B through VII-E:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import random
 from dataclasses import dataclass
 
@@ -117,8 +115,7 @@ def run(seed: int = 7) -> SecurityReport:
     )
 
 
-def report(r: Optional[SecurityReport] = None) -> str:
-    r = r or run()
+def report(r: SecurityReport) -> str:
     print_banner("Section VII: security discussion (measured)")
     rows = [
         ("VII-B DoS: persistent DUE spam region", r.dos_attacker_verdict.value),

@@ -114,7 +114,8 @@ CLAIMS = {
 }
 
 
-def report(analytic_rows, empirical_rows) -> str:
+def report(results) -> str:
+    analytic_rows, empirical_rows = results
     print_banner("Section VII-E: expected time for RH corruption to escape the MAC")
     rows = []
     for label, a in analytic_rows:

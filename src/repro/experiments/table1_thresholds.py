@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments import UNSCALED
 from repro.experiments.reporting import format_table, print_banner
@@ -22,8 +22,7 @@ def run() -> List[ThresholdEntry]:
     return list(RH_THRESHOLDS)
 
 
-def report(entries: Optional[List[ThresholdEntry]] = None) -> str:
-    entries = entries or run()
+def report(entries: List[ThresholdEntry]) -> str:
     print_banner("Table I: Row-Hammer Threshold Over Time")
     rows: List[Tuple[str, str]] = []
     for e in entries:

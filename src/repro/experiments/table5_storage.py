@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.analysis import StorageRow, storage_overhead_table
 from repro.experiments import UNSCALED
@@ -23,8 +23,7 @@ def run(capacities_gb=(16, 64, 256)) -> List[StorageRow]:
     return storage_overhead_table(capacities_gb)
 
 
-def report(rows: Optional[List[StorageRow]] = None) -> str:
-    rows = rows or run()
+def report(rows: List[StorageRow]) -> str:
     print_banner("Table V: usable memory capacity (baseline = ECC DIMM)")
     table = format_table(
         ["Baseline memory", "SGX/Synergy-style MAC", "SafeGuard"],

@@ -173,6 +173,10 @@ class _ShardItem:
     def index(self) -> int:
         return self.shard.index
 
+    @property
+    def key(self) -> tuple:
+        return (self.shard.index, self.shard.lo, self.shard.hi)
+
 
 class _FaultSimCampaign(Campaign):
     """Monte-Carlo reliability as a :class:`repro.campaign.Campaign`."""
@@ -192,6 +196,8 @@ class _FaultSimCampaign(Campaign):
         self.config = config
         self.engine = engine
         self.base_fingerprint = base_fingerprint
+        # The engine stays out of the index key, as it does of perf's.
+        self.config_key = (base_fingerprint["scheme"], config.fit_multiplier, config.seed)
 
     def fingerprint(self, item: _ShardItem) -> dict:
         shard = item.shard
@@ -199,20 +205,6 @@ class _FaultSimCampaign(Campaign):
             **self.base_fingerprint,
             "shard": {"index": shard.index, "lo": shard.lo, "hi": shard.hi},
         }
-
-    def item_key(self, item: _ShardItem) -> list:
-        """The shard plus the run's scheme, FIT multiplier and seed, so
-        the index counts each run's shards apart (the engine stays out,
-        as it does of perf's key)."""
-        shard = item.shard
-        return [
-            shard.index,
-            shard.lo,
-            shard.hi,
-            self.base_fingerprint["scheme"],
-            self.config.fit_multiplier,
-            self.config.seed,
-        ]
 
     def run_item(self, item: _ShardItem) -> FailureColumns:
         # ``engine`` was resolved once by the coordinator and travels

@@ -221,6 +221,9 @@ class _PerfCampaign(Campaign):
 
     def __init__(self, config: PerfConfig):
         self.config = config
+        # The sizes the fingerprint covers; the engine stays out, and each
+        # cell's own seed replaces the config's.
+        self.config_key = (config.n_cores, config.instructions_per_core, config.warmup_instructions)
 
     def fingerprint(self, cell: CampaignCell) -> dict:
         return cell_fingerprint(cell, self.config)

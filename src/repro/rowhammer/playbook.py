@@ -31,7 +31,7 @@ campaign server runs grids as ``playbook`` jobs. CLI::
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign import (
@@ -338,6 +338,7 @@ class _PlaybookCampaign(Campaign):
     ):
         self.config = config
         self.extra_specs = dict(extra_specs or {})
+        self.config_key = astuple(config)
 
     def _spec(self, cell: PlaybookCell) -> attacks.PlaybookSpec:
         variants = _resolve_variants(cell.scenario, self.extra_specs)

@@ -163,6 +163,8 @@ class TestGlobalOptions:
     def test_experiment_without_workers_rejects_it(self, capsys):
         assert main(["table1", "--workers", "2"]) == 2
         assert "experiment 'table1' does not take --workers" in capsys.readouterr().err
+        assert main(["ablation-blockhammer", "--workers", "2"]) == 2
+        assert "'ablation-blockhammer' does not take --workers" in capsys.readouterr().err
 
     def test_accepted_options_come_from_the_runner_signature(self, monkeypatch):
         seen = {}

@@ -107,6 +107,10 @@ class TestLineECC1:
     def test_single_payload_bit_corrected(self, payload, bit):
         code = LineECC1(566)
         checks = code.encode(payload)
+        assert checks >> code.check_bits == 0
+        clean = code.correct(payload, checks)
+        assert clean.status is DecodeStatus.CLEAN
+        assert clean.data == payload
         result = code.correct(payload ^ (1 << bit), checks)
         assert result.status is DecodeStatus.CORRECTED
         assert result.data == payload

@@ -6,9 +6,12 @@ report, and check that none of its ``CLAIMS`` fails.
 """
 
 import functools
+import importlib
+import pkgutil
 
 import pytest
 
+import repro.experiments
 from repro.experiments import (
     SCALE_NAMES,
     failed_claims,
@@ -40,7 +43,7 @@ def smoke(name):
 
 class TestStaticTables:
     def test_table1(self, capsys):
-        table1_thresholds.report()
+        table1_thresholds.report(table1_thresholds.run())
         out = capsys.readouterr().out
         assert "139,000" in out and "4,800" in out
 
@@ -51,7 +54,7 @@ class TestStaticTables:
         assert "DDR4-3200" in out and "66.1" in out
 
     def test_table5(self, capsys):
-        table5_storage.report()
+        table5_storage.report(table5_storage.run())
         out = capsys.readouterr().out
         assert "14GB (2GB loss)" in out
 
@@ -202,7 +205,7 @@ class TestAnalysisSections:
         rows, empirical = smoke("sec7e")
         assert rows[0][1].expected_years_to_escape > 1000
         assert 0.2 * 2 ** -8 < empirical[0].measured_rate < 5 * 2 ** -8
-        sec7e_mac_escape.report(rows, empirical)
+        sec7e_mac_escape.report((rows, empirical))
         assert "escape" in capsys.readouterr().out.lower()
 
 
@@ -216,12 +219,14 @@ class TestClaims:
 
     def test_every_runner_has_claims_and_every_module_three_scales(self):
         assert set(CLAIMS) == set(EXPERIMENTS.values())
-        modules = (
-            fig1b_attacks, fig1c_detection, fig6_reliability_secded,
-            fig10_reliability_chipkill, perf_figures, sec4b_birthday,
-            sec4c_column_recovery, sec7_security, sec7e_mac_escape,
-            table1_thresholds, table2_table3_config, table4_resiliency,
-            table5_storage,
-        )
-        for module in modules:
-            assert tuple(module.SCALES) == SCALE_NAMES, module.__name__
+        registered = {id(claims) for claims in CLAIMS.values()}
+        for info in pkgutil.iter_modules(repro.experiments.__path__):
+            if info.name in ("reporting", "runner"):
+                continue
+            module = importlib.import_module(f"repro.experiments.{info.name}")
+            assert tuple(module.SCALES) == SCALE_NAMES, info.name
+            # A module hosting several artifacts keys its claims by artifact.
+            claims = module.CLAIMS
+            per_artifact = claims and all(isinstance(c, dict) for c in claims.values())
+            for artifact_claims in claims.values() if per_artifact else [claims]:
+                assert id(artifact_claims) in registered, f"no runner runs {info.name}"

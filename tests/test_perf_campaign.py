@@ -23,6 +23,7 @@ import os
 
 import pytest
 
+from repro.campaign import summarize_index
 from repro.cpu.system import SystemResult
 from repro.cpu.workloads import profile
 from repro.perf.campaign import (
@@ -205,6 +206,9 @@ def test_changed_scale_misses_cache(tmp_path):
         progress=stats.append,
     )
     assert stats[-1].cells_from_cache == 0
+    # The index counts each size's cells apart.
+    summary = summarize_index(cache)["perf"]
+    assert summary["completed"] == summary["cells"] == 2 * stats[-1].cells_total
 
 
 # -- fingerprints and grid planning ----------------------------------------------

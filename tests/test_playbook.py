@@ -516,6 +516,9 @@ class TestRun:
         assert snaps[-1].items_from_store == 5
         summary = summarize_index(str(tmp_path))
         assert summary["playbook"]["completed"] == len(cells)
+        # The index counts a run at another size apart.
+        pb.run_playbook(cells, pb.PlaybookConfig(budget=7_000), cache_dir=str(tmp_path))
+        assert summarize_index(str(tmp_path))["playbook"]["completed"] == 2 * len(cells)
 
     def test_spec_change_invalidates_the_fingerprint(self, tmp_path):
         extra = {"name": "custom", "victims": [0], "phases": [{"rows": [-1, 1]}]}

@@ -32,6 +32,7 @@ from repro.core.pipeline import AccessContext, MacStage, MemoryController
 from repro.core.types import ReadResult, ReadStatus
 from repro.ecc.chipkill import ChipkillCode, ChipkillStatus
 from repro.ecc.hamming import DecodeStatus
+from repro.ecc.parity import X8_CHIP_BITS, chip_parity, chip_repair, chip_syndrome
 from repro.ecc.secded import WordSECDEDLine
 from repro.utils.bits import extract_chip_bits, insert_chip_bits, int_to_bytes
 
@@ -186,17 +187,11 @@ class SynergyStyleMAC(MemoryController):
         self.mac = MacStage(self.config.key, self.MAC_BITS, self.events)
         self._parity_region: Dict[int, int] = {}
 
-    def _chip_parity(self, line: int, mac: int) -> int:
-        parity = mac
-        for chip in range(self.N_CHIPS):
-            parity ^= extract_chip_bits(line, chip, 8, self.N_CHIPS)
-        return parity
-
     def _encode(self, address: int, line: int, data: bytes) -> Tuple[int, int]:
         return line, self.mac.compute(data, address)
 
     def _post_write(self, address: int, line: int, meta: int, data: bytes) -> None:
-        self._parity_region[address] = self._chip_parity(line, meta)
+        self._parity_region[address] = chip_parity(line, meta, X8_CHIP_BITS)
 
     def _read_path(
         self, ctx: AccessContext, address: int, raw: int, meta: int
@@ -215,24 +210,17 @@ class SynergyStyleMAC(MemoryController):
     ) -> ReadResult:
         parity = self._parity_region.get(address, 0)
         ctx.extra_memory_accesses = 1  # parity fetch
-        # Candidate chips: 8 data chips then the MAC chip.
-        for chip in range(self.N_CHIPS + 1):
-            self._iterate(ctx, chip)
-            if chip < self.N_CHIPS:
-                others = parity ^ mac
-                for c in range(self.N_CHIPS):
-                    if c != chip:
-                        others ^= extract_chip_bits(raw, c, 8, self.N_CHIPS)
-                repaired = insert_chip_bits(raw, chip, others, 8, self.N_CHIPS)
-                repaired_mac = mac
-            else:
-                repaired = raw
-                repaired_mac = parity
-                for c in range(self.N_CHIPS):
-                    repaired_mac ^= extract_chip_bits(raw, c, 8, self.N_CHIPS)
-            if self.mac.matches(ctx, repaired, address, repaired_mac):
-                return self._result(ctx, repaired, ReadStatus.CORRECTED_CHIP, chip)
-        return self._due(ctx, raw)
+        # Candidate chips: 8 data chips then the MAC chip, all from one
+        # parity syndrome.
+        syndrome = chip_syndrome(raw, mac, parity, X8_CHIP_BITS)
+        hit = self._correction_search(
+            ctx, self.mac, range(self.N_CHIPS + 1),
+            lambda chip: chip_repair(raw, mac, chip, syndrome, X8_CHIP_BITS),
+        )
+        if hit is None:
+            return self._due(ctx, raw)
+        chip, repaired, _ = hit
+        return self._result(ctx, repaired, ReadStatus.CORRECTED_CHIP, chip)
 
     def inject_chip_failure(self, address: int, chip: int, error_mask64: int) -> None:
         """Corrupt one x8 chip's 64-bit per-line contribution (0..7), or

@@ -11,8 +11,8 @@ Read path:
 
 - *Iterative correction* (Section V-B, Figure 9a): verify the MAC of the
   raw data; on mismatch, iterate over the 17 non-parity chips, replacing
-  each candidate's contribution with its parity-based reconstruction and
-  re-checking the MAC. A match repairs the line; exhausting all
+  each candidate's contribution with its reconstruction from the parity
+  syndrome and re-checking the MAC. A match repairs the line; exhausting all
   candidates raises a DUE.
 - *Eager correction* (Section V-D, Figure 9b, the default): once a failed
   chip is known, skip the pre-correction MAC check — which under a
@@ -26,8 +26,9 @@ Read path:
 
 The controller is a composition on the :mod:`repro.core.pipeline` base:
 the two ECC chips are a declarative :class:`FieldLayout`, the MAC is a
-:class:`MacStage`, and the Section V-D failed-chip memory is a
-:class:`ChipHistory`.
+:class:`MacStage`, the Section V-D failed-chip memory is a
+:class:`ChipHistory`, and both corrections are the pipeline's correction
+search.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.core.pipeline import (
 )
 from repro.core.spare import SpareLineBuffer
 from repro.core.types import AccessCosts, ReadResult, ReadStatus
-from repro.ecc.parity import N_X4_DATA_CHIPS, chip_parity, recover_chip
+from repro.ecc.parity import N_X4_DATA_CHIPS, chip_parity, chip_repair, chip_syndrome
 from repro.utils.bits import extract_chip_bits, int_to_bytes
 
 #: Chip indices: 0..15 data, 16 MAC, 17 parity.
@@ -87,9 +88,31 @@ class SafeGuardChipkill(MemoryController):
     ) -> ReadResult:
         fields = self.meta_layout.unpack(meta)
         mac, parity = fields["mac"], fields["parity"]
-        if self.config.eager_correction and self.chips.eager_ready:
-            return self._read_eager(ctx, address, raw, mac, parity)
-        return self._read_iterative(ctx, address, raw, mac, parity)
+        # Eager correction (Figure 9b) skips the pre-correction check: the
+        # search starts with the known chip, so its reconstruction gets the
+        # only MAC check a read of the known failure pays.
+        eager = self.config.eager_correction and self.chips.eager_ready
+        if not eager and self.mac.matches(ctx, raw, address, mac):
+            return self._result(ctx, raw, ReadStatus.CLEAN)
+        known = self.chips.known
+        syndrome = chip_syndrome(raw, mac, parity)
+        hit = self._correction_search(
+            ctx, self.mac, self.chips.candidates(),
+            lambda chip: chip_repair(raw, mac, chip, syndrome),
+        )
+        if hit is None:
+            return self._due(ctx, raw)
+        chip, repaired_line, repaired_mac = hit
+        if eager and chip == known and repaired_line == raw and repaired_mac == mac:
+            # No fault was present; eager reconstruction is a no-op.
+            self.chips.reset()
+            return self._result(ctx, raw, ReadStatus.CLEAN)
+        if self.chips.note_repair(chip):
+            # Interchanging chip failures: not a pattern Chipkill is
+            # expected to repair — declare a DUE (Section V-D).
+            return self._due(ctx, raw)
+        self._maybe_spare(address, raw, repaired_line)
+        return self._result(ctx, repaired_line, ReadStatus.CORRECTED_CHIP, chip)
 
     def _clean_read(self, ctx, address, stored):
         # Eager mode reconstructs the remembered chip even on fault-free
@@ -99,55 +122,6 @@ class SafeGuardChipkill(MemoryController):
         # Iterative path on a pristine line: the first MAC check matches.
         self.mac.assume_match(ctx)
         return self._result(ctx, stored.data, ReadStatus.CLEAN)
-
-    def _read_iterative(
-        self, ctx: AccessContext, address: int, raw: int, mac: int, parity: int
-    ) -> ReadResult:
-        if self.mac.matches(ctx, raw, address, mac):
-            return self._result(ctx, raw, ReadStatus.CLEAN)
-        return self._search(ctx, address, raw, mac, parity)
-
-    def _read_eager(
-        self, ctx: AccessContext, address: int, raw: int, mac: int, parity: int
-    ) -> ReadResult:
-        # Skip the pre-correction check: reconstruct the known chip, then
-        # perform the *only* MAC check on the repaired line (Figure 9b).
-        chip = self.chips.known
-        repaired_line, repaired_mac = recover_chip(raw, mac, parity, chip)
-        self._iterate(ctx, chip)
-        if self.mac.matches(ctx, repaired_line, address, repaired_mac):
-            if repaired_line == raw and repaired_mac == mac:
-                # No fault was present; eager reconstruction is a no-op.
-                self.chips.reset()
-                return self._result(ctx, raw, ReadStatus.CLEAN)
-            self.chips.ping_pong = 0
-            self._maybe_spare(address, raw, repaired_line)
-            return self._result(ctx, repaired_line, ReadStatus.CORRECTED_CHIP, chip)
-        # A different chip must be at fault: fall back to the full search.
-        return self._search(ctx, address, raw, mac, parity, exclude=chip)
-
-    def _search(
-        self,
-        ctx: AccessContext,
-        address: int,
-        raw: int,
-        mac: int,
-        parity: int,
-        exclude: Optional[int] = None,
-    ) -> ReadResult:
-        for chip in self.chips.candidates(exclude):
-            self._iterate(ctx, chip)
-            repaired_line, repaired_mac = recover_chip(raw, mac, parity, chip)
-            if not self.mac.matches(ctx, repaired_line, address, repaired_mac):
-                continue
-            # Found the faulty chip.
-            if self.chips.note_repair(chip):
-                # Interchanging chip failures: not a pattern Chipkill is
-                # expected to repair — declare a DUE (Section V-D).
-                return self._due(ctx, raw)
-            self._maybe_spare(address, raw, repaired_line)
-            return self._result(ctx, repaired_line, ReadStatus.CORRECTED_CHIP, chip)
-        return self._due(ctx, raw)
 
     # -- helpers -----------------------------------------------------------------
 

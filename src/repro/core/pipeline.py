@@ -20,6 +20,10 @@ declarative composition:
 - :class:`MacStage` — a MAC with automatic per-access accounting: every
   verification increments the access context and emits a ``MAC_CHECK``
   event.
+- :meth:`MemoryController._correction_search` — the one correction
+  search (Section IV-C's pins, Section V-B's chips, Synergy's chips):
+  the first candidate repair whose MAC verifies, with the remembered
+  candidate checked alone and the rest MACed in one batch.
 - :class:`ColumnHistory` / :class:`ChipHistory` — correction-search state
   machines (Section IV-C column memory with the eager shortcut;
   Section V-D known-failed-chip memory with the ping-pong bound).
@@ -37,7 +41,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.backend import MemoryBackend
 from repro.core.config import SafeGuardConfig
@@ -193,10 +197,30 @@ class MacStage:
     def matches_bytes(
         self, ctx: AccessContext, data: bytes, address: int, stored_mac: int
     ) -> bool:
+        return self.check(ctx, self._mac.compute(data, address), stored_mac)
+
+    def check(self, ctx: AccessContext, computed: int, stored_mac: int) -> bool:
+        """Bill one verification of an already computed MAC."""
         ctx.mac_checks += 1
-        ok = self._mac.compute(data, address) == (stored_mac & self.mask)
+        ok = computed == (stored_mac & self.mask)
         self._log.emit(AccessEventKind.MAC_CHECK, ctx.address, detail=int(ok))
         return ok
+
+    def compute_lines(self, lines: Sequence[int], address: int) -> Iterator[int]:
+        """The MACs of 512-bit ``lines`` stored at ``address``, in order.
+
+        Enough lines to pay for the numpy kernel go through one
+        :meth:`LineMAC.compute_batch`; fewer are MACed one at a time as
+        the caller consumes them, so a search that stops at its match
+        skips the rest.
+        """
+        if not self._mac.vectorizes(len(lines)):
+            return (self._mac.compute(int_to_bytes(line), address) for line in lines)
+        return iter(
+            self._mac.compute_batch(
+                [int_to_bytes(line) for line in lines], [address] * len(lines)
+            )
+        )
 
     def assume_match(self, ctx: AccessContext) -> None:
         """Bill a MAC check whose success is certain without computing it.
@@ -265,14 +289,12 @@ class ChipHistory:
     def eager_ready(self) -> bool:
         return self.known is not None
 
-    def candidates(self, exclude: Optional[int] = None) -> List[int]:
-        order: List[int] = []
-        if self.known is not None and self.known != exclude:
-            order.append(self.known)
-        for chip in range(self.n_candidates):
-            if chip != exclude and chip not in order:
-                order.append(chip)
-        return order
+    def candidates(self) -> List[int]:
+        """All chips, known-failed first (Section V-D)."""
+        if self.known is None:
+            return list(range(self.n_candidates))
+        rest = [c for c in range(self.n_candidates) if c != self.known]
+        return [self.known] + rest
 
     def note_repair(self, chip: int) -> bool:
         """Record a successful repair; True if the ping-pong bound tripped
@@ -454,6 +476,38 @@ class MemoryController:
         self.events.emit(
             AccessEventKind.SEARCH_ITERATION, ctx.address, detail=candidate
         )
+
+    def _correction_search(
+        self,
+        ctx: AccessContext,
+        mac: MacStage,
+        order: Sequence[int],
+        repair: Callable[[int], Tuple[int, int]],
+    ) -> Optional[Tuple[int, int, int]]:
+        """The first candidate in ``order`` whose repair the MAC verifies.
+
+        ``repair(c)`` is candidate ``c``'s repaired line and the MAC it
+        must match. The first candidate (the remembered pin or chip, when
+        there is one) is checked alone; if it misses, the rest are MACed
+        together (:meth:`MacStage.compute_lines`) and walked in order.
+        Every candidate tried bills one iteration and one MAC check, and
+        the walk stops at the first match, so costs and events are those
+        of trying the candidates one by one. Returns ``(candidate, line,
+        mac)`` of the match, or None when every candidate misses.
+        """
+        address = ctx.address
+        first, rest = order[0], order[1:]
+        self._iterate(ctx, first)
+        line, stored = repair(first)
+        if mac.matches(ctx, line, address, stored):
+            return first, line, stored
+        repairs = [repair(candidate) for candidate in rest]
+        computed = mac.compute_lines([line for line, _ in repairs], address)
+        for candidate, (line, stored), value in zip(rest, repairs, computed):
+            self._iterate(ctx, candidate)
+            if mac.check(ctx, value, stored):
+                return candidate, line, stored
+        return None
 
     def _costs(self, ctx: AccessContext) -> AccessCosts:
         latency = ctx.mac_checks * self.config.mac_latency_cycles

@@ -16,10 +16,10 @@ Read path with column parity (Section IV-C):
    check, the design's only recurring latency);
 2. on mismatch, attempt ECC-1 correction and re-check the MAC;
 3. on mismatch, iterate the 64 pin-column candidates: reconstruct each
-   from the column parity and accept the first reconstruction whose MAC
-   verifies (remembering the pin to short-circuit future recoveries, and
-   skipping the initial check entirely once the same pin has repaired
-   several consecutive reads);
+   from the column-parity syndrome and accept the first reconstruction
+   whose MAC verifies (remembering the pin to short-circuit future
+   recoveries, and skipping the initial check entirely once the same pin
+   has repaired several consecutive reads);
 4. otherwise signal a Detected Unrecoverable Error (DUE).
 
 Without column parity the path is the Figure 3b one: ECC-1 first, then an
@@ -27,8 +27,8 @@ unconditional MAC verification.
 
 The controller is a composition on the :mod:`repro.core.pipeline` base:
 the metadata and ECC-1 payload are declarative :class:`FieldLayout`\\ s,
-the MAC is a :class:`MacStage`, and the Section IV-C column memory is a
-:class:`ColumnHistory`.
+the MAC is a :class:`MacStage`, the Section IV-C column memory is a
+:class:`ColumnHistory`, and step 3 is the pipeline's correction search.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.core.pipeline import (
 )
 from repro.core.types import ReadResult, ReadStatus
 from repro.ecc.hamming import DecodeStatus
-from repro.ecc.parity import N_DATA_PINS, column_parity, recover_pin
+from repro.ecc.parity import N_DATA_PINS, column_parity, pin_syndrome, recover_pin
 from repro.ecc.secded import LineECC1
 from repro.utils.bits import LINE_BITS
 
@@ -164,14 +164,17 @@ class SafeGuardSECDED(MemoryController):
             )
 
         # Step 3: iterative column recovery, trying the last known failing
-        # pin first (Section IV-C).
-        for pin in self.columns.candidates():
-            self._iterate(ctx, pin)
-            repaired = recover_pin(raw, pin, parity)
-            if self.mac.matches(ctx, repaired, address, mac):
-                self.columns.note_hit(pin)
-                return self._result(ctx, repaired, ReadStatus.CORRECTED_COLUMN, pin)
-        return self._due(ctx, raw)
+        # pin first (Section IV-C). Every candidate comes from one syndrome.
+        syndrome = pin_syndrome(raw, parity)
+        hit = self._correction_search(
+            ctx, self.mac, self.columns.candidates(),
+            lambda pin: (raw ^ (syndrome << pin), mac),
+        )
+        if hit is None:
+            return self._due(ctx, raw)
+        pin, repaired, _ = hit
+        self.columns.note_hit(pin)
+        return self._result(ctx, repaired, ReadStatus.CORRECTED_COLUMN, pin)
 
     # -- fault-injection conveniences (used by tests and experiments) -------------
 

@@ -10,7 +10,8 @@ that the SafeGuard-vs-SGX ordering is robust across seeds.
 from typing import List
 
 from repro.experiments.reporting import print_banner
-from repro.perf.model import MultiSeedSummary, PerfConfig, run_comparison_multiseed
+from repro.perf.campaign import run_comparison_multiseed_parallel
+from repro.perf.model import MultiSeedSummary, PerfConfig
 from repro.perf.organizations import safeguard, sgx_style
 
 WORKLOADS = ["omnetpp", "fotonik3d", "gcc"]
@@ -38,8 +39,9 @@ def run(instructions_per_core: int, warmup_instructions: int) -> List[MultiSeedS
     config = PerfConfig(
         instructions_per_core=instructions_per_core, warmup_instructions=warmup_instructions
     )
-    summaries = run_comparison_multiseed(
-        [safeguard(8), sgx_style(8)], SEEDS, workloads=WORKLOADS, config=config
+    summaries = run_comparison_multiseed_parallel(
+        [safeguard(8), sgx_style(8)], SEEDS, workloads=WORKLOADS, config=config,
+        workers=1,
     )
     return list(summaries.values())
 

@@ -28,6 +28,20 @@ _MASK64 = (1 << 64) - 1
 #: Odd constant mixed into the address to derive per-word tweak blocks.
 _TWEAK_STRIDE = 0x9E3779B97F4A7C15
 
+#: The smallest batch :meth:`LineMAC.compute_batch` hands to the numpy
+#: kernel, whose cost is nearly flat in the batch size (27 SPECK rounds
+#: of whole-array operations a call). Measured on a 2-vCPU x86 VM, one
+#: address a batch, medians of 30 alternating rounds in each of two runs:
+#: the kernel took 0.31-0.36 ms for 8-24 lines and 0.44-0.45 ms for 63,
+#: :meth:`LineMAC.compute` 29-36 us a line, so a whole batch breaks even
+#: at 10-12 lines. Under Row-Hammer most correction searches try every
+#: candidate (on one seed-3 ``playbook-grid`` pass, 199 of 241 Chipkill
+#: searches and all 400 column searches), so at 12 the 16 chips after the
+#: first take the kernel: that pass's Chipkill searches took 0.127 s
+#: against 0.178 s at 24 (medians of 5 alternating passes). Synergy's 8
+#: stay per-line.
+BATCH_MIN_LINES = 12
+
 
 class LineMAC:
     """Truncated per-line MAC over 64-byte lines.
@@ -83,15 +97,15 @@ class LineMAC:
     ) -> List[int]:
         """MACs of many ``(line, address)`` pairs.
 
-        Bit-exact with per-pair :meth:`compute`; on the fast path all
-        cipher invocations (tweak derivations and word encryptions) run as
-        two vectorized numpy SPECK passes.
+        Bit-exact with per-pair :meth:`compute`. Each distinct address's
+        tweaks are derived once (a correction search passes one address
+        for all its candidates). On the fast kernels, batches of at least
+        :data:`BATCH_MIN_LINES` lines run every word encryption as one
+        vectorized numpy SPECK pass; smaller ones go line by line.
         """
         if len(lines) != len(addresses):
             raise ValueError("lines and addresses must have equal length")
-        if not lines:
-            return []
-        if not self._cipher._fast:
+        if not self.vectorizes(len(lines)):
             return [
                 self.compute(line, address)
                 for line, address in zip(lines, addresses)
@@ -99,11 +113,9 @@ class LineMAC:
         for line in lines:
             if len(line) != 64:
                 raise ValueError("line must be exactly 64 bytes")
-        addr = np.array([a & _MASK64 for a in addresses], dtype=np.uint64)
-        stride = np.arange(WORDS_PER_LINE, dtype=np.uint64) * np.uint64(
-            _TWEAK_STRIDE
-        )
-        tweaks = self._cipher.encrypt_batch(addr[:, None] ^ stride)
+        distinct: Dict[int, int] = {}
+        rows = [distinct.setdefault(address, len(distinct)) for address in addresses]
+        tweaks = np.array([self._tweaks(a) for a in distinct], dtype=np.uint64)[rows]
         words = np.frombuffer(b"".join(lines), dtype="<u8").reshape(
             len(lines), WORDS_PER_LINE
         )
@@ -111,6 +123,11 @@ class LineMAC:
         mac64 = np.bitwise_xor.reduce(ciphertexts ^ tweaks, axis=1)
         mask = np.uint64(self._mask)
         return [int(m) for m in mac64 & mask]
+
+    def vectorizes(self, n_lines: int) -> bool:
+        """Whether :meth:`compute_batch` runs ``n_lines`` lines through the
+        numpy kernel rather than MACing them one by one."""
+        return self._cipher._fast and n_lines >= BATCH_MIN_LINES
 
     def verify(self, line: bytes, address: int, mac: int) -> bool:
         """True iff ``mac`` matches the line's MAC."""

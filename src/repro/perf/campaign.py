@@ -385,11 +385,14 @@ def run_comparison_multiseed_parallel(
     store=None,
     progress: Optional[ProgressCallback] = None,
 ) -> Dict[str, MultiSeedSummary]:
-    """Campaign equivalent of :func:`run_comparison_multiseed`.
+    """Repeat the comparison across trace seeds; summarize the spread.
 
-    The whole ``seeds x workloads x organizations`` grid goes to the pool
-    at once (a per-seed loop over ``run_comparison_parallel`` would
-    barrier between seeds and leave workers idle at each boundary).
+    The transaction-level simulator has chaotic sensitivity on
+    bandwidth-saturated workloads (row/bank alignment); multi-seed
+    averaging is how headline numbers should be quoted. The whole
+    ``seeds x workloads x organizations`` grid goes to the pool at once
+    (a per-seed loop over ``run_comparison_parallel`` would barrier
+    between seeds and leave workers idle at each boundary).
     """
     config = config or PerfConfig()
     cells = plan_grid(organizations, workloads, list(seeds), baseline)

@@ -136,36 +136,3 @@ class MultiSeedSummary:
             return 0.0
         mean = self.mean
         return (sum((v - mean) ** 2 for v in values) / (len(values) - 1)) ** 0.5
-
-
-def run_comparison_multiseed(
-    organizations: Sequence[PerfOrganization],
-    seeds: Sequence[int],
-    workloads: Optional[Sequence[str]] = None,
-    config: Optional[PerfConfig] = None,
-    baseline: PerfOrganization = BASELINE_ECC,
-) -> Dict[str, MultiSeedSummary]:
-    """Repeat the comparison across trace seeds; summarize the spread.
-
-    The transaction-level simulator has chaotic sensitivity on
-    bandwidth-saturated workloads (row/bank alignment); multi-seed
-    averaging is how headline numbers should be quoted.
-    """
-    config = config or PerfConfig()
-    per_org: Dict[str, List[float]] = {org.name: [] for org in organizations}
-    for seed in seeds:
-        seed_config = PerfConfig(
-            n_cores=config.n_cores,
-            instructions_per_core=config.instructions_per_core,
-            warmup_instructions=config.warmup_instructions,
-            seed=seed,
-            engine=config.engine,
-        )
-        results = run_comparison(
-            organizations, workloads=workloads, config=seed_config, baseline=baseline
-        )
-        for org in organizations:
-            per_org[org.name].append(geomean_slowdown_percent(results, org.name))
-    return {
-        name: MultiSeedSummary(name, values) for name, values in per_org.items()
-    }

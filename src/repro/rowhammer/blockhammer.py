@@ -20,7 +20,7 @@ The paper's two criticisms are both measurable here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.rowhammer.mitigations import Mitigation
 from repro.utils.rng import derive_seed
@@ -46,11 +46,18 @@ class CountingBloomFilter:
         self.n_hashes = n_hashes
         self._counters = [0] * n_counters
         self._salts = [derive_seed(seed, 0xB10, i) for i in range(n_hashes)]
+        #: Row -> its counter positions. The salts never change, so the
+        #: memo outlives :meth:`clear`; the bank's rows bound its size.
+        self._memo: Dict[int, List[int]] = {}
 
     def _positions(self, row: int) -> List[int]:
-        return [
-            (derive_seed(salt, row) % self.n_counters) for salt in self._salts
-        ]
+        positions = self._memo.get(row)
+        if positions is None:
+            positions = [
+                (derive_seed(salt, row) % self.n_counters) for salt in self._salts
+            ]
+            self._memo[row] = positions
+        return positions
 
     def insert(self, row: int) -> None:
         for pos in self._positions(row):

@@ -81,6 +81,16 @@ class DisturbanceModel:
         self.flipped: Dict[int, Set[int]] = {}
         self._weak_cells: Dict[int, List[int]] = {}
         self._rng = random.Random(derive_seed(self.config.seed, 0xBEEF))
+        cfg = self.config
+        #: ``(distance, coupling)`` out to the blast radius.
+        self._couplings = [
+            (
+                distance,
+                cfg.coupling_d1 if distance == 1
+                else cfg.coupling_d2 / (4 ** (distance - 2)),
+            )
+            for distance in range(1, cfg.blast_radius + 1)
+        ]
         self.activations = 0
         self.mitigation_refreshes = 0
 
@@ -128,17 +138,19 @@ class DisturbanceModel:
         self.flipped.pop(row, None)
 
     def _disturb_neighbors(self, row: int) -> List[Tuple[int, List[int]]]:
-        cfg = self.config
+        n_rows = self.config.n_rows
+        threshold = self.config.rh_threshold
+        disturbance = self._disturbance
         new_flips: List[Tuple[int, List[int]]] = []
-        for distance in range(1, cfg.blast_radius + 1):
-            coupling = cfg.coupling_d1 if distance == 1 else (
-                cfg.coupling_d2 / (4 ** (distance - 2))
-            )
+        for distance, coupling in self._couplings:
             for victim in (row - distance, row + distance):
-                if not 0 <= victim < cfg.n_rows:
+                if not 0 <= victim < n_rows:
                     continue
-                level = self._disturbance.get(victim, 0.0) + coupling
-                self._disturbance[victim] = level
+                level = disturbance.get(victim, 0.0) + coupling
+                disturbance[victim] = level
+                # Below the threshold nothing flips (no threshold crossed).
+                if level < threshold:
+                    continue
                 flips = self._maybe_flip(victim, level)
                 if flips:
                     new_flips.append((victim, flips))

@@ -34,7 +34,7 @@ from repro.ecc.chipkill import ChipkillCode
 from repro.ecc.hamming import HammingSEC, HammingSECDED
 from repro.ecc.parity import N_DATA_PINS, column_parity, recover_pin
 from repro.ecc.secded import LineECC1, WordSECDEDLine
-from repro.mac.linemac import LineMAC
+from repro.mac.linemac import BATCH_MIN_LINES, LineMAC
 from repro.mac.speck import Speck64
 from repro.switches import KERNELS
 
@@ -282,12 +282,19 @@ def test_chipkill_batch_matches_scalar(rng):
 
 
 def test_linemac_batch_matches_scalar(rng):
+    # Sizes on both sides of the per-line/numpy crossover; addresses all
+    # distinct, all one (a correction search's batch) and a few repeated.
     for mac in (FAST["mac"], REF["mac"]):
-        lines = [rng.getrandbits(512).to_bytes(64, "little") for _ in range(33)]
-        addresses = [64 * i for i in range(33)]
-        assert mac.compute_batch(lines, addresses) == [
-            mac.compute(line, a) for line, a in zip(lines, addresses)
-        ]
+        for n in (1, BATCH_MIN_LINES - 1, BATCH_MIN_LINES, 33):
+            lines = [rng.getrandbits(512).to_bytes(64, "little") for _ in range(n)]
+            for addresses in (
+                [64 * i for i in range(n)],
+                [0x1C0] * n,
+                [64 * rng.randrange(3) for _ in range(n)],
+            ):
+                assert mac.compute_batch(lines, addresses) == [
+                    mac.compute(line, a) for line, a in zip(lines, addresses)
+                ]
 
 
 # -- access_many vs scalar read --------------------------------------------------

@@ -42,7 +42,6 @@ from repro.perf.model import (
     geomean_normalized,
     geomean_slowdown_percent,
     run_comparison,
-    run_comparison_multiseed,
     run_workload,
 )
 from repro.perf.organizations import (
@@ -52,6 +51,7 @@ from repro.perf.organizations import (
     sgx_style,
 )
 from repro.switches import SCHEDULER, WORKERS
+from tests.oracles import run_comparison_multiseed
 
 #: Small but mechanism-covering scale (prefetch trains, LLC churn,
 #: posted-write drains all fire) so the grid sweeps stay fast.

@@ -13,11 +13,8 @@ from repro.cpu.tracefile import (
     write_trace,
 )
 from repro.cpu.workloads import profile
-from repro.perf.model import (
-    MultiSeedSummary,
-    PerfConfig,
-    run_comparison_multiseed,
-)
+from repro.perf.campaign import run_comparison_multiseed_parallel
+from repro.perf.model import MultiSeedSummary, PerfConfig
 from repro.perf.organizations import BASELINE_ECC, safeguard
 
 OPS = [
@@ -126,8 +123,9 @@ class TestMultiSeed:
         config = PerfConfig(
             n_cores=2, instructions_per_core=15_000, warmup_instructions=3_000
         )
-        summaries = run_comparison_multiseed(
-            [safeguard(8)], seeds=(0, 1), workloads=["omnetpp"], config=config
+        summaries = run_comparison_multiseed_parallel(
+            [safeguard(8)], seeds=(0, 1), workloads=["omnetpp"], config=config,
+            workers=1,
         )
         summary = summaries[safeguard(8).name]
         assert len(summary.per_seed_slowdown_percent) == 2

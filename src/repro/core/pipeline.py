@@ -186,13 +186,23 @@ class MacStage:
         self.mask = (1 << bits) - 1
         self._mac = LineMAC(key, bits)
         self._log = log
+        #: ``(line, address, mac)`` of the last line :meth:`matches` MACed. A
+        #: chip search's MAC-chip candidate is the raw line the failed
+        #: pre-correction check just MACed (only the MAC it must match
+        #: differs), so :meth:`compute_lines` reuses it. Keyed on the
+        #: content, it is never stale.
+        self._last: Tuple[int, int, int] = (-1, -1, 0)
 
     def compute(self, data: bytes, address: int) -> int:
         return self._mac.compute(data, address)
 
     def matches(self, ctx: AccessContext, line: int, address: int, stored_mac: int) -> bool:
         """Verify a line held as a 512-bit integer against a stored MAC."""
-        return self.matches_bytes(ctx, int_to_bytes(line), address, stored_mac)
+        last_line, last_address, computed = self._last
+        if line != last_line or address != last_address:
+            computed = self._mac.compute(int_to_bytes(line), address)
+            self._last = (line, address, computed)
+        return self.check(ctx, computed, stored_mac)
 
     def matches_bytes(
         self, ctx: AccessContext, data: bytes, address: int, stored_mac: int
@@ -209,18 +219,28 @@ class MacStage:
     def compute_lines(self, lines: Sequence[int], address: int) -> Iterator[int]:
         """The MACs of 512-bit ``lines`` stored at ``address``, in order.
 
-        Enough lines to pay for the numpy kernel go through one
-        :meth:`LineMAC.compute_batch`; fewer are MACed one at a time as
-        the caller consumes them, so a search that stops at its match
+        A line :meth:`matches` last MACed at ``address`` is not MACed
+        again. Enough other lines to pay for the numpy kernel go through
+        one :meth:`LineMAC.compute_batch`; fewer are MACed one at a time
+        as the caller consumes them, so a search that stops at its match
         skips the rest.
         """
-        if not self._mac.vectorizes(len(lines)):
-            return (self._mac.compute(int_to_bytes(line), address) for line in lines)
-        return iter(
+        last_line, last_address, last_mac = self._last
+        known = last_line if last_address == address else -1
+        fresh = [line for line in lines if line != known]
+        if not self._mac.vectorizes(len(fresh)):
+            return (
+                last_mac
+                if line == known
+                else self._mac.compute(int_to_bytes(line), address)
+                for line in lines
+            )
+        computed = iter(
             self._mac.compute_batch(
-                [int_to_bytes(line) for line in lines], [address] * len(lines)
+                [int_to_bytes(line) for line in fresh], [address] * len(fresh)
             )
         )
+        return iter([last_mac if line == known else next(computed) for line in lines])
 
     def assume_match(self, ctx: AccessContext) -> None:
         """Bill a MAC check whose success is certain without computing it.
@@ -499,7 +519,9 @@ class MemoryController:
         first, rest = order[0], order[1:]
         self._iterate(ctx, first)
         line, stored = repair(first)
-        if mac.matches(ctx, line, address, stored):
+        # Through compute_lines, so the pre-correction check's MAC stays
+        # the one remembered for the rest.
+        if mac.check(ctx, next(mac.compute_lines([line], address)), stored):
             return first, line, stored
         repairs = [repair(candidate) for candidate in rest]
         computed = mac.compute_lines([line for line, _ in repairs], address)

@@ -16,14 +16,16 @@ first detected-uncorrectable (DUE) or silently-escaping (SDC) event.
   (SECDED, SafeGuard with/without column parity, Chipkill,
   SafeGuard-Chipkill).
 - :mod:`repro.faultsim.montecarlo` — the driver producing
-  probability-of-system-failure curves (Figures 6 and 10).
+  probability-of-system-failure curves (Figures 6 and 10), and the
+  replay of each busy module's fault stream that both engines share.
 - :mod:`repro.faultsim.parallel` — the sharded multi-process engine
   (checkpoint/resume, progress reporting) producing results
   bit-identical to the sequential driver.
 - :mod:`repro.faultsim.fastpath` — the vectorized Monte-Carlo engine
   behind the ``REPRO_FAULTSIM=fast|reference`` switch: single-fault
   modules classified by numpy table lookups over derived outcome
-  tables, multi-fault modules bit-identical to the reference loop.
+  tables, multi-fault modules replayed bit-identically to the
+  reference engine.
 """
 
 from repro.faultsim.fit import FaultMode, FAULT_MODES, total_fit, scale_fit

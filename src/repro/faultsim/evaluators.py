@@ -20,6 +20,21 @@ row/bank/...   SDC possible        DUE (MAC)               DUE
 and the Chipkill semantics of Section V: one chip corrected; two chips
 detected; three or more may escape (conventional Chipkill) whereas
 SafeGuard-Chipkill detects arbitrary corruption (always DUE, never SDC).
+
+**The no-overlap contract.** Every evaluator satisfies::
+
+    classify(existing, new) == classify([], new)
+
+whenever no fault in ``existing`` overlaps ``new`` at line granularity
+(``e.overlaps(new, line_granularity=True)`` is False for every ``e``).
+Line granularity is the coarsest any evaluator compares at, so a
+word-granularity scheme meets it too. Both Monte-Carlo engines rely on
+it: an arrival that overlaps no earlier fault of its module takes its
+clean-module outcome from a table derived by probing ``classify([], ...)``
+(:func:`repro.faultsim.montecarlo.derive_outcome_table`), and only the
+modules that table cannot decide reach ``classify`` itself. An evaluator
+whose clean-module outcome depends on position fails that derivation;
+the reference engine then classifies all its modules one by one.
 """
 
 from __future__ import annotations

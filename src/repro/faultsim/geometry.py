@@ -13,9 +13,14 @@ chip in a rank, so the line index of a column address is ``col // 8``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 from repro.core import registry
+
+#: Dimensions must be below this: the Monte-Carlo replay decodes each
+#: ``randrange`` draw from one 32-bit word, and a wider draw takes several.
+_DIMENSION_LIMIT = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,22 @@ class ModuleGeometry:
     rows: int
     cols: int  #: column addresses per row
     beats_per_line: int = 8
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            if spec.name == "name":
+                continue
+            value = operator.index(getattr(self, spec.name))
+            if not 1 <= value < _DIMENSION_LIMIT:
+                raise ValueError(
+                    f"{spec.name} must be at least 1 and below 2**32, got {value}"
+                )
+            object.__setattr__(self, spec.name, value)
+        if self.data_chips_per_rank > self.chips_per_rank:
+            raise ValueError(
+                f"data_chips_per_rank ({self.data_chips_per_rank}) exceeds "
+                f"chips_per_rank ({self.chips_per_rank})"
+            )
 
     @property
     def ecc_chips_per_rank(self) -> int:

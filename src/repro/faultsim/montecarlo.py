@@ -19,18 +19,30 @@ Determinism contract (relied on by the parallel engine):
 - per-module fault *counts* come from one batched Poisson draw seeded
   with ``derive_seed(seed, 0xFA017)`` — :func:`draw_fault_counts`;
 - each busy module's faults are generated from its own
-  ``random.Random(derive_seed(seed, 0x51A7, module_index))`` stream.
+  ``random.Random(derive_seed(seed, 0x51A7, module_index))`` stream:
+  every fault time (``uniform(0, lifetime)``, sorted), then per arrival
+  one ``random()`` for its (mode, transient) category,
+  ``randrange(chips_per_rank)`` and :func:`place_fault`'s five
+  ``randrange`` draws.
 
 A shard covering global module indices ``[lo, hi)`` therefore reproduces
-exactly the modules the sequential loop would have simulated, and merging
+exactly the modules the sequential run would have simulated, and merging
 shard results (:meth:`ReliabilityResult.merge`) reconstructs the
 sequential output bit-for-bit.
 
-The scalar loop here is the *reference* engine (and the default); the
-vectorized fast engine in :mod:`repro.faultsim.fastpath` — selected per
-config or via ``REPRO_FAULTSIM=fast`` — classifies single-fault modules
-with derived outcome tables and falls back to this loop for multi-fault
-modules.
+The engines never interleave those draws with classification. They
+*replay* the streams (:func:`replay_modules`): each busy module's stream
+is fetched as one block of 32-bit words, every module's fault times,
+categories, chips and coordinates are decoded at once in numpy, and each
+arrival that overlaps no earlier fault of its module takes its outcome
+from the derived clean-module table (:func:`derive_outcome_table`; the
+no-overlap contract of :mod:`repro.faultsim.evaluators`). Only the
+modules that table cannot decide run the evaluator loop,
+:func:`_simulate_module`, on their decoded faults. The reference engine
+(:func:`simulate_range`, the default) replays every busy module; the
+fast engine of :mod:`repro.faultsim.fastpath` — selected per config or
+via ``REPRO_FAULTSIM=fast`` — draws single-fault modules from counter
+streams and replays the multi-fault ones.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ import base64
 import bisect
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +61,7 @@ from repro.faultsim.fit import FAULT_MODES, FaultMode, Scope
 from repro.faultsim.geometry import ModuleGeometry
 from repro.switches import FAULTSIM
 from repro.utils import units
-from repro.utils.rng import derive_seed
+from repro.utils.rng import child_seeds, derive_seed
 
 
 @dataclass
@@ -68,9 +80,9 @@ class MonteCarloConfig:
     modes: Sequence[FaultMode] = field(default_factory=lambda: list(FAULT_MODES))
     #: Evaluation grid resolution in months.
     grid_months: int = 6
-    #: Monte-Carlo engine: ``"reference"`` (the scalar loop, bit-identical
-    #: to PR 1) or ``"fast"`` (the vectorized single-fault path of
-    #: :mod:`repro.faultsim.fastpath`). None defers to the
+    #: Monte-Carlo engine: ``"reference"`` (every busy module replayed
+    #: from its own stream) or ``"fast"`` (the vectorized single-fault
+    #: path of :mod:`repro.faultsim.fastpath`). None defers to the
     #: :data:`repro.switches.FAULTSIM` switch (``REPRO_FAULTSIM``). Unlike
     #: the worker and shard counts of
     #: :func:`repro.faultsim.parallel.simulate_parallel` this *does*
@@ -110,7 +122,7 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class FailureRecord:
-    """One module's first failure, as the scalar fault loop reports it."""
+    """One module's first failure, as the evaluator loop reports it."""
 
     time_hours: float
     outcome: Outcome
@@ -376,41 +388,364 @@ def _mode_categories(
         if mode.permanent_fit > 0:
             categories.append((mode, False))
             weights.append(mode.permanent_fit)
+    if not categories:
+        raise ValueError("faults arrived but no fault mode has a positive FIT")
     cumulative = np.cumsum(np.asarray(weights, dtype=float))
     cumulative /= cumulative[-1]
     return categories, cumulative
 
 
-def _simulate_module(
+# -- derived outcome tables ------------------------------------------------------
+
+#: Placements probed per table cell; a clean-module outcome that varies
+#: with position would make the table lookup unsound, so disagreement
+#: raises instead of silently mis-classifying.
+_PROBES_PER_CELL = 3
+
+
+def derive_outcome_table(
     evaluator,
     geometry: ModuleGeometry,
-    config: MonteCarloConfig,
-    module_index: int,
-    n_faults: int,
-    categories: List[Tuple[FaultMode, bool]],
-    cumulative: np.ndarray,
-    total_hours: float,
-) -> Optional[FailureRecord]:
-    """One busy module's scalar fault loop; its first failure or None.
+    categories: Sequence[Tuple[FaultMode, bool]],
+) -> np.ndarray:
+    """Clean-module outcome codes, derived by probing the evaluator.
 
-    The reference engine's inner body, shared verbatim by the fast
-    engine's multi-fault fallback so the two stay bit-identical there.
-    The RNG consumption order (times, then per-arrival mode/chip/
-    placement) is part of the determinism contract — do not reorder.
+    Returns a ``(len(categories), 2)`` uint8 array of
+    :data:`OUTCOME_CODES` indexed by ``[category, is_ecc_chip]``. The
+    evaluator is the single source of truth: each cell is
+    ``evaluator.classify([], fault)`` for a fault of that category placed
+    on a data (resp. ECC) chip. Several random placements are probed per
+    cell and must agree — the clean-module outcome contract is
+    *(scope, is-ECC-chip)* only. Under the no-overlap contract of
+    :mod:`repro.faultsim.evaluators` the cell is also the outcome of any
+    arrival that overlaps no fault already present.
     """
-    rng = random.Random(derive_seed(config.seed, 0x51A7, module_index))
-    times = sorted(rng.uniform(0.0, total_hours) for _ in range(n_faults))
+    probe_rng = random.Random(0xDE81)
+    data_chip = 0
+    ecc_chip = (
+        geometry.data_chips_per_rank
+        if geometry.ecc_chips_per_rank > 0
+        else data_chip
+    )
+    table = np.zeros((len(categories), 2), dtype=np.uint8)
+    for index, (mode, transient) in enumerate(categories):
+        for is_ecc, chip in ((0, data_chip), (1, ecc_chip)):
+            outcomes = {
+                evaluator.classify(
+                    [],
+                    place_fault(mode.scope, transient, 0.0, chip, geometry, probe_rng),
+                )
+                for _ in range(_PROBES_PER_CELL)
+            }
+            if len(outcomes) != 1:
+                raise ValueError(
+                    f"{type(evaluator).__name__} clean-module outcome for "
+                    f"scope={mode.scope.value} is_ecc={bool(is_ecc)} is "
+                    f"position-dependent ({sorted(o.value for o in outcomes)}); "
+                    "the vectorized engine cannot table-classify it"
+                )
+            table[index, is_ecc] = OUTCOME_CODES[outcomes.pop()]
+    return table
+
+
+# -- the per-module streams, replayed --------------------------------------------
+
+#: Salt of the per-module streams: ``derive_seed(seed, 0x51A7, index)``.
+MODULE_STREAM_SALT = 0x51A7
+
+#: A module's first block holds this many 32-bit words per fault, plus
+#: one fault's worth. A fault takes ~16 on average: two for its time, two
+#: for its category and six ``randrange`` draws of one word per try (at
+#: most two tries on average). On the modules of a seed-3
+#: ``reliability-mc`` pass 0.17% ran short at 16 (10% at 12, none at 24)
+#: and were redrawn with twice the block; 16, 20 and 24 ran the pass
+#: within 1% of each other.
+_WORDS_PER_FAULT = 16
+
+#: Modules of one fault count decoded together. On a seed-3
+#: ``reliability-mc`` pass (CPU time, best of 8) 256 ran 12% slower than
+#: 1,024 and 2,048 ran 2% faster with twice the arrays.
+_CHUNK_MODULES = 1024
+
+#: Busy modules replayed together, so a large unsharded run holds a few
+#: megabytes of per-module arrays rather than tens.
+_WINDOW_MODULES = 1 << 16
+
+#: Words each ``randrange`` draw tests at once. A try fails with
+#: probability at most 1/2, so a window of 6 misses about once in 64
+#: draws; 4 and 8 ran a seed-3 ``reliability-mc`` pass 3-6% slower.
+_LOOKAHEAD = 6
+
+#: ``random.random()``: ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``.
+_TWO_26 = 67108864.0
+_TWO_M53 = 1.0 / 9007199254740992.0
+
+
+def _block_words(n_faults: int) -> int:
+    return _WORDS_PER_FAULT * n_faults + _WORDS_PER_FAULT
+
+
+def _draw_words(seeds: Sequence[int], n_words: int) -> np.ndarray:
+    """The first ``n_words`` 32-bit outputs of ``random.Random(s)`` per seed.
+
+    ``getrandbits(32 * n)`` fills its result from the least significant
+    word up with successive ``getrandbits(32)`` outputs, so its
+    little-endian bytes are the words in draw order. One generator is
+    re-seeded per module.
+    """
+    rng = random.Random()
+    # The C seeding under random.Random.seed: for an int it is the whole
+    # of that method but for clearing the gauss cache.
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
+    n_bits, n_bytes = 32 * n_words, 4 * n_words
+    blocks = []
+    for seed in seeds:
+        reseed(seed)
+        blocks.append(getrandbits(n_bits).to_bytes(n_bytes, "little"))
+    return np.frombuffer(b"".join(blocks), dtype="<u4").reshape(len(seeds), n_words)
+
+
+class _Replay:
+    """Decode and classify busy modules from their per-module streams.
+
+    Exact to the draw-interleaved loop that seeds one ``random.Random``
+    per module and draws, in order: every fault time
+    (``uniform(0, lifetime)``, then sorted), then per arrival one
+    ``random()`` for its category, ``randrange(chips_per_rank)`` and
+    :func:`place_fault`'s five ``randrange`` draws (rank, bank, row,
+    column, bit). Each ``randrange(n)`` is CPython's
+    ``getrandbits(n.bit_length())`` rejection loop, which for ``n < 2**32``
+    takes one word per try, shifted right by ``32 - n.bit_length()``.
+
+    An arrival that overlaps no earlier fault of its module takes its
+    clean-module outcome from the derived table (the no-overlap contract
+    of :mod:`repro.faultsim.evaluators`). A module whose first table
+    failure precedes its first overlapping arrival, or that has neither,
+    is decided without its faults ever becoming objects; the rest go
+    through :func:`_simulate_module` on their decoded faults.
+    """
+
+    def __init__(self, evaluator, geometry, config, table: Optional[np.ndarray]):
+        self.evaluator = evaluator
+        self.geometry = geometry
+        self.scrub = config.scrub_interval_hours
+        self.total_hours = config.years * units.HOURS_PER_YEAR
+        self.base_seed = np.uint64(derive_seed(config.seed, MODULE_STREAM_SALT))
+        categories, self.cumulative = _mode_categories(config)
+        self.table = table
+        self.kinds = [(mode.scope, transient) for mode, transient in categories]
+        self.scope_codes = np.array(
+            [SCOPE_CODES[scope.value] for scope, _ in self.kinds], dtype=np.uint8
+        )
+        # Each category's wildcards among (rank, bank, row, col, bit),
+        # probed from place_fault so scope semantics stay there.
+        probe = random.Random(0)
+        placed = [
+            place_fault(scope, transient, 0.0, 0, geometry, probe)
+            for scope, transient in self.kinds
+        ]
+        self.wild = np.array(
+            [[v is None for v in (f.rank, f.bank, f.row, f.col, f.bit)] for f in placed]
+        )
+        # The six randrange draws per arrival: chip, then place_fault's.
+        sizes = (
+            geometry.chips_per_rank,
+            geometry.ranks,
+            geometry.banks,
+            geometry.rows,
+            geometry.cols,
+            geometry.bits_per_chip,
+        )
+        self.dims = [(size, 32 - size.bit_length()) for size in sizes]
+        self.shifts = np.array([shift for _, shift in self.dims])[:, None]
+
+    def run(self, modules: np.ndarray, counts: np.ndarray) -> FailureColumns:
+        """Failure columns of ``modules`` (global indices, ascending) with
+        ``counts`` faults each, rows in module order."""
+        n = len(modules)
+        self.time = np.zeros(n, dtype=np.float64)
+        self.outcome = np.zeros(n, dtype=np.uint8)
+        self.scope = np.zeros(n, dtype=np.uint8)
+        self.seeds = child_seeds(self.base_seed, modules.astype(np.uint64))
+        order = np.argsort(counts, kind="stable")
+        ordered = counts[order]
+        starts = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), n]
+        # (fault count, rows, block words); modules that run short of
+        # words come back with twice the block.
+        buckets = [
+            (int(ordered[lo]), order[lo:hi], _block_words(int(ordered[lo])))
+            for lo, hi in zip(starts[:-1], starts[1:])
+        ]
+        while buckets:
+            n_faults, rows, n_words = buckets.pop()
+            short = [
+                self._chunk(rows[lo : lo + _CHUNK_MODULES], n_faults, n_words)
+                for lo in range(0, len(rows), _CHUNK_MODULES)
+            ]
+            short = np.concatenate(short)
+            if short.size:
+                buckets.append((n_faults, short, 2 * n_words))
+        failed = np.flatnonzero(self.outcome)
+        return FailureColumns(self.time[failed], self.outcome[failed], self.scope[failed])
+
+    def _chunk(self, rows: np.ndarray, n: int, n_words: int) -> np.ndarray:
+        """Decode and classify one chunk of modules with ``n`` faults each;
+        returns the rows that ran short of words, unclassified."""
+        times, category, draws, short = self.decode(
+            self.seeds[rows].tolist(), n, n_words
+        )
+        ok = ~short
+        self._classify(rows[ok], times[ok], category[ok], draws[:, ok], n)
+        return rows[short]
+
+    def decode(self, seeds: Sequence[int], n: int, n_words: int):
+        """``n`` arrivals per stream, decoded from its first ``n_words`` words.
+
+        Returns ``times`` and ``category`` as ``(module, arrival)`` arrays
+        (times sorted, categories indexing ``self.kinds``), ``draws``
+        as a ``(draw, module, arrival)`` int64 array of the six
+        ``randrange`` results (chip, rank, bank, row, col, bit), and
+        ``short``, the modules whose ``n`` arrivals need more words; their
+        rows hold nothing meaningful.
+        """
+        m = len(seeds)
+        # Padding words every draw rejects keep each read in range; a
+        # module that runs short ends past its block.
+        width = n_words + _LOOKAHEAD + 3
+        words = np.full((m, width), 0xFFFFFFFF, dtype=np.uint32)
+        words[:, :n_words] = _draw_words(seeds, n_words)
+        a = words[:, 0 : 2 * n : 2] >> 5
+        b = words[:, 1 : 2 * n : 2] >> 6
+        times = np.sort(self.total_hours * ((a * _TWO_26 + b) * _TWO_M53), axis=1)
+        # Positions are flat indices into ``words``.
+        flat = words.reshape(-1)
+        base = np.arange(m) * width
+        end = base + n_words
+        ahead = np.arange(_LOOKAHEAD)
+        pos = base + 2 * n
+        starts = np.empty((n, m), dtype=np.intp)  # each arrival's category words
+        taken = np.empty((n, len(self.dims), m), dtype=np.intp)
+        for j in range(n):
+            starts[j] = pos
+            pos = pos + 2
+            for d, (size, shift) in enumerate(self.dims):
+                taken[j, d] = q = _first_accepted(flat, pos, end, ahead, size, shift)
+                pos = q + 1
+        r = ((flat[starts] >> 5) * _TWO_26 + (flat[starts + 1] >> 6)) * _TWO_M53
+        category = np.searchsorted(self.cumulative, r.T, side="left")
+        draws = (flat[taken] >> self.shifts).transpose(1, 2, 0).astype(np.int64)
+        return times, category, draws, pos > end
+
+    def _classify(self, rows, times, category, draws, n: int) -> None:
+        """Record the first failure of each decoded module in ``rows``."""
+        m = len(rows)
+        undecided = np.ones(m, dtype=bool)
+        if self.table is not None:
+            is_ecc = (draws[0] >= self.geometry.data_chips_per_rank).astype(np.intp)
+            codes = self.table[category, is_ecc]
+            # Arrival j overlaps an earlier arrival i when rank, bank, row
+            # and line (col // 8, as FaultInstance.overlaps has it) each
+            # match or either is a wildcard.
+            wild = self.wild[category]  # (module, arrival, coordinate)
+            hit = np.triu(np.ones((n, n), dtype=bool), 1)  # [earlier, later]
+            for c, draw in enumerate(draws[1:5]):
+                key = draw // 8 if c == 3 else draw
+                w = wild[:, :, c]
+                hit = hit & (
+                    (key[:, :, None] == key[:, None, :]) | w[:, :, None] | w[:, None, :]
+                )
+            overlapped = hit.any(axis=1)  # (module, arrival)
+            first_overlap = np.where(overlapped.any(axis=1), overlapped.argmax(axis=1), n)
+            failing = codes != 0
+            first_failure = np.where(failing.any(axis=1), failing.argmax(axis=1), n)
+            undecided = (first_overlap <= first_failure) & (first_overlap < n)
+            decided = np.flatnonzero(~undecided & (first_failure < n))
+            at = first_failure[decided]
+            target = rows[decided]
+            self.time[target] = times[decided, at]
+            self.outcome[target] = codes[decided, at]
+            self.scope[target] = self.scope_codes[category[decided, at]]
+        pending = np.flatnonzero(undecided)
+        if not pending.size:
+            return
+        # The undecided modules' faults as objects: wildcards become None.
+        coords = draws[1:, pending].transpose(1, 2, 0).astype(object)
+        coords[self.wild[category[pending]]] = None
+        # Looked up per call, so instrumentation that wraps the module's
+        # _simulate_module sees every undecided module.
+        simulate_module = _simulate_module
+        kinds = self.kinds
+        for row, module_times, module_categories, chips, module_coords in zip(
+            rows[pending].tolist(),
+            times[pending].tolist(),
+            category[pending].tolist(),
+            draws[0, pending].tolist(),
+            coords.tolist(),
+        ):
+            faults = (
+                FaultInstance(*kinds[c], time_hours, chip, *xyz)
+                for time_hours, c, chip, xyz in zip(
+                    module_times, module_categories, chips, module_coords
+                )
+            )
+            record = simulate_module(self.evaluator, faults, self.scrub)
+            if record is not None:
+                self.time[row] = record.time_hours
+                self.outcome[row] = OUTCOME_CODES[record.outcome]
+                self.scope[row] = SCOPE_CODES[record.scope]
+
+
+def _first_accepted(
+    flat: np.ndarray,
+    pos: np.ndarray,
+    end: np.ndarray,
+    ahead: np.ndarray,
+    size: int,
+    shift: int,
+) -> np.ndarray:
+    """Per module, the first word at or after ``pos`` that ``randrange(size)``
+    accepts (``word >> shift < size``), or ``end`` if none is left.
+
+    Tests the ``len(ahead)`` words from ``pos`` at once; the rare module
+    whose whole window is rejected tries the next window.
+    """
+    ok = (flat[pos[:, None] + ahead] >> shift) < size
+    q = pos + ok.argmax(axis=1)
+    missed = ~ok.any(axis=1)
+    if missed.any():
+        todo = np.flatnonzero(missed)
+        start = pos[todo] + len(ahead)
+        while todo.size:
+            past = start >= end[todo]
+            q[todo[past]] = end[todo[past]]
+            todo, start = todo[~past], start[~past]
+            ok = (flat[start[:, None] + ahead] >> shift) < size
+            hit = ok.any(axis=1)
+            q[todo[hit]] = start[hit] + ok[hit].argmax(axis=1)
+            todo, start = todo[~hit], start[~hit] + len(ahead)
+    return q
+
+
+def _simulate_module(
+    evaluator,
+    faults: Iterable[FaultInstance],
+    scrub_interval_hours: Optional[float],
+) -> Optional[FailureRecord]:
+    """Classify one module's time-ordered faults; its first failure or None.
+
+    Each arrival is classified against the faults still present: with a
+    scrub interval, correctable *transient* faults older than it are
+    dropped first (FaultSim's scrubbing model).
+    """
     active: List[FaultInstance] = []
-    scrub = config.scrub_interval_hours
+    scrub = scrub_interval_hours
     # Earliest arrival among active *transient* faults (arrivals append in
     # time order, so the front transient is the oldest): the scrub filter
     # is a no-op until that one expires, so rebuild the list only then
     # instead of re-filtering on every arrival.
     oldest_transient: Optional[float] = None
-    for time_hours in times:
-        mode, transient = categories[bisect.bisect_left(cumulative, rng.random())]
-        chip = rng.randrange(geometry.chips_per_rank)
-        fault = place_fault(mode.scope, transient, time_hours, chip, geometry, rng)
+    for fault in faults:
+        time_hours = fault.time_hours
         if (
             scrub is not None
             and oldest_transient is not None
@@ -428,9 +763,40 @@ def _simulate_module(
         if outcome.is_failure:
             return FailureRecord(time_hours, outcome, fault.scope.value)
         active.append(fault)
-        if transient and oldest_transient is None:
+        if fault.transient and oldest_transient is None:
             oldest_transient = time_hours
     return None
+
+
+def replay_modules(
+    evaluator,
+    geometry: ModuleGeometry,
+    config: MonteCarloConfig,
+    fault_counts: np.ndarray,
+    lo: int,
+    busy: np.ndarray,
+    table: Optional[np.ndarray],
+) -> FailureColumns:
+    """Failure columns of the local modules ``busy`` (ascending), replayed
+    from their ``derive_seed(seed, 0x51A7, lo + i)`` streams.
+
+    ``table`` is the evaluator's :func:`derive_outcome_table` for
+    ``config``'s categories, or None to classify every module through
+    :func:`_simulate_module`. Rows are in module order.
+    """
+    if not busy.size:
+        return FailureColumns.from_records([])
+    replay = _Replay(evaluator, geometry, config, table)
+    counts = np.asarray(fault_counts)
+    return FailureColumns.concat(
+        [
+            replay.run(window + lo, counts[window])
+            for window in (
+                busy[start : start + _WINDOW_MODULES]
+                for start in range(0, len(busy), _WINDOW_MODULES)
+            )
+        ]
+    )
 
 
 def simulate_range(
@@ -446,7 +812,10 @@ def simulate_range(
     ``fault_counts`` is the slice ``draw_fault_counts(...)[lo:hi]`` (or
     the full array when simulating everything). Each module is seeded
     from its *global* index, so the union of any disjoint ranges covering
-    ``[0, n_modules)`` equals the sequential run.
+    ``[0, n_modules)`` equals the sequential run. Every busy module is
+    replayed (:func:`replay_modules`); an evaluator whose clean-module
+    outcome is position-dependent gets no table, so all its modules go
+    through :func:`_simulate_module`.
     """
     if hi is None:
         hi = lo + len(fault_counts)
@@ -454,25 +823,15 @@ def simulate_range(
         raise ValueError(
             f"fault_counts has {len(fault_counts)} entries for range [{lo}, {hi})"
         )
-    total_hours = config.years * units.HOURS_PER_YEAR
-    categories, cumulative = _mode_categories(config)
-
-    records: List[FailureRecord] = []
-    busy_modules = np.nonzero(fault_counts)[0]
-    for local_index in busy_modules:
-        record = _simulate_module(
-            evaluator,
-            geometry,
-            config,
-            lo + int(local_index),
-            int(fault_counts[local_index]),
-            categories,
-            cumulative,
-            total_hours,
-        )
-        if record is not None:
-            records.append(record)
-    return FailureColumns.from_records(records)
+    busy = np.flatnonzero(fault_counts)
+    if not busy.size:
+        return FailureColumns.from_records([])
+    categories, _ = _mode_categories(config)
+    try:
+        table: Optional[np.ndarray] = derive_outcome_table(evaluator, geometry, categories)
+    except ValueError:
+        table = None
+    return replay_modules(evaluator, geometry, config, fault_counts, lo, busy, table)
 
 
 def build_result(
@@ -533,7 +892,7 @@ def simulate(
 ) -> ReliabilityResult:
     """Run the Monte-Carlo reliability simulation for one scheme.
 
-    Dispatches to the scalar reference loop or the vectorized fast
+    Dispatches to the reference engine or the vectorized fast
     engine according to ``config.engine`` / the ``FAULTSIM`` switch (see
     :mod:`repro.faultsim.fastpath`). Both engines draw the module
     population from the same batched Poisson stream.

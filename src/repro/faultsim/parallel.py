@@ -29,9 +29,9 @@ The worker count is the ``workers`` argument, else the
 :data:`repro.switches.WORKERS` switch (``REPRO_WORKERS``), else 1
 (in-process).
 
-The engine (scalar reference loop vs. the vectorized fast path of
-:mod:`repro.faultsim.fastpath`) is resolved once per run and recorded in
-every shard's fingerprint; both engines are shard-invariant, and a
+The engine (the reference replay of every busy module vs. the
+vectorized fast path of :mod:`repro.faultsim.fastpath`) is resolved once
+per run and recorded in every shard's fingerprint; both engines are shard-invariant, and a
 resume never mixes modes.
 """
 

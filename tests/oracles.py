@@ -11,17 +11,40 @@
   in order. The controllers build every candidate from one syndrome
   and MAC the candidates after the first in one batch; their results,
   costs, events and search history must equal these.
+- :func:`simulate_module`, :func:`simulate_range`,
+  :func:`simulate_range_fast` — the Monte-Carlo engines with the
+  draw-interleaved per-module loop: each busy module seeds its own
+  ``random.Random`` and draws every fault's time, mode, chip and
+  placement as it classifies them. Both engines replay those streams
+  decoded in numpy and classify most arrivals by table; their failure
+  columns must equal these row for row.
 """
 
 from __future__ import annotations
 
+import bisect
+import random
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.baselines import SynergyStyleMAC
 from repro.core.chipkill import SafeGuardChipkill
 from repro.core.pipeline import AccessContext
 from repro.core.secded import SafeGuardSECDED
 from repro.core.types import ReadResult, ReadStatus
+from repro.faultsim.fastpath import FAST_STREAM_SALT
+from repro.faultsim.faults import FaultInstance, place_fault
+from repro.faultsim.fit import FaultMode
+from repro.faultsim.geometry import ModuleGeometry
+from repro.faultsim.montecarlo import (
+    SCOPE_CODES,
+    FailureColumns,
+    FailureRecord,
+    MonteCarloConfig,
+    _mode_categories,
+    derive_outcome_table,
+)
 from repro.perf.model import (
     MultiSeedSummary,
     PerfConfig,
@@ -29,12 +52,14 @@ from repro.perf.model import (
     run_comparison,
 )
 from repro.perf.organizations import BASELINE_ECC, PerfOrganization
+from repro.utils import units
 from repro.utils.bits import (
     extract_chip_bits,
     extract_pin_symbols,
     insert_chip_bits,
     insert_pin_symbol,
 )
+from repro.utils.rng import child_seeds, derive_seed, unit_uniforms
 
 # -- multi-seed performance comparison ------------------------------------------
 
@@ -227,3 +252,136 @@ class OracleSynergyStyleMAC(SynergyStyleMAC):
             if self.mac.matches(ctx, repaired, address, repaired_mac):
                 return self._result(ctx, repaired, ReadStatus.CORRECTED_CHIP, chip)
         return self._due(ctx, raw)
+
+
+# -- the draw-interleaved Monte-Carlo loop -----------------------------------------
+
+
+def simulate_module(
+    evaluator,
+    geometry: ModuleGeometry,
+    config: MonteCarloConfig,
+    module_index: int,
+    n_faults: int,
+    categories: List[Tuple[FaultMode, bool]],
+    cumulative: np.ndarray,
+    total_hours: float,
+) -> Optional[FailureRecord]:
+    """One busy module's scalar fault loop; its first failure or None.
+
+    The reference engine's inner body, shared verbatim by the fast
+    engine's multi-fault fallback so the two stay bit-identical there.
+    The RNG consumption order (times, then per-arrival mode/chip/
+    placement) is part of the determinism contract — do not reorder.
+    """
+    rng = random.Random(derive_seed(config.seed, 0x51A7, module_index))
+    times = sorted(rng.uniform(0.0, total_hours) for _ in range(n_faults))
+    active: List[FaultInstance] = []
+    scrub = config.scrub_interval_hours
+    # Earliest arrival among active *transient* faults (arrivals append in
+    # time order, so the front transient is the oldest): the scrub filter
+    # is a no-op until that one expires, so rebuild the list only then
+    # instead of re-filtering on every arrival.
+    oldest_transient: Optional[float] = None
+    for time_hours in times:
+        mode, transient = categories[bisect.bisect_left(cumulative, rng.random())]
+        chip = rng.randrange(geometry.chips_per_rank)
+        fault = place_fault(mode.scope, transient, time_hours, chip, geometry, rng)
+        if (
+            scrub is not None
+            and oldest_transient is not None
+            and time_hours - oldest_transient >= scrub
+        ):
+            active = [
+                f
+                for f in active
+                if not f.transient or time_hours - f.time_hours < scrub
+            ]
+            oldest_transient = min(
+                (f.time_hours for f in active if f.transient), default=None
+            )
+        outcome = evaluator.classify(active, fault)
+        if outcome.is_failure:
+            return FailureRecord(time_hours, outcome, fault.scope.value)
+        active.append(fault)
+        if transient and oldest_transient is None:
+            oldest_transient = time_hours
+    return None
+
+
+def _interleaved_records(
+    evaluator, geometry, config, fault_counts, lo, modules
+) -> List[FailureRecord]:
+    total_hours = config.years * units.HOURS_PER_YEAR
+    categories, cumulative = _mode_categories(config)
+    records = []
+    for local_index in modules:
+        record = simulate_module(
+            evaluator,
+            geometry,
+            config,
+            lo + int(local_index),
+            int(fault_counts[local_index]),
+            categories,
+            cumulative,
+            total_hours,
+        )
+        if record is not None:
+            records.append(record)
+    return records
+
+
+def simulate_range(
+    evaluator,
+    geometry: ModuleGeometry,
+    config: MonteCarloConfig,
+    fault_counts: np.ndarray,
+    lo: int = 0,
+) -> FailureColumns:
+    """The reference engine: every busy module through :func:`simulate_module`."""
+    return FailureColumns.from_records(
+        _interleaved_records(
+            evaluator, geometry, config, fault_counts, lo,
+            np.nonzero(fault_counts)[0],
+        )
+    )
+
+
+def simulate_range_fast(
+    evaluator,
+    geometry: ModuleGeometry,
+    config: MonteCarloConfig,
+    fault_counts: np.ndarray,
+    lo: int = 0,
+) -> FailureColumns:
+    """The fast engine: single-fault modules table-classified from the
+    counter streams, multi-fault modules through :func:`simulate_module`."""
+    total_hours = config.years * units.HOURS_PER_YEAR
+    categories, cumulative = _mode_categories(config)
+    counts = np.asarray(fault_counts)
+    single = FailureColumns.from_records([])
+    single_local = np.nonzero(counts == 1)[0]
+    if single_local.size:
+        indices = single_local.astype(np.uint64) + np.uint64(lo)
+        base = child_seeds(
+            np.uint64(derive_seed(config.seed, FAST_STREAM_SALT)), indices
+        )
+        times = unit_uniforms(child_seeds(base, 0)) * total_hours
+        category = np.searchsorted(
+            cumulative, unit_uniforms(child_seeds(base, 1)), side="left"
+        )
+        chips = child_seeds(base, 2) % np.uint64(geometry.chips_per_rank)
+        is_ecc = (chips >= np.uint64(geometry.data_chips_per_rank)).astype(np.intp)
+        table = derive_outcome_table(evaluator, geometry, categories)
+        codes = table[category, is_ecc]
+        scope_codes = np.array(
+            [SCOPE_CODES[mode.scope.value] for mode, _ in categories], dtype=np.uint8
+        )
+        failing = np.nonzero(codes)[0]
+        single = FailureColumns(
+            times[failing], codes[failing], scope_codes[category[failing]]
+        )
+    multi = _interleaved_records(
+        evaluator, geometry, config, counts, lo, np.nonzero(counts >= 2)[0]
+    )
+    return FailureColumns.concat([single, FailureColumns.from_records(multi)])

@@ -14,6 +14,8 @@ from repro.core.baselines import (
 )
 from repro.core.config import SafeGuardConfig
 from repro.core.types import ReadStatus
+from repro.switches import KERNELS
+from tests.test_core_chipkill_safeguard import count_lines_maced
 
 KEY = b"baseline-test-k!"
 CFG = SafeGuardConfig(key=KEY)
@@ -175,6 +177,20 @@ class TestSynergyStyle:
         c.inject_chip_failure(0x40, 8, 0x1234567890ABCDEF)
         result = c.read(0x40)
         assert result.data == line
+
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_mac_chip_candidate_reuses_the_precheck_mac(self, mode, monkeypatch):
+        """The MAC chip is the last candidate and its line is the raw line
+        the failed pre-correction check MACed: a billed check, no MAC."""
+        with KERNELS.override(mode):
+            c = SynergyStyleMAC(CFG)
+            c.write(0x40, random_line(13))
+            c.inject_chip_failure(0x40, 8, 0x1234567890ABCDEF)
+            counted = count_lines_maced(monkeypatch)
+            result = c.read(0x40)
+        assert result.corrected_location == 8
+        assert result.costs.mac_checks == 1 + 9
+        assert sum(counted) == result.costs.mac_checks - 1
 
     def test_two_chip_corruption_due(self):
         c = SynergyStyleMAC(CFG)

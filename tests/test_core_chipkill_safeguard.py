@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chipkill import MAC_CHIP, PARITY_CHIP, SafeGuardChipkill
+from repro.core.chipkill import (
+    MAC_CHIP,
+    N_CORRECTION_CANDIDATES,
+    PARITY_CHIP,
+    SafeGuardChipkill,
+)
 from repro.core.config import SafeGuardConfig
 from repro.core.types import ReadStatus
+from repro.mac.linemac import LineMAC
+from repro.switches import KERNELS
 
 KEY = b"chipkill-test-k!"
 
@@ -20,6 +27,25 @@ def make(**kwargs):
 def random_line(seed):
     rng = random.Random(seed)
     return bytes(rng.getrandbits(8) for _ in range(64))
+
+
+def count_lines_maced(monkeypatch):
+    """A list that grows by the number of lines each MAC computation takes."""
+    counted = []
+    compute, compute_batch = LineMAC.compute, LineMAC.compute_batch
+
+    def counting_compute(self, line, address):
+        counted.append(1)
+        return compute(self, line, address)
+
+    def counting_batch(self, lines, addresses):
+        # A batch too small for the kernel goes through compute().
+        counted.append(len(lines) if self.vectorizes(len(lines)) else 0)
+        return compute_batch(self, lines, addresses)
+
+    monkeypatch.setattr(LineMAC, "compute", counting_compute)
+    monkeypatch.setattr(LineMAC, "compute_batch", counting_batch)
+    return counted
 
 
 class TestLayout:
@@ -80,6 +106,20 @@ class TestChipCorrection:
         assert result.data == line
         assert result.status is ReadStatus.CORRECTED_CHIP
         assert result.corrected_location == MAC_CHIP
+
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_mac_chip_candidate_reuses_the_precheck_mac(self, mode, monkeypatch):
+        """The MAC-chip candidate is the raw line the failed pre-correction
+        check just MACed: it bills a check but MACs no line."""
+        with KERNELS.override(mode):
+            controller = make()
+            controller.write(0x40, random_line(5))
+            controller.inject_chip_failure(0x40, MAC_CHIP, 0xDEAD0001)
+            counted = count_lines_maced(monkeypatch)
+            result = controller.read(0x40)
+        assert result.corrected_location == MAC_CHIP
+        assert result.costs.mac_checks == 1 + N_CORRECTION_CANDIDATES
+        assert sum(counted) == result.costs.mac_checks - 1
 
     def test_parity_chip_failure_invisible_to_reads(self):
         controller = make()

@@ -1,5 +1,6 @@
 """Tests for the FaultSim-style reliability simulator."""
 
+import dataclasses
 import random
 
 import pytest
@@ -55,6 +56,50 @@ class TestGeometry:
 
     def test_lines_per_rank(self):
         assert X8_SECDED_16GB.lines_per_rank == 16 * 65536 * 128
+
+
+class TestRejectedSetups:
+    """Bad geometries and configs fail up front, not deep in the loop."""
+
+    def test_zero_ranks_rejected(self):
+        # Once simulated 1,000 modules with zero failures.
+        with pytest.raises(ValueError, match="ranks"):
+            dataclasses.replace(X8_SECDED_16GB, ranks=0)
+
+    def test_zero_banks_rejected(self):
+        # Once failed mid-run with "empty range for randrange()".
+        with pytest.raises(ValueError, match="banks"):
+            dataclasses.replace(X8_SECDED_16GB, banks=0)
+
+    def test_negative_rows_rejected(self):
+        with pytest.raises(ValueError, match="rows"):
+            dataclasses.replace(X8_SECDED_16GB, rows=-1)
+
+    def test_more_data_chips_than_chips_rejected(self):
+        with pytest.raises(ValueError, match="data_chips_per_rank"):
+            dataclasses.replace(X8_SECDED_16GB, data_chips_per_rank=10)
+
+    def test_dimension_of_two_to_the_32_rejected(self):
+        # The replay decodes one 32-bit word per randrange draw.
+        with pytest.raises(ValueError, match="cols"):
+            dataclasses.replace(X8_SECDED_16GB, cols=1 << 32)
+        assert dataclasses.replace(X8_SECDED_16GB, cols=(1 << 32) - 1).cols
+
+    @pytest.mark.parametrize(
+        "modes",
+        [[], scale_fit(0.0)],
+        ids=["no-modes", "all-zero-fit"],
+    )
+    def test_no_positive_fit_gives_the_zero_curve(self, modes):
+        # Both once raised IndexError choosing a fault category.
+        for engine in ("reference", "fast"):
+            result = simulate(
+                SECDEDEvaluator(X8_SECDED_16GB),
+                X8_SECDED_16GB,
+                MonteCarloConfig(n_modules=500, modes=modes, engine=engine),
+            )
+            assert result.n_failed == 0
+            assert set(result.fail_probability) == {0.0}
 
 
 class TestFaultPlacement:

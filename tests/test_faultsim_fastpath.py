@@ -7,9 +7,10 @@ oracle pattern:
   ``FAULTSIM`` switch (override, then ``REPRO_FAULTSIM``, then the
   reference default; the switch itself is pinned in
   ``test_switches.py``), and the engine field in the science fingerprint.
-- **Exact equivalence where promised** — multi-fault modules fall back
-  to the scalar loop and are bit-identical to the reference engine; the
-  fast engine is deterministic per seed and shard/worker-invariant.
+- **Exact equivalence where promised** — multi-fault modules are
+  replayed from their per-module streams and are bit-identical to the
+  draw-interleaved loop; the fast engine is deterministic per seed and
+  shard/worker-invariant.
 - **Statistical equivalence elsewhere** — fast and reference curves
   agree across seeds (overlapping Wilson intervals, two-sample KS on
   pooled failure times).
@@ -42,11 +43,11 @@ from repro.faultsim.montecarlo import (
     MonteCarloConfig,
     _mode_categories,
     simulate,
-    simulate_range,
 )
 from repro.faultsim.parallel import simulate_parallel
 from repro.switches import FAULTSIM
 from repro.utils.rng import derive_seed
+from tests import oracles
 from tests.test_montecarlo_parallel import assert_identical, failure_rows
 
 #: Busy-module-rich population that still runs in well under a second.
@@ -163,7 +164,8 @@ class TestFastDeterminism:
 
 
 class TestMultiFaultFallbackExact:
-    """Modules with >= 2 faults are bit-identical to the reference loop."""
+    """Modules with >= 2 faults are bit-identical to the draw-interleaved
+    loop of ``tests/oracles.py``."""
 
     def test_all_multi_fault_modules_match_scalar(self):
         config = MonteCarloConfig(seed=9, n_modules=200)
@@ -172,14 +174,14 @@ class TestMultiFaultFallbackExact:
         fast = fastpath.simulate_range_fast(
             evaluator, X8_SECDED_16GB, config, counts, lo=17, hi=217
         )
-        scalar = simulate_range(
-            evaluator, X8_SECDED_16GB, config, counts, lo=17, hi=217
+        scalar = oracles.simulate_range(
+            evaluator, X8_SECDED_16GB, config, counts, lo=17
         )
         assert len(scalar) > 0
         assert failure_rows(fast) == failure_rows(scalar)
 
     def test_mixed_population_decomposes(self):
-        """fast(all) == fast(singles only) + scalar(multis only)."""
+        """fast(all) == fast(singles only) + oracle loop(multis only)."""
         config = MonteCarloConfig(seed=4, n_modules=240, fit_multiplier=10.0)
         evaluator = SafeGuardSECDEDEvaluator(X8_SECDED_16GB)
         rng = np.random.default_rng(1)
@@ -194,7 +196,7 @@ class TestMultiFaultFallbackExact:
                 fastpath.simulate_range_fast(
                     evaluator, X8_SECDED_16GB, config, singles
                 ),
-                simulate_range(evaluator, X8_SECDED_16GB, config, multis),
+                oracles.simulate_range(evaluator, X8_SECDED_16GB, config, multis),
             ]
         )
         assert failure_rows(combined) == failure_rows(decomposed)
@@ -215,9 +217,9 @@ class TestMultiFaultFallbackExact:
 class TestPinnedResults:
     """Exact results at 20K modules and 10x FIT, pinned per engine.
 
-    The fast engine's multi-fault fallback and the reference engine call
-    the same scalar loop, so comparing them cannot catch a change to that
-    loop's draw order; these fixed numbers can. Chipkill corrects every
+    The fast engine's multi-fault modules and the reference engine share
+    one replay, so comparing them cannot catch a change to its draw
+    order; these fixed numbers can. Chipkill corrects every
     single-chip fault, so its failures all come from the multi-fault loop
     and both engines agree exactly.
     """

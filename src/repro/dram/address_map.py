@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
 
 def map_address(address: int) -> Tuple[int, int, int, int]:
     """Physical byte address -> ``(rank, bank, row, column)``.
@@ -36,3 +38,26 @@ def map_address(address: int) -> Tuple[int, int, int, int]:
         h ^= fold & 15
         fold >>= 4
     return rank, bank ^ h, x & 0xFFFF, line & 127
+
+
+def packed_coordinates(addresses: np.ndarray) -> np.ndarray:
+    """:func:`map_address` over an int64 array, packed for the controller.
+
+    Returns ``(row << 5) | (rank << 4) | bank`` per address — the value
+    :class:`~repro.dram.controller.MemoryController` memoizes per
+    address (the column plays no part in its timing). The bank is
+    XOR-folded over 16 fixed nibble steps, which cover every bit of a
+    non-negative int64. Negative addresses raise ``ValueError``.
+    """
+    if len(addresses) and int(addresses.min()) < 0:
+        raise ValueError("negative physical address")
+    x = addresses >> 13  # drop the offset and column bits
+    bank = x & 15
+    x = x >> 4
+    rank = x & 1
+    x = x >> 1
+    fold = x.copy()
+    for _ in range(16):
+        bank ^= fold & 15
+        fold >>= 4
+    return ((x & 0xFFFF) << 5) | (rank << 4) | bank

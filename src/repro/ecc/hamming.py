@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 from repro.ecc import kernels
 from repro.utils.bits import parity
@@ -64,6 +65,28 @@ def _check_bit_count(k: int) -> int:
     return r
 
 
+@lru_cache(maxsize=None)
+def _layout(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """``(data_positions, check_positions, coverage)`` of the ``k``-bit code.
+
+    Positional layout: positions ``1..n``; powers of two hold the check
+    bits. ``coverage[i]`` masks the data *indices* whose position has
+    bit ``i`` set — check bit ``i``'s inputs, read by the positional
+    reference loops. Built once per width (the registry uses a few).
+    """
+    n = k + _check_bit_count(k)
+    data_positions = tuple(pos for pos in range(1, n + 1) if pos & (pos - 1))
+    check_positions = tuple(1 << i for i in range(n - k))
+    coverage = []
+    for i in range(n - k):
+        mask = 0
+        for data_index, pos in enumerate(data_positions):
+            if (pos >> i) & 1:
+                mask |= 1 << data_index
+        coverage.append(mask)
+    return data_positions, check_positions, tuple(coverage)
+
+
 class HammingSEC:
     """Single-error-correcting Hamming code over ``k`` data bits.
 
@@ -79,29 +102,13 @@ class HammingSEC:
         self.k = k
         self.r = _check_bit_count(k)
         self.n = k + self.r
-        # Positional layout: positions 1..n; powers of two hold check bits.
-        self._data_positions: List[int] = [
-            pos for pos in range(1, self.n + 1) if pos & (pos - 1)
-        ]
-        self._check_positions: List[int] = [1 << i for i in range(self.r)]
-        # Per-check-bit masks over data *positions*, precomputed for speed:
-        # check bit i covers every position with bit i set.
-        self._coverage: List[int] = []
-        for i in range(self.r):
-            mask = 0
-            for data_index, pos in enumerate(self._data_positions):
-                if (pos >> i) & 1:
-                    mask |= 1 << data_index
-            self._coverage.append(mask)
+        self._data_positions, self._check_positions, self._coverage = _layout(k)
         # Table-driven scatter/gather + syndrome kernel (shared per layout);
         # None under REPRO_KERNELS=reference, which keeps the positional
         # loops below as the oracle.
         self._kernel = (
             kernels.hamming_kernel(
-                k,
-                self.n,
-                tuple(self._data_positions),
-                tuple(self._check_positions),
+                k, self.n, self._data_positions, self._check_positions
             )
             if kernels.kernel_mode() == "fast"
             else None

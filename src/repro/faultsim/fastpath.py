@@ -73,6 +73,8 @@ def simulate_range_fast(
     fault_counts: np.ndarray,
     lo: int = 0,
     hi: Optional[int] = None,
+    *,
+    table: Optional[np.ndarray] = None,
 ) -> FailureColumns:
     """Vectorized counterpart of :func:`simulate_range` (same contract).
 
@@ -82,7 +84,9 @@ def simulate_range_fast(
     streams (:func:`~repro.faultsim.montecarlo.replay_modules`), so their
     rows are bit-identical to the reference engine's. Deterministic in
     ``(seed, lo, hi)`` and shard-invariant: disjoint ranges covering the
-    population reproduce the full run.
+    population reproduce the full run. ``table`` is the run's derived
+    outcome table, as for :func:`simulate_range`; None derives it here,
+    and a position-dependent evaluator raises ``ValueError``.
     """
     if hi is None:
         hi = lo + len(fault_counts)
@@ -97,7 +101,8 @@ def simulate_range_fast(
         return FailureColumns.from_records([])
     total_hours = config.years * units.HOURS_PER_YEAR
     categories, cumulative = _mode_categories(config)
-    table = derive_outcome_table(evaluator, geometry, categories)
+    if table is None:
+        table = derive_outcome_table(evaluator, geometry, categories)
 
     single = FailureColumns.from_records([])
     if single_local.size:

@@ -448,6 +448,19 @@ def derive_outcome_table(
     return table
 
 
+def outcome_table(evaluator, geometry: ModuleGeometry, config) -> Optional[np.ndarray]:
+    """:func:`derive_outcome_table` for ``config``'s fault categories.
+
+    None when the evaluator's clean-module outcome is position-dependent;
+    every busy module then goes through :func:`_simulate_module`.
+    """
+    categories, _ = _mode_categories(config)
+    try:
+        return derive_outcome_table(evaluator, geometry, categories)
+    except ValueError:
+        return None
+
+
 # -- the per-module streams, replayed --------------------------------------------
 
 #: Salt of the per-module streams: ``derive_seed(seed, 0x51A7, index)``.
@@ -806,6 +819,8 @@ def simulate_range(
     fault_counts: np.ndarray,
     lo: int = 0,
     hi: Optional[int] = None,
+    *,
+    table: Optional[np.ndarray] = None,
 ) -> FailureColumns:
     """Simulate modules with global indices ``[lo, hi)``.
 
@@ -815,7 +830,9 @@ def simulate_range(
     ``[0, n_modules)`` equals the sequential run. Every busy module is
     replayed (:func:`replay_modules`); an evaluator whose clean-module
     outcome is position-dependent gets no table, so all its modules go
-    through :func:`_simulate_module`.
+    through :func:`_simulate_module`. ``table`` is the run's
+    :func:`outcome_table` when the caller derived it once for all its
+    ranges; None derives it here.
     """
     if hi is None:
         hi = lo + len(fault_counts)
@@ -826,11 +843,8 @@ def simulate_range(
     busy = np.flatnonzero(fault_counts)
     if not busy.size:
         return FailureColumns.from_records([])
-    categories, _ = _mode_categories(config)
-    try:
-        table: Optional[np.ndarray] = derive_outcome_table(evaluator, geometry, categories)
-    except ValueError:
-        table = None
+    if table is None:
+        table = outcome_table(evaluator, geometry, config)
     return replay_modules(evaluator, geometry, config, fault_counts, lo, busy, table)
 
 

@@ -38,6 +38,7 @@ resume never mixes modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -57,6 +58,7 @@ from repro.faultsim.montecarlo import (
     ReliabilityResult,
     build_result,
     draw_fault_counts,
+    outcome_table,
     scheme_name,
     simulate_range,
 )
@@ -206,6 +208,14 @@ class _FaultSimCampaign(Campaign):
             "shard": {"index": shard.index, "lo": shard.lo, "hi": shard.hi},
         }
 
+    @cached_property
+    def table(self) -> Optional[np.ndarray]:
+        """The run's clean-module outcome table, derived on this
+        process's first shard and handed to every shard after it (None,
+        for a position-dependent evaluator, leaves each shard to find
+        that out again)."""
+        return outcome_table(self.evaluator, self.geometry, self.config)
+
     def run_item(self, item: _ShardItem) -> FailureColumns:
         # ``engine`` was resolved once by the coordinator and travels
         # with the campaign, so worker processes never re-consult the
@@ -222,6 +232,7 @@ class _FaultSimCampaign(Campaign):
             item.counts,
             item.shard.lo,
             item.shard.hi,
+            table=self.table,
         )
 
     def serialize_result(self, item, failures: FailureColumns) -> dict:

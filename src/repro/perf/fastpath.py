@@ -13,8 +13,8 @@ speeds that permit real workload sweeps — built as three passes:
    :mod:`repro.utils.rng` (the PR-4 technique), then assembled with
    numpy. LLC steady-state priming is computed in closed form: the final
    content of an LRU set after a fill sequence is exactly the last
-   ``ways`` distinct lines by last fill position, which one
-   ``np.unique``/``np.lexsort`` pass produces without simulating fills.
+   ``ways`` distinct lines by last fill position, which two stable
+   radix sorts (by line, then by set) produce without simulating fills.
 
 2. **Content pass** (shared): all cores' ops are merged in deterministic
    virtual-time order (instruction count, ties by core id — in rate mode
@@ -24,15 +24,17 @@ speeds that permit real workload sweeps — built as three passes:
    level plus the ordered list of controller-facing actions (demand
    read, victim writeback, prefetch reads, prefetch-victim and
    inclusion-violation writebacks). Set indices partition the access
-   stream, so the replay runs as per-set numpy LRU kernels, each set's
-   recurrence over one contiguous array. The one cross-set interaction,
-   an LLC eviction back-invalidating a line still live in an L1, is
-   detected by a vectorized residency check; the pass then takes the
-   exact per-access scalar replay instead (never at the default
-   geometry, where the LLC dwarfs the L1s). Because organizations differ
-   only in *timing* (MAC tail, extra metadata accesses), never in which
-   lines are touched, this pass is organization-independent: it is
-   memoized and shared across every organization of a campaign grid.
+   stream, so the replay runs as per-set numpy LRU kernels over
+   timestamped ways, each set's recurrence over one contiguous array.
+   The one cross-set interaction, an LLC eviction back-invalidating a
+   line still live in an L1, is detected by a vectorized residency
+   check; the pass then takes the exact per-access scalar replay
+   instead (never at the default geometry, where the LLC dwarfs the
+   L1s). Because organizations differ only in *timing* (MAC tail,
+   extra metadata accesses), never in which lines are touched, this
+   pass is organization-independent: it is memoized and shared across
+   every organization of a campaign grid, and so are the DRAM
+   coordinates of every action address, decoded here once in numpy.
 
 3. **Timing pass** (sparse, per organization): only ops with controller
    actions (a few percent) are walked event-wise, over the structured
@@ -80,6 +82,7 @@ from repro.cpu.core import CoreConfig
 from repro.cpu.system import SystemResult
 from repro.cpu.trace import TraceGenerator
 from repro.cpu.workloads import WorkloadProfile
+from repro.dram.address_map import packed_coordinates
 from repro.dram.controller import MemoryController
 from repro.dram.timing import CPU_CYCLES_PER_MEM_CYCLE
 from repro.utils.rng import child_seeds, derive_seed, unit_uniforms
@@ -91,8 +94,10 @@ from repro.utils.rng import child_seeds, derive_seed, unit_uniforms
 #: exactly when a latent bug could slip in — bumping this invalidates
 #: cached cells so they are recomputed by the new code instead of
 #: trusted blindly. Revision 1: the per-set batched LLC/L1 kernels and
-#: the structured-array timing tick.
-KERNEL_REVISION = 1
+#: the structured-array timing tick. Revision 2: timestamp-LRU kernels
+#: over radix-sorted sets, and DRAM coordinates decoded in the content
+#: pass.
+KERNEL_REVISION = 2
 
 #: Salt of the fast engine's counter-based draw streams (disjoint from
 #: the reference trace streams 0x7ACE / 0x5EED by derive_seed mixing).
@@ -271,13 +276,33 @@ def _priming_fills(
     return np.concatenate(lines), np.concatenate(dirty)
 
 
+def _radix_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative int64 keys.
+
+    numpy radix-sorts only integers of at most 16 bits and timsorts
+    wider ones, so this sorts by least-significant-digit passes over
+    ``uint16`` digits, each a stable (radix) argsort: keys below 2**16
+    (set ids) take one pass, LLC lines two. A stable sort has exactly
+    one answer, so the order is the timsort's.
+    """
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    high = int(keys.max()) >> shift if len(keys) else 0
+    while high:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+        high >>= 16
+    return order
+
+
 def _priming_groups(lines: np.ndarray, dirty: np.ndarray, n_sets: int):
     """Closed-form LRU grouping shared by both initial-state builders.
 
     An LRU set after a sequence of fills holds exactly the last ``ways``
     distinct lines by *last* fill position, ordered LRU -> MRU by that
-    position; one unique/lexsort pass builds all sets at once. A line's
-    dirty flag is the OR over its fills — exact unless a dirty line is
+    position; two radix sorts build all sets at once. A line's dirty
+    flag is the OR over its fills — exact unless a dirty line is
     evicted and later re-filled clean inside the sequence, which for the
     sparse random priming draws is a negligible-probability event.
 
@@ -288,7 +313,7 @@ def _priming_groups(lines: np.ndarray, dirty: np.ndarray, n_sets: int):
     # Group fills by line with one stable sort (positions stay ascending
     # within a group): the group's last element gives the line's final
     # fill position, reduceat ORs its dirty flags.
-    by_line = np.argsort(lines, kind="stable")
+    by_line = _radix_argsort(lines)
     sorted_lines = lines[by_line]
     group_end = np.empty(len(lines), dtype=bool)
     group_end[:-1] = sorted_lines[:-1] != sorted_lines[1:]
@@ -302,10 +327,13 @@ def _priming_groups(lines: np.ndarray, dirty: np.ndarray, n_sets: int):
         set_of = uniq & (n_sets - 1)
     else:
         set_of = (uniq % n_sets).astype(np.int64)
-    # lexsort((last, set_of)) as one radix pass over a packed key: the
-    # final fill positions are distinct, so set_of * len(lines) + last
-    # sorts by set with last-fill order inside each set.
-    order = np.argsort(set_of * np.int64(len(lines)) + last, kind="stable")
+    # Order by (set, last fill): the final fill positions are distinct,
+    # so scattering group ids by them orders the groups by last fill,
+    # and a stable sort by set keeps that order inside each set.
+    slot = np.full(len(lines), -1, dtype=np.int64)
+    slot[last] = np.arange(len(last), dtype=np.int64)
+    by_last = slot[slot >= 0]
+    order = by_last[_radix_argsort(set_of[by_last])]
     set_sorted = set_of[order]
     uniq_sorted = uniq[order]
     dirty_sorted = dirty_u[order]
@@ -343,10 +371,10 @@ def _initial_llc_arrays(
 
     ``tags[s]`` holds set ``s``'s resident lines right-aligned at the
     high columns in LRU -> MRU order, packed as ``(line << 1) | dirty``
-    with ``-1`` padding empty ways on the LRU side. The kernel's
-    shift-left insert then always drops column 0 — either the true LRU
-    line or a pad (matching the scalar fill into a non-full set, which
-    evicts nothing).
+    with ``-1`` padding empty ways on the LRU side. The kernel stamps
+    each way with its column index, so pads always hold the lowest
+    stamps and a fill evicts a pad before any line (matching the scalar
+    fill into a non-full set, which evicts nothing).
     """
     tags = np.full((n_sets, ways), -1, dtype=np.int64)
     if len(lines) == 0:
@@ -371,22 +399,6 @@ def _initial_llc_arrays(
 #: scalar replay (read by the tests and the benchmark's tracer).
 _BATCH_STATS = {"batched": 0, "fallbacks": 0}
 
-#: Small permutation tables for the LRU-refresh move, per way count:
-#: ``_perm_table(w)[h]`` reorders a set's ways so the hit way ``h``
-#: lands at the MRU column while the others keep their relative order.
-_PERM_TABLES: Dict[int, np.ndarray] = {}
-
-
-def _perm_table(ways: int) -> np.ndarray:
-    table = _PERM_TABLES.get(ways)
-    if table is None:
-        table = np.empty((ways, ways), dtype=np.int64)
-        for h in range(ways):
-            table[h] = [w for w in range(ways) if w != h] + [h]
-        _PERM_TABLES[ways] = table
-    return table
-
-
 def _lru_steps(set_ids: np.ndarray):
     """Regroup a probe stream by set for the step-loop kernels.
 
@@ -396,7 +408,7 @@ def _lru_steps(set_ids: np.ndarray):
     prefix — the kernel then advances every active set by one probe per
     step with full-width array operations.
     """
-    order = np.argsort(set_ids, kind="stable")
+    order = _radix_argsort(set_ids)
     s_sorted = set_ids[order]
     first = np.empty(len(s_sorted), dtype=bool)
     first[0] = True
@@ -415,14 +427,16 @@ def _l1_kernel(
     Exact per-position outputs of the scalar L1 bookkeeping — sets never
     interact (inclusion back-invalidations are detected downstream and
     trigger the scalar fallback), so each step advances all still-active
-    sets at once: tag compare by broadcasting against the ``(sets,
-    ways)`` tag matrix, LRU refresh as a per-row permutation, miss
-    insert as a shift-left. The dirty flag rides in tag bit 0
-    (``(line << 1) | dirty``) so the recurrence maintains one matrix
-    instead of a tag/dirty pair; ``-1`` pads empty ways and can never
-    compare equal because probes are matched with bit 0 forced set.
-    Returns ``(hit, victim_line, victim_dirty)`` per probe;
-    ``victim_line`` is ``-1`` when the fill evicted nothing.
+    sets at once against ``(sets, ways)`` matrices of lines (``-1`` pads
+    empty ways), dirty bits and last-use stamps. Lines stay in their
+    way: a hit writes the step's clock into its way's stamp and ORs in
+    the store's dirty bit; a miss replaces the way with the smallest
+    stamp. Stamps start at the column index and the clock is ``ways +
+    step``; each set takes at most one probe per step, so a set's stamps
+    stay distinct and the smallest is exactly the LRU way — a pad
+    before any line, in column order. Returns ``(hit, victim_line,
+    victim_dirty)`` per probe; ``victim_line`` is ``-1`` when the fill
+    evicted nothing.
     """
     m = len(line)
     hit = np.zeros(m, dtype=bool)
@@ -431,33 +445,36 @@ def _l1_kernel(
     if m == 0:
         return hit, victim_line, victim_dirty
     order, starts_d, counts_d = _lru_steps(set_ids)
-    packed_s = (line[order] << 1) | np.asarray(write, dtype=np.int64)[order]
+    line_s = line[order]
+    write_s = np.asarray(write, dtype=bool)[order]
     n_sets = len(starts_d)
     tags = np.full((n_sets, ways), -1, dtype=np.int64)
-    perm = _perm_table(ways)
+    dirty = np.zeros((n_sets, ways), dtype=bool)
+    stamp = np.tile(np.arange(ways, dtype=np.int64), (n_sets, 1))
     neg_counts = -counts_d
     for t in range(int(counts_d[0])):
         n_act = int(np.searchsorted(neg_counts, -t, side="left"))
         idx = starts_d[:n_act] + t
-        probes = packed_s[idx]
-        eq = (tags[:n_act] | 1) == (probes | 1)[:, None]
+        probes = line_s[idx]
+        eq = tags[:n_act] == probes[:, None]
         hit_t = eq.any(axis=1)
         positions = order[idx]
         hit[positions] = hit_t
+        clock = ways + t
         hit_rows = np.flatnonzero(hit_t)
         if hit_rows.size:
-            move = perm[eq[hit_rows].argmax(axis=1)]
-            new_tags = np.take_along_axis(tags[hit_rows], move, axis=1)
-            new_tags[:, -1] |= probes[hit_rows] & 1
-            tags[hit_rows] = new_tags
+            way = eq[hit_rows].argmax(axis=1)
+            stamp[hit_rows, way] = clock
+            dirty[hit_rows, way] |= write_s[idx[hit_rows]]
         miss_rows = np.flatnonzero(~hit_t)
         if miss_rows.size:
-            evicted = tags[miss_rows, 0]
+            way = stamp[miss_rows].argmin(axis=1)
             positions_m = positions[miss_rows]
-            victim_line[positions_m] = evicted >> 1
-            victim_dirty[positions_m] = ((evicted & 1) != 0) & (evicted >= 0)
-            tags[miss_rows, :-1] = tags[miss_rows, 1:]
-            tags[miss_rows, -1] = probes[miss_rows]
+            victim_line[positions_m] = tags[miss_rows, way]
+            victim_dirty[positions_m] = dirty[miss_rows, way]
+            tags[miss_rows, way] = probes[miss_rows]
+            dirty[miss_rows, way] = write_s[idx[miss_rows]]
+            stamp[miss_rows, way] = clock
     return hit, victim_line, victim_dirty
 
 
@@ -476,8 +493,11 @@ def _llc_kernel(
     inclusion writeback that leaves the set untouched), ``2`` prefetch
     (hit is a no-op — no LRU refresh — and a miss fills clean like a
     demand). ``tags_init`` is the full ``(n_sets, ways)`` priming
-    matrix in the kernels' packed form (``(line << 1) | dirty``, ``-1``
-    pads); only probed rows are copied in. Returns ``(hit,
+    matrix in :func:`_initial_llc_arrays`' packed form (``(line << 1) |
+    dirty``, ``-1`` pads); only probed rows are copied in and unpacked
+    into line, dirty and stamp matrices, which the steps update in place
+    as in :func:`_l1_kernel`. A primed row is right-aligned LRU -> MRU,
+    so the column-index stamps order it exactly. Returns ``(hit,
     victim_line, victim_dirty)`` per probe.
     """
     m = len(line)
@@ -487,39 +507,41 @@ def _llc_kernel(
     if m == 0:
         return hit, victim_line, victim_dirty
     order, starts_d, counts_d = _lru_steps(set_ids)
-    packed_s = line[order] << 1
+    line_s = line[order]
     kinds_s = np.asarray(kind, dtype=np.int8)[order]
-    probed_sets = set_ids[order][starts_d]
-    tags = tags_init[probed_sets]
-    perm = _perm_table(ways)
+    packed = tags_init[set_ids[order][starts_d]]
+    tags = packed >> 1  # pads stay -1 under the arithmetic shift
+    dirty = (packed & 1).astype(bool) & (packed >= 0)
+    stamp = np.tile(np.arange(ways, dtype=np.int64), (len(starts_d), 1))
     neg_counts = -counts_d
     for t in range(int(counts_d[0])):
         n_act = int(np.searchsorted(neg_counts, -t, side="left"))
         idx = starts_d[:n_act] + t
-        probes = packed_s[idx]
+        probes = line_s[idx]
         probe_kinds = kinds_s[idx]
-        eq = (tags[:n_act] | 1) == (probes | 1)[:, None]
+        eq = tags[:n_act] == probes[:, None]
         hit_t = eq.any(axis=1)
         positions = order[idx]
         hit[positions] = hit_t
+        clock = ways + t
         # Demand and victim-touch hits refresh LRU (the victim touch
         # also marks the line dirty); prefetch hits leave the set alone.
         refresh_rows = np.flatnonzero(hit_t & (probe_kinds <= 1))
         if refresh_rows.size:
-            move = perm[eq[refresh_rows].argmax(axis=1)]
-            new_tags = np.take_along_axis(tags[refresh_rows], move, axis=1)
-            new_tags[:, -1] |= probe_kinds[refresh_rows] == 1
-            tags[refresh_rows] = new_tags
-        # Demand and prefetch misses fill clean at MRU, evicting the LRU
-        # way; a victim-touch miss (inclusion writeback) changes nothing.
+            way = eq[refresh_rows].argmax(axis=1)
+            stamp[refresh_rows, way] = clock
+            dirty[refresh_rows, way] |= probe_kinds[refresh_rows] == 1
+        # Demand and prefetch misses fill clean, evicting the LRU way; a
+        # victim-touch miss (inclusion writeback) changes nothing.
         insert_rows = np.flatnonzero(~hit_t & (probe_kinds != 1))
         if insert_rows.size:
-            evicted = tags[insert_rows, 0]
+            way = stamp[insert_rows].argmin(axis=1)
             positions_i = positions[insert_rows]
-            victim_line[positions_i] = evicted >> 1
-            victim_dirty[positions_i] = ((evicted & 1) != 0) & (evicted >= 0)
-            tags[insert_rows, :-1] = tags[insert_rows, 1:]
-            tags[insert_rows, -1] = probes[insert_rows]
+            victim_line[positions_i] = tags[insert_rows, way]
+            victim_dirty[positions_i] = dirty[insert_rows, way]
+            tags[insert_rows, way] = probes[insert_rows]
+            dirty[insert_rows, way] = False
+            stamp[insert_rows, way] = clock
     return hit, victim_line, victim_dirty
 
 
@@ -1055,9 +1077,11 @@ class _ContentResult:
     #: Content-pass totals for diagnostics/tests.
     n_ops: int = 0
     inclusion_writebacks: int = 0
-    #: Shared address -> packed DRAM coords memo. The mapping is a pure
-    #: function of the address, so every organization's controller run
-    #: over this content reuses one dict (values are packed ints — no
+    #: Shared address -> packed DRAM coords memo, filled by the content
+    #: pass for every action address (``packed_coordinates``). The
+    #: mapping is a pure function of the address, so every
+    #: organization's controller run over this content reuses one dict
+    #: and adds only its metadata addresses (values are packed ints — no
     #: GC-tracked tuples in the memoized bulk).
     coords: Optional[Dict[int, int]] = None
 
@@ -1159,7 +1183,7 @@ def _content_pass_uncached(
     # evicting the line; the batched replay detects any such event, and
     # the pass then takes the exact uncollapsed scalar replay (never on
     # the default geometry, where the LLC dwarfs the L1s).
-    srt = np.argsort(np_l1idx, kind="stable")
+    srt = _radix_argsort(np_l1idx)
     same = np.zeros(n_merged, dtype=bool)
     same[1:] = (np_l1idx[srt[1:]] == np_l1idx[srt[:-1]]) & (
         np_line[srt[1:]] == np_line[srt[:-1]]
@@ -1246,6 +1270,12 @@ def _content_pass_uncached(
             )
         )
 
+    # Every action's DRAM coordinates, decoded once for the controllers
+    # of every organization that times this content (metadata addresses
+    # still fill the memo lazily).
+    addresses = (np.concatenate([table[3] for table in events]) >> 3) << 6
+    coords = dict(zip(addresses.tolist(), packed_coordinates(addresses).tolist()))
+
     return _ContentResult(
         n_cores=n_cores,
         base_cpi=cpi,
@@ -1261,7 +1291,7 @@ def _content_pass_uncached(
         llc_misses_window=counters["misses"] - misses_base,
         n_ops=n_merged,
         inclusion_writebacks=counters["incl"],
-        coords={},
+        coords=coords,
     )
 
 

@@ -1,10 +1,11 @@
 """Tests for the DRAM timing model (timing, address map, controller)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.address_map import map_address
+from repro.dram.address_map import map_address, packed_coordinates
 from repro.dram.controller import MemoryController
 from repro.dram.timing import CPU_CYCLES_PER_MEM_CYCLE, DDR4_3200
 
@@ -73,6 +74,40 @@ class TestAddressMapper:
         forever in the bank hash."""
         with pytest.raises(ValueError, match="negative"):
             map_address(-64)
+
+
+def _packed(address):
+    """The controller's memo value for ``address``, from the scalar map."""
+    rank, bank, row, _ = map_address(address)
+    return (row << 5) | (rank << 4) | bank
+
+
+class TestPackedCoordinates:
+    """The vectorized decode the fast engine fills the controller memo with."""
+
+    @given(st.lists(st.integers(0, (1 << 46) - 1), max_size=64))
+    @settings(max_examples=60)
+    def test_matches_map_address(self, addresses):
+        packed = packed_coordinates(np.array(addresses, dtype=np.int64))
+        assert packed.tolist() == [_packed(a) for a in addresses]
+
+    def test_matches_map_address_at_field_boundaries(self):
+        # Offset, column, bank, rank and row start at bits 0, 6, 13, 17
+        # and 18; the row ends at bit 34, where the per-core regions
+        # (core << 34) and the metadata region (1 << 44) sit. The
+        # largest int64 folds every nibble into the bank.
+        edges = [0]
+        for bit in (6, 13, 17, 18, 34, 44):
+            edges += [(1 << bit) - 1, 1 << bit, (1 << bit) + 1]
+        addresses = [
+            (core << 34) + edge for core in range(8) for edge in edges
+        ] + [(1 << 46) - 1, (1 << 63) - 1]
+        packed = packed_coordinates(np.array(addresses, dtype=np.int64))
+        assert packed.tolist() == [_packed(a) for a in addresses]
+
+    def test_negative_address_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            packed_coordinates(np.array([0, -64], dtype=np.int64))
 
 
 class TestBank:

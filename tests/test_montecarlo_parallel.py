@@ -200,6 +200,28 @@ class TestShardedEquivalence:
                 simulate_parallel(evaluator, X8_SECDED_16GB, config, shards=3),
             )
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_outcome_table_derived_once_per_run(self, engine, monkeypatch):
+        """The shards of one run share one derived outcome table."""
+        from repro.faultsim import fastpath
+
+        derived = []
+        original = montecarlo.derive_outcome_table
+
+        def counting(*args):
+            derived.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "derive_outcome_table", counting)
+        monkeypatch.setattr(fastpath, "derive_outcome_table", counting)
+        config = MonteCarloConfig(seed=3, engine=engine, **FAST)
+        evaluator = SECDEDEvaluator(X8_SECDED_16GB)
+        sharded = simulate_parallel(
+            evaluator, X8_SECDED_16GB, config, workers=1, shards=4
+        )
+        assert len(derived) == 1
+        assert_identical(simulate(evaluator, X8_SECDED_16GB, config), sharded)
+
     def test_scrubbing_survives_sharding(self):
         config = MonteCarloConfig(seed=2, scrub_interval_hours=24.0, **FAST)
         evaluator = SECDEDEvaluator(X8_SECDED_16GB)

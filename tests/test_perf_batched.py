@@ -8,12 +8,16 @@ detects an inclusion back-invalidation. Pinned from three directions:
 - **Kernel properties** (hypothesis) — the per-set batched LRU kernels
   (:func:`fastpath._l1_kernel`, :func:`fastpath._llc_kernel`) replayed
   against straightforward dict/list LRU references over random access
-  streams, including primed LLC state and all three probe kinds.
+  streams, including primed LLC state and all three probe kinds; the
+  closed-form priming against one-at-a-time LRU fills, and the radix
+  regroup against ``np.argsort(kind="stable")``.
 - **Whole-pass equivalence** — the batched content pass agrees
   field-for-field with the fallback replay (outcomes, event tables,
   counters) across workloads, seeds and random cells, which also pins
   the run collapse as exact. Tests force the fallback by patching
   ``_batched_replay`` to return ``None``.
+- **Coordinate memo** — the content pass's decoded DRAM coordinates
+  cover every address the timing tick maps.
 - **Fallback** (pinned) — shrinking the cache geometry until LLC
   evictions back-invalidate live L1 lines makes ``_batched_replay``
   return ``None`` and the pass take the scalar replay; the fallback
@@ -25,16 +29,17 @@ records (``tests/test_perf_fastpath.py``).
 
 import dataclasses
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.workloads import profile
 from repro.perf import fastpath
 from repro.perf.model import PerfConfig
-from repro.perf.organizations import safeguard
+from repro.perf.organizations import BASELINE_ECC, safeguard, sgx_style
 
 #: Small but mechanism-covering scale for whole-pass comparisons.
 SCALE = dict(n_cores=2, instructions_per_core=8_000, warmup_instructions=2_000)
@@ -126,6 +131,20 @@ def _ref_llc(set_ids, lines, kinds, init_sets, ways):
     return hit, vline, vdirty
 
 
+def _ref_priming(lines, dirty, n_sets, ways):
+    """Sequential LRU fills; a line's dirty flag is the OR over its fills."""
+    sets = [OrderedDict() for _ in range(n_sets)]
+    ever_dirty = {}
+    for ln, d in zip(lines, dirty):
+        ever_dirty[ln] = ever_dirty.get(ln, False) or d
+        llc_set = sets[ln % n_sets]
+        llc_set.pop(ln, None)
+        llc_set[ln] = True
+        if len(llc_set) > ways:
+            llc_set.popitem(last=False)
+    return [[(ln, ever_dirty[ln]) for ln in llc_set] for llc_set in sets]
+
+
 class TestKernelProperties:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -147,16 +166,22 @@ class TestKernelProperties:
         np.testing.assert_array_equal(vline, rvline)
         np.testing.assert_array_equal(vdirty, rvdirty)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         probes=st.lists(
-            st.tuples(st.integers(0, 15), st.integers(0, 2)), max_size=150
+            st.tuples(st.integers(0, 95), st.integers(0, 2)), max_size=300
         ),
         fills=st.lists(
-            st.tuples(st.integers(0, 15), st.booleans()), max_size=40
+            st.tuples(st.integers(0, 95), st.booleans()), max_size=120
         ),
-        ways=st.integers(1, 3),
+        ways=st.sampled_from([1, 2, 3, 16]),
         n_sets=st.sampled_from([1, 2, 4]),
+    )
+    @example(  # a 16-way set cycling 40 lines: every probe past the 16th evicts
+        probes=[(i % 40, (0, 0, 1, 2)[i % 4]) for i in range(200)],
+        fills=[(i % 24, i % 3 == 0) for i in range(60)],
+        ways=16,
+        n_sets=1,
     )
     def test_llc_kernel_matches_reference(self, probes, fills, ways, n_sets):
         lines = np.array([p[0] for p in probes], dtype=np.int64)
@@ -173,6 +198,38 @@ class TestKernelProperties:
         np.testing.assert_array_equal(hit, rhit)
         np.testing.assert_array_equal(vline, rvline)
         np.testing.assert_array_equal(vdirty, rvdirty)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(st.integers(0, (1 << 40) - 1), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), max_size=300),
+        shift=st.sampled_from([0, 16, 24, 40]),
+    )
+    def test_radix_argsort_matches_stable_argsort(self, pool, picks, shift):
+        """Few distinct keys, heavily duplicated, one to three digits wide."""
+        keys = np.array([pool[p % len(pool)] >> shift for p in picks], dtype=np.int64)
+        np.testing.assert_array_equal(
+            fastpath._radix_argsort(keys), np.argsort(keys, kind="stable")
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fills=st.lists(
+            st.tuples(st.integers(0, 63), st.booleans()), max_size=200
+        ),
+        high=st.sampled_from([0, 1 << 16, 1 << 28]),
+        ways=st.sampled_from([1, 2, 4, 16]),
+        n_sets=st.sampled_from([1, 2, 8]),
+    )
+    def test_priming_matches_sequential_lru_fills(self, fills, high, ways, n_sets):
+        """The closed-form priming equals filling LRU sets one line at a time."""
+        lines = [high + f[0] for f in fills]
+        dirty = [f[1] for f in fills]
+        sets = fastpath._initial_llc_sets(
+            np.array(lines, dtype=np.int64), np.array(dirty, dtype=bool), n_sets, ways
+        )
+        resident = [[(ln, bool(d)) for ln, d in llc_set.items()] for llc_set in sets]
+        assert resident == _ref_priming(lines, dirty, n_sets, ways)
 
     def test_initial_llc_arrays_matches_sets(self):
         rng = np.random.default_rng(7)
@@ -225,6 +282,27 @@ class TestContentPassEquivalence:
         before = fastpath._BATCH_STATS["batched"]
         _content("gcc", seed=3)
         assert fastpath._BATCH_STATS["batched"] == before + 1
+
+
+# --- the DRAM coordinate memo ----------------------------------------------
+
+
+class TestCoordinateMemo:
+    @pytest.mark.parametrize("workload", ["gcc", "lbm"])
+    def test_prefilled_memo_covers_the_tick(self, workload):
+        """Every address the tick maps is decoded by the content pass;
+        only metadata addresses are still added lazily."""
+        content = _content(workload)
+        decoded = dict(content.coords)
+        config = PerfConfig(**SCALE)
+        for organization in (BASELINE_ECC, safeguard(8)):
+            fastpath._timing_pass(content, profile(workload), organization, config)
+            assert content.coords == decoded
+        sgx = sgx_style(8)
+        fastpath._timing_pass(content, profile(workload), sgx, config)
+        added = content.coords.keys() - decoded.keys()
+        assert added
+        assert added <= {sgx.metadata_address(address) for address in decoded}
 
 
 # --- scalar fallback (pinned) ----------------------------------------------

@@ -51,11 +51,10 @@ and prints its summary (:mod:`repro.perf.profiling`). ``campaign-status DIR`` pr
 per-campaign completion and failure counts from a store's index
 (``--remote HOST:PORT`` asks a running campaign server instead).
 
-Switches (``repro.switches``) — one rule for all five: the explicit flag
+Switches (``repro.switches``) — one rule for all four: the explicit flag
 or config field > an ``override()`` (tests) > the environment variable
 (read once at start-up) > the default:
 
-    REPRO_KERNELS    fast | reference   codec kernels (default fast)
     REPRO_PERF       fast | reference   perf engine (default reference)
     REPRO_FAULTSIM   fast | reference   Monte-Carlo engine (default reference)
     REPRO_SCHEDULER  pool | steal       campaign fan-out (default pool)

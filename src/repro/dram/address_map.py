@@ -40,14 +40,19 @@ def map_address(address: int) -> Tuple[int, int, int, int]:
     return rank, bank ^ h, x & 0xFFFF, line & 127
 
 
-def packed_coordinates(addresses: np.ndarray) -> np.ndarray:
-    """:func:`map_address` over an int64 array, packed for the controller.
+def packed_coordinate(address: int) -> int:
+    """``(row << 5) | (rank << 4) | bank`` of :func:`map_address` — the
+    value :class:`~repro.dram.controller.MemoryController` memoizes per
+    address (the column plays no part in its timing)."""
+    rank, bank, row, _ = map_address(address)
+    return (row << 5) | (rank << 4) | bank
 
-    Returns ``(row << 5) | (rank << 4) | bank`` per address — the value
-    :class:`~repro.dram.controller.MemoryController` memoizes per
-    address (the column plays no part in its timing). The bank is
-    XOR-folded over 16 fixed nibble steps, which cover every bit of a
-    non-negative int64. Negative addresses raise ``ValueError``.
+
+def packed_coordinates(addresses: np.ndarray) -> np.ndarray:
+    """:func:`packed_coordinate` over an int64 array.
+
+    The bank is XOR-folded over 16 fixed nibble steps, which cover every
+    bit of a non-negative int64. Negative addresses raise ``ValueError``.
     """
     if len(addresses) and int(addresses.min()) < 0:
         raise ValueError("negative physical address")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.dram.address_map import map_address
+from repro.dram.address_map import packed_coordinate
 from repro.dram.timing import DDR4_3200
 
 # DDR4-3200 timings as plain module floats (the hot paths read them as
@@ -207,8 +207,7 @@ class MemoryController:
         """
         packed = self._coords.get(address)
         if packed is None:
-            rank, bank, row, _ = map_address(address)
-            packed = (row << 5) | (rank << 4) | bank
+            packed = packed_coordinate(address)
             self._coords[address] = packed
         key = packed & 31
         rank = key >> 4

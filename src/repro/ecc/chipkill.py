@@ -64,26 +64,12 @@ class ChipkillCode:
 
     def __init__(self):
         self._rs = ReedSolomon(GF256, self.N_CHIPS, self.DATA_CHIPS)
-        self._fast = kernels.kernel_mode() == "fast"
 
     # -- symbol packing -------------------------------------------------------
 
     def _all_pair_symbols(self, line: int) -> List[List[int]]:
-        """The data symbols of every beat-pair (numpy transpose when fast)."""
-        if self._fast:
-            return kernels.chipkill_pair_symbols(line)
-        return [self._pair_symbols(line, pair) for pair in range(self.BEAT_PAIRS)]
-
-    def _pair_symbols(self, line: int, pair: int) -> List[int]:
-        """The 16 data symbols of beat-pair ``pair`` (chip order)."""
-        base0 = (2 * pair) * 64
-        base1 = (2 * pair + 1) * 64
-        symbols = []
-        for chip in range(self.DATA_CHIPS):
-            low = (line >> (base0 + 4 * chip)) & 0xF
-            high = (line >> (base1 + 4 * chip)) & 0xF
-            symbols.append(low | (high << 4))
-        return symbols
+        """The 16 data symbols (chip order) of every beat-pair."""
+        return kernels.chipkill_pair_symbols(line)
 
     def _set_pair_symbols(self, line: int, pair: int, symbols: List[int]) -> int:
         base0 = (2 * pair) * 64

@@ -66,25 +66,16 @@ def _check_bit_count(k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _layout(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
-    """``(data_positions, check_positions, coverage)`` of the ``k``-bit code.
+def _layout(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(data_positions, check_positions)`` of the ``k``-bit code.
 
     Positional layout: positions ``1..n``; powers of two hold the check
-    bits. ``coverage[i]`` masks the data *indices* whose position has
-    bit ``i`` set — check bit ``i``'s inputs, read by the positional
-    reference loops. Built once per width (the registry uses a few).
+    bits. Built once per width (the registry uses a few).
     """
     n = k + _check_bit_count(k)
     data_positions = tuple(pos for pos in range(1, n + 1) if pos & (pos - 1))
     check_positions = tuple(1 << i for i in range(n - k))
-    coverage = []
-    for i in range(n - k):
-        mask = 0
-        for data_index, pos in enumerate(data_positions):
-            if (pos >> i) & 1:
-                mask |= 1 << data_index
-        coverage.append(mask)
-    return data_positions, check_positions, tuple(coverage)
+    return data_positions, check_positions
 
 
 class HammingSEC:
@@ -102,84 +93,32 @@ class HammingSEC:
         self.k = k
         self.r = _check_bit_count(k)
         self.n = k + self.r
-        self._data_positions, self._check_positions, self._coverage = _layout(k)
-        # Table-driven scatter/gather + syndrome kernel (shared per layout);
-        # None under REPRO_KERNELS=reference, which keeps the positional
-        # loops below as the oracle.
-        self._kernel = (
-            kernels.hamming_kernel(
-                k, self.n, self._data_positions, self._check_positions
-            )
-            if kernels.kernel_mode() == "fast"
-            else None
-        )
+        # Table-driven scatter/gather + syndrome kernel (shared per layout).
+        self._kernel = kernels.hamming_kernel(k, self.n, *_layout(k))
 
     def encode(self, data: int) -> int:
         """Encode ``k`` data bits into an ``n``-bit codeword."""
         if data < 0 or data >> self.k:
             raise ValueError(f"data does not fit in {self.k} bits")
-        if self._kernel is not None:
-            return self._kernel.encode(data)
-        check = 0
-        for i in range(self.r):
-            check |= parity(data & self._coverage[i]) << i
-        return self._assemble(data, check)
+        return self._kernel.encode(data)
 
     def decode(self, codeword: int) -> DecodeResult:
         """Decode a codeword, correcting at most one flipped bit."""
         if codeword < 0 or codeword >> self.n:
             raise ValueError(f"codeword does not fit in {self.n} bits")
-        syndrome = self._syndrome(codeword)
+        syndrome = self._kernel.syndrome(codeword)
         if syndrome == 0:
-            return DecodeResult(self._extract_data(codeword), DecodeStatus.CLEAN)
+            return DecodeResult(self._kernel.gather_data(codeword), DecodeStatus.CLEAN)
         if syndrome > self.n:
             # A syndrome pointing past the codeword cannot be a single-bit
             # error; with plain SEC this is the only detectable UE pattern.
             return DecodeResult(
-                self._extract_data(codeword), DecodeStatus.DETECTED_UE
+                self._kernel.gather_data(codeword), DecodeStatus.DETECTED_UE
             )
         corrected = codeword ^ (1 << (syndrome - 1))
         return DecodeResult(
-            self._extract_data(corrected), DecodeStatus.CORRECTED, syndrome - 1
+            self._kernel.gather_data(corrected), DecodeStatus.CORRECTED, syndrome - 1
         )
-
-    # -- internals ---------------------------------------------------------
-
-    def _assemble(self, data: int, check: int) -> int:
-        if self._kernel is not None:
-            return self._kernel.scatter_data(data) | self._kernel.scatter_checks(
-                check
-            )
-        codeword = 0
-        for data_index, pos in enumerate(self._data_positions):
-            if (data >> data_index) & 1:
-                codeword |= 1 << (pos - 1)
-        for i, pos in enumerate(self._check_positions):
-            if (check >> i) & 1:
-                codeword |= 1 << (pos - 1)
-        return codeword
-
-    def _extract_data(self, codeword: int) -> int:
-        if self._kernel is not None:
-            return self._kernel.gather_data(codeword)
-        data = 0
-        for data_index, pos in enumerate(self._data_positions):
-            if (codeword >> (pos - 1)) & 1:
-                data |= 1 << data_index
-        return data
-
-    def _syndrome(self, codeword: int) -> int:
-        if self._kernel is not None:
-            return self._kernel.syndrome(codeword)
-        syndrome = 0
-        remaining = codeword
-        pos = 0
-        while remaining:
-            low = remaining & -remaining
-            pos = low.bit_length()  # 1-based position of this set bit
-            syndrome ^= pos
-            remaining ^= low
-        return syndrome
 
 
 class HammingSECDED(HammingSEC):
@@ -211,19 +150,16 @@ class HammingSECDED(HammingSEC):
             raise ValueError(f"codeword does not fit in {self.n_total} bits")
         inner = codeword & ((1 << self.n) - 1)
         overall_odd = parity(codeword) == 1
-        syndrome = self._syndrome(inner)
+        syndrome = self._kernel.syndrome(inner)
+        data = self._kernel.gather_data(inner)
         if syndrome == 0:
             if not overall_odd:
-                return DecodeResult(self._extract_data(inner), DecodeStatus.CLEAN)
+                return DecodeResult(data, DecodeStatus.CLEAN)
             # Only the overall parity bit flipped.
-            return DecodeResult(
-                self._extract_data(inner), DecodeStatus.CORRECTED, self.n
-            )
+            return DecodeResult(data, DecodeStatus.CORRECTED, self.n)
         if not overall_odd or syndrome > self.n:
-            return DecodeResult(
-                self._extract_data(inner), DecodeStatus.DETECTED_UE
-            )
+            return DecodeResult(data, DecodeStatus.DETECTED_UE)
         corrected = inner ^ (1 << (syndrome - 1))
         return DecodeResult(
-            self._extract_data(corrected), DecodeStatus.CORRECTED, syndrome - 1
+            self._kernel.gather_data(corrected), DecodeStatus.CORRECTED, syndrome - 1
         )

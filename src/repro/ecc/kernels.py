@@ -27,12 +27,14 @@ loops:
   per-word or per-round Python call), and batches arbitrarily many lines
   through vectorized numpy ``uint32`` rounds.
 
-Every kernel is bit-exact with the reference implementation it replaces;
-the references remain in their home modules as the oracle and are selected
-with ``REPRO_KERNELS=reference`` or ``KERNELS.override("reference")`` (see
-:mod:`repro.switches` and ``docs/performance.md``). The
-equivalence suite (``tests/test_kernel_equivalence.py``) and the
-golden-parity corpus pin the equivalence.
+These kernels are the codecs' one path for every shape they cover; the
+codecs keep a positional loop only where no kernel applies (Reed-Solomon
+over GF(2^m) with m > 8, pin transposes other than 8 beats x a multiple
+of 8 pins). Each kernel is bit-exact with the straightforward positional
+implementation it replaced. Those loops are the oracles in
+``tests/oracles.py``; the equivalence suite
+(``tests/test_kernel_equivalence.py``) compares the kernels against them,
+and the golden-parity corpus pins the codecs' outputs.
 """
 
 from __future__ import annotations
@@ -42,18 +44,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.switches import KERNELS
-
 
 def kernel_mode() -> str:
-    """The active kernel mode (:data:`repro.switches.KERNELS`): ``"fast"``
-    (default) or ``"reference"``.
+    """``"fast"``, always: the codecs have one kernel path.
 
-    Codecs read it when they are constructed and keep that kernel, so an
-    existing instance holds its mode across an override (that is what lets
-    the equivalence tests hold a fast and a reference codec side by side).
+    Nothing in the package calls this; it stays for the repository
+    benchmark, which records it with every result.
     """
-    return KERNELS.get()
+    return "fast"
 
 
 # -- Hamming kernels -------------------------------------------------------------
@@ -276,12 +274,17 @@ class RSKernel:
         return [(acc >> (8 * j)) & 0xFF for j in range(self.n_checks)]
 
 
-_RS_KERNELS: Dict[Tuple[int, int, int, int], RSKernel] = {}
+_RS_KERNELS: Dict[Tuple[int, int, int, int, int], RSKernel] = {}
 
 
 def rs_kernel(field, n: int, k: int, fcr: int, generator: Sequence[int]) -> RSKernel:
-    """Shared kernel per (field, n, k, fcr); tables are built once."""
-    key = (id(field), n, k, fcr)
+    """Shared kernel per code; tables are built once.
+
+    Keyed by the field's value (degree and modulus), not its identity:
+    the kernel keeps no reference to the field, so an identity key could
+    be reused by a new field after the old one is freed.
+    """
+    key = (field.m, field.poly, n, k, fcr)
     kernel = _RS_KERNELS.get(key)
     if kernel is None:
         kernel = RSKernel(field, n, k, fcr, generator)

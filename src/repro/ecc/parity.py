@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.ecc import kernels
-from repro.utils.bits import extract_chip_bits, extract_pin_symbols
+from repro.utils.bits import extract_chip_bits
 
 N_DATA_PINS = 64
 PIN_SYMBOL_BITS = 8
@@ -39,18 +38,15 @@ X8_CHIP_BITS = 8  #: Synergy's x8 layout: 8 data chips of 8 bits per beat
 
 
 def column_parity(line: int) -> int:
-    """8-bit XOR of the 64 pin symbols of a 512-bit line."""
-    if kernels.kernel_mode() == "fast":
-        # Bit ``b`` of the XOR of all pin symbols is the parity of beat
-        # word ``b`` — no symbol extraction needed.
-        parity = 0
-        for beat in range(PIN_SYMBOL_BITS):
-            word = (line >> (beat * N_DATA_PINS)) & ((1 << N_DATA_PINS) - 1)
-            parity |= (word.bit_count() & 1) << beat
-        return parity
+    """8-bit XOR of the 64 pin symbols of a 512-bit line.
+
+    Bit ``b`` of the XOR of all pin symbols is the parity of beat word
+    ``b``, so no symbol is extracted.
+    """
     parity = 0
-    for symbol in extract_pin_symbols(line, N_DATA_PINS):
-        parity ^= symbol
+    for beat in range(PIN_SYMBOL_BITS):
+        word = (line >> (beat * N_DATA_PINS)) & ((1 << N_DATA_PINS) - 1)
+        parity |= (word.bit_count() & 1) << beat
     return parity
 
 

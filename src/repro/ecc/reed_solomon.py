@@ -59,12 +59,11 @@ class ReedSolomon:
         for i in range(self.n_checks):
             gen = field.poly_mul(gen, [field.alpha_pow(fcr + i), 1])
         self._generator = gen
-        # Log-domain lookup tables for encode/syndromes (shared per layout);
-        # None under REPRO_KERNELS=reference.
+        # Packed-lane lookup tables for encode/syndromes (shared per code).
+        # Their symbols live in 8-bit lanes, so a wider field has none and
+        # takes the positional loops below, its only path.
         self._kernel = (
-            kernels.rs_kernel(field, n, k, fcr, gen)
-            if kernels.kernel_mode() == "fast" and field.m <= 8
-            else None
+            kernels.rs_kernel(field, n, k, fcr, gen) if field.m <= 8 else None
         )
 
     # -- encode --------------------------------------------------------------

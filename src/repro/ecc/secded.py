@@ -68,8 +68,6 @@ class WordSECDEDLine:
 
     def __init__(self):
         self._word_code = SECDED72()
-        # Cache the positional scatter/gather by encoding via HammingSECDED
-        # directly; per-word ops are cheap enough for the data-path tests.
 
     def encode(self, line: int) -> Tuple[int, int]:
         """512-bit line -> (line, 64-bit packed ECC)."""
@@ -118,35 +116,14 @@ class WordSECDEDLine:
 
     def _extract_ecc_field(self, codeword: int, word: int) -> int:
         code = self._word_code._code
-        if code._kernel is not None:
-            field = code._kernel.gather_checks(codeword)
-            return field | (((codeword >> code.n) & 1) << code.r)
-        field = 0
-        bit = 0
-        for pos in code._check_positions:
-            field |= ((codeword >> (pos - 1)) & 1) << bit
-            bit += 1
-        field |= ((codeword >> code.n) & 1) << bit  # overall parity
-        return field
+        field = code._kernel.gather_checks(codeword)
+        return field | (((codeword >> code.n) & 1) << code.r)  # overall parity
 
     def _insert_ecc_field(self, word: int, field: int) -> int:
         code = self._word_code._code
-        if code._kernel is not None:
-            codeword = code._kernel.scatter_data(word)
-            codeword |= code._kernel.scatter_checks(field & ((1 << code.r) - 1))
-            if (field >> code.r) & 1:
-                codeword |= 1 << code.n
-            return codeword
-        codeword = 0
-        for data_index, pos in enumerate(code._data_positions):
-            if (word >> data_index) & 1:
-                codeword |= 1 << (pos - 1)
-        bit = 0
-        for pos in code._check_positions:
-            if (field >> bit) & 1:
-                codeword |= 1 << (pos - 1)
-            bit += 1
-        if (field >> bit) & 1:
+        codeword = code._kernel.scatter_data(word)
+        codeword |= code._kernel.scatter_checks(field & ((1 << code.r) - 1))
+        if (field >> code.r) & 1:
             codeword |= 1 << code.n
         return codeword
 
@@ -197,23 +174,8 @@ class LineECC1:
     # -- check-bit packing ---------------------------------------------------
 
     def _gather_checks(self, codeword: int) -> int:
-        kernel = self._code._kernel
-        if kernel is not None:
-            return kernel.gather_checks(codeword)
-        field = 0
-        for i, pos in enumerate(self._code._check_positions):
-            field |= ((codeword >> (pos - 1)) & 1) << i
-        return field
+        return self._code._kernel.gather_checks(codeword)
 
     def _scatter(self, payload: int, checks: int) -> int:
         kernel = self._code._kernel
-        if kernel is not None:
-            return kernel.scatter_data(payload) | kernel.scatter_checks(checks)
-        codeword = 0
-        for data_index, pos in enumerate(self._code._data_positions):
-            if (payload >> data_index) & 1:
-                codeword |= 1 << (pos - 1)
-        for i, pos in enumerate(self._code._check_positions):
-            if (checks >> i) & 1:
-                codeword |= 1 << (pos - 1)
-        return codeword
+        return kernel.scatter_data(payload) | kernel.scatter_checks(checks)

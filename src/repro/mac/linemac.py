@@ -77,19 +77,14 @@ class LineMAC:
         if len(words) != WORDS_PER_LINE:
             raise ValueError(f"expected {WORDS_PER_LINE} words")
         tweaks = self._tweaks(address)
-        if self._cipher._fast:
-            # Whole-line kernel: all eight tweaked blocks go through one
-            # SPECK round loop instead of eight sequential cipher calls.
-            blocks = self._cipher.encrypt_blocks8(
-                [(word ^ tweak) & _MASK64 for word, tweak in zip(words, tweaks)]
-            )
-            mac64 = 0
-            for ciphertext, tweak in zip(blocks, tweaks):
-                mac64 ^= ciphertext ^ tweak
-            return mac64 & self._mask
+        # Whole-line kernel: all eight tweaked blocks go through one SPECK
+        # round loop instead of eight sequential cipher calls.
+        blocks = self._cipher.encrypt_blocks8(
+            [(word ^ tweak) & _MASK64 for word, tweak in zip(words, tweaks)]
+        )
         mac64 = 0
-        for word, tweak in zip(words, tweaks):
-            mac64 ^= self._cipher.encrypt_block((word ^ tweak) & _MASK64) ^ tweak
+        for ciphertext, tweak in zip(blocks, tweaks):
+            mac64 ^= ciphertext ^ tweak
         return mac64 & self._mask
 
     def compute_batch(
@@ -99,9 +94,9 @@ class LineMAC:
 
         Bit-exact with per-pair :meth:`compute`. Each distinct address's
         tweaks are derived once (a correction search passes one address
-        for all its candidates). On the fast kernels, batches of at least
-        :data:`BATCH_MIN_LINES` lines run every word encryption as one
-        vectorized numpy SPECK pass; smaller ones go line by line.
+        for all its candidates). Batches of at least :data:`BATCH_MIN_LINES`
+        lines run every word encryption as one vectorized numpy SPECK
+        pass; smaller ones go line by line.
         """
         if len(lines) != len(addresses):
             raise ValueError("lines and addresses must have equal length")
@@ -127,7 +122,7 @@ class LineMAC:
     def vectorizes(self, n_lines: int) -> bool:
         """Whether :meth:`compute_batch` runs ``n_lines`` lines through the
         numpy kernel rather than MACing them one by one."""
-        return self._cipher._fast and n_lines >= BATCH_MIN_LINES
+        return n_lines >= BATCH_MIN_LINES
 
     def verify(self, line: bytes, address: int, mac: int) -> bool:
         """True iff ``mac`` matches the line's MAC."""
@@ -156,10 +151,7 @@ class LineMAC:
             (address ^ (i * _TWEAK_STRIDE)) & _MASK64
             for i in range(WORDS_PER_LINE)
         ]
-        if self._cipher._fast:
-            tweaks = self._cipher.encrypt_blocks8(blocks)
-        else:
-            tweaks = [self._cipher.encrypt_block(block) for block in blocks]
+        tweaks = self._cipher.encrypt_blocks8(blocks)
         if len(self._tweak_cache) >= self._tweak_cache_limit:
             self._tweak_cache.clear()
         self._tweak_cache[address] = tweaks

@@ -55,12 +55,7 @@ class Speck64:
         if len(key) != self.KEY_BYTES:
             raise ValueError("SPECK-64/128 requires a 16-byte key")
         self._round_keys = self._expand_key(key)
-        # Kernel mode is captured at construction (keeps instances usable
-        # from both sides of a kernel-switch override in tests).
-        self._fast = kernels.kernel_mode() == "fast"
-        self._packed_keys = (
-            kernels.pack_round_keys8(self._round_keys) if self._fast else None
-        )
+        self._packed_keys = kernels.pack_round_keys8(self._round_keys)
         self._batch_kernel = None
 
     @staticmethod
@@ -80,21 +75,13 @@ class Speck64:
 
     def encrypt_block(self, block: int) -> int:
         """Encrypt a 64-bit block (low 32 bits = word y, high = word x)."""
-        if self._fast:
-            return kernels.speck_encrypt_block(self._round_keys, block)
-        y = block & _MASK32
-        x = (block >> 32) & _MASK32
-        for k in self._round_keys:
-            x, y = _round(x, y, k)
-        return (x << 32) | y
+        return kernels.speck_encrypt_block(self._round_keys, block)
 
     def encrypt_blocks8(self, blocks: Sequence[int]) -> List[int]:
         """Encrypt eight 64-bit blocks (one whole-line MAC's worth)."""
         if len(blocks) != 8:
             raise ValueError("expected exactly 8 blocks")
-        if self._fast:
-            return kernels.speck_encrypt_lanes8(self._packed_keys, blocks)
-        return [self.encrypt_block(block) for block in blocks]
+        return kernels.speck_encrypt_lanes8(self._packed_keys, blocks)
 
     def encrypt_batch(self, blocks):
         """Encrypt a numpy ``uint64`` array of blocks, elementwise."""

@@ -28,8 +28,8 @@ speeds that permit real workload sweeps — built as three passes:
    timestamped ways, each set's recurrence over one contiguous array.
    The one cross-set interaction, an LLC eviction back-invalidating a
    line still live in an L1, is detected by a vectorized residency
-   check; the pass then takes the exact per-access scalar replay
-   instead (never at the default geometry, where the LLC dwarfs the
+   check; the pass then declines the cell, which runs on the reference
+   engine (never at the default geometry, where the LLC dwarfs the
    L1s). Because organizations differ only in *timing* (MAC tail,
    extra metadata accesses), never in which lines are touched, this
    pass is organization-independent: it is memoized and shared across
@@ -107,8 +107,8 @@ FAST_STREAM_SALT = 0x9EAF
 def pass_modes() -> Tuple[str, str]:
     """The fast engine's ``(content, timing)`` kernel paths.
 
-    Constant: both passes always run their batched kernels. The content
-    pass's exact scalar replay is not a mode but an automatic fallback,
+    Constant: both passes always run their batched kernels. A cell the
+    content pass declines is not a mode: it runs on the reference engine,
     counted in :data:`_BATCH_STATS`. Benchmark results record this pair
     with their configuration.
     """
@@ -134,7 +134,7 @@ def supports(prof: WorkloadProfile, core_config: Optional[CoreConfig] = None) ->
 # core, 4MB/16-way shared LLC, 64B lines). Module-level (read at call
 # time, not captured) so the equivalence tests can shrink the caches
 # until inclusion back-invalidations actually occur and pin the
-# scalar-fallback path.
+# decline.
 _L1_WAYS = 4
 _L1_SET_BITS = 7  # 128 sets per core
 _LLC_WAYS = 16
@@ -297,7 +297,7 @@ def _radix_argsort(keys: np.ndarray) -> np.ndarray:
 
 
 def _priming_groups(lines: np.ndarray, dirty: np.ndarray, n_sets: int):
-    """Closed-form LRU grouping shared by both initial-state builders.
+    """Closed-form LRU grouping of the priming fills by LLC set.
 
     An LRU set after a sequence of fills holds exactly the last ``ways``
     distinct lines by *last* fill position, ordered LRU -> MRU by that
@@ -343,38 +343,19 @@ def _priming_groups(lines: np.ndarray, dirty: np.ndarray, n_sets: int):
     return set_sorted, uniq_sorted, dirty_sorted, starts, ends
 
 
-def _initial_llc_sets(
-    lines: np.ndarray, dirty: np.ndarray, n_sets: int, ways: int
-) -> List[dict]:
-    """Initial LLC state for the scalar replay: per-set LRU dicts."""
-    if len(lines) == 0:
-        return [{} for _ in range(n_sets)]
-    set_sorted, uniq_sorted, dirty_sorted, starts, ends = _priming_groups(
-        lines, dirty, n_sets
-    )
-    set_l = set_sorted.tolist()
-    uniq_l = uniq_sorted.tolist()
-    dirty_l = dirty_sorted.tolist()
-    llc_sets: List[dict] = [{} for _ in range(n_sets)]
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        start = max(start, end - ways)
-        llc_sets[set_l[start]] = dict(
-            zip(uniq_l[start:end], dirty_l[start:end])
-        )
-    return llc_sets
-
-
 def _initial_llc_arrays(
     lines: np.ndarray, dirty: np.ndarray, n_sets: int, ways: int
 ) -> np.ndarray:
-    """:func:`_initial_llc_sets` as a padded matrix for the batched kernel.
+    """The LLC's warm-up residency as a padded matrix for the LLC kernel.
 
+    Each set holds the last ``ways`` distinct lines of the fill sequence
+    by last fill position, dirty if any of their fills was.
     ``tags[s]`` holds set ``s``'s resident lines right-aligned at the
     high columns in LRU -> MRU order, packed as ``(line << 1) | dirty``
     with ``-1`` padding empty ways on the LRU side. The kernel stamps
     each way with its column index, so pads always hold the lowest
-    stamps and a fill evicts a pad before any line (matching the scalar
-    fill into a non-full set, which evicts nothing).
+    stamps and a fill evicts a pad before any line (a fill into a
+    non-full set evicts nothing).
     """
     tags = np.full((n_sets, ways), -1, dtype=np.int64)
     if len(lines) == 0:
@@ -395,9 +376,16 @@ def _initial_llc_arrays(
 
 # -- pass 2: the shared content pass ---------------------------------------------
 
-#: How many content passes ran fully batched vs fell back to the exact
-#: scalar replay (read by the tests and the benchmark's tracer).
+#: How many content passes ran batched vs declined their cell to the
+#: reference engine (read by the tests and the benchmark's tracer).
 _BATCH_STATS = {"batched": 0, "fallbacks": 0}
+
+#: What :func:`_content_pass` returns for a cell the batched replay
+#: declines (an LLC eviction would back-invalidate a live L1 line, which
+#: needs a shrunken geometry): :func:`run_workload_fast` returns ``None``
+#: and :func:`repro.perf.model.run_workload` runs the reference engine.
+DECLINED = object()
+
 
 def _lru_steps(set_ids: np.ndarray):
     """Regroup a probe stream by set for the step-loop kernels.
@@ -424,9 +412,9 @@ def _l1_kernel(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replay every (core, L1-set) LRU recurrence as an array kernel.
 
-    Exact per-position outputs of the scalar L1 bookkeeping — sets never
+    Exact per-position outputs of the L1 bookkeeping — sets never
     interact (inclusion back-invalidations are detected downstream and
-    trigger the scalar fallback), so each step advances all still-active
+    decline the cell), so each step advances all still-active
     sets at once against ``(sets, ways)`` matrices of lines (``-1`` pads
     empty ways), dirty bits and last-use stamps. Lines stay in their
     way: a hit writes the step's clock into its way's stamp and ORs in
@@ -487,7 +475,7 @@ def _llc_kernel(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replay every LLC set's LRU recurrence over its probe stream.
 
-    Probe kinds follow the scalar replay's in-op order: ``0`` demand
+    Probe kinds follow the per-access in-op order: ``0`` demand
     (miss refreshes nothing, fills clean, evicts the LRU line), ``1``
     dirty-L1-victim touch (hit refreshes and sets dirty; miss is an
     inclusion writeback that leaves the set untouched), ``2`` prefetch
@@ -558,9 +546,10 @@ def _run_prefetcher(
 
     The prefetcher observes exactly the L1 misses (in merged order), so
     once the L1 kernel has produced them this scalar loop touches only a
-    few percent of the ops. Semantics are verbatim from the scalar
-    replay (LRU stream table, confidence saturation at 4, trained at
-    >= 2, bursts clipped to the page). Returns the prefetch probes as
+    few percent of the ops. Semantics are verbatim from
+    :class:`~repro.cache.prefetcher.StreamPrefetcher` (LRU stream table,
+    confidence saturation at 4, trained at >= 2, bursts clipped to the
+    page). Returns the prefetch probes as
     ``(merged position, line, sub-order >= 2)`` triples.
     """
     tables: List[dict] = [{} for _ in range(n_cores)]
@@ -621,20 +610,53 @@ def _batched_replay(
 ):
     """The content replay as per-set array kernels.
 
-    Decomposes :func:`_scalar_replay` into independent per-set
-    recurrences: the L1 kernel yields hits/victims per op, the
-    prefetcher loop runs over the miss stream, and the LLC kernel
-    replays each set's probe stream ordered by ``(merged position, in-op
-    sub-order)`` — demand probe, dirty-victim touch, prefetch burst —
-    exactly the scalar in-op order. The decomposition is exact unless an
-    LLC eviction back-invalidates a line still resident in an L1 (the
-    only cross-set interaction); a vectorized residency count over the
-    L1 fill/evict streams detects that case soundly — it fires iff the
-    scalar replay would back-invalidate — and returns ``None`` so the
-    caller takes the exact uncollapsed scalar replay. Otherwise returns
-    ``(counters, outcome, events, hits_base, misses_base)`` as
-    :func:`_scalar_replay` does.
+    Takes the merged per-access columns (``boundary`` is the merged
+    position where the warm-up ends) and decomposes the per-access
+    L1 / stream-prefetcher / LLC bookkeeping into independent per-set
+    recurrences: same-line runs collapse to their leaders, the L1 kernel
+    yields hits/victims per op, the prefetcher loop runs over the miss
+    stream, and the LLC kernel replays each set's probe stream ordered
+    by ``(merged position, in-op sub-order)`` — demand probe,
+    dirty-victim touch, prefetch burst — exactly the per-access in-op
+    order. The decomposition is exact unless an LLC eviction
+    back-invalidates a line still resident in an L1 (the only cross-set
+    interaction); a vectorized residency count over the L1 fill/evict
+    streams detects that case soundly — it fires iff a per-access replay
+    would back-invalidate — and returns ``None``: the pass declines the
+    cell. Otherwise returns ``(counters, outcome, events, hits_base,
+    misses_base)``: the LLC ``hits``/``misses``/``incl`` counters, their
+    warm-up share, per-core hit-level arrays and per-core ``(op, pos,
+    offsets, actions)`` event arrays, ``pos`` being each event's merged
+    position.
     """
+    # -- same-line run collapse ---------------------------------------
+    # Consecutive accesses to the same line within one (core, L1-set)
+    # stream are guaranteed L1 hits whose only effect is OR-ing the
+    # line's dirty bit: the leader leaves it at L1 MRU and no same-set
+    # access intervenes. Collapsing each run to its leader (carrying
+    # the run-ORed write bit) shrinks the replayed stream by 65-80% on
+    # streaming workloads. The one thing that can break a run
+    # mid-flight is an inclusion back-invalidation from another set
+    # evicting the line, and the residency check below declines any
+    # cell where one would occur.
+    n_merged = len(line)
+    srt = _radix_argsort(l1_index)
+    same = np.zeros(n_merged, dtype=bool)
+    same[1:] = (l1_index[srt[1:]] == l1_index[srt[:-1]]) & (
+        line[srt[1:]] == line[srt[:-1]]
+    )
+    leader = np.ones(n_merged, dtype=bool)
+    leader[srt] = ~same
+    run_starts = np.nonzero(~same)[0]
+    eff_write = np.zeros(n_merged, dtype=bool)
+    eff_write[srt[run_starts]] = np.logical_or.reduceat(write[srt], run_starts)
+    boundary = int(np.count_nonzero(leader[:boundary]))
+    line = line[leader]
+    l1_index = l1_index[leader]
+    write = eff_write[leader]
+    core_of = core_of[leader]
+    idx_of = idx_of[leader]
+
     llc_ways = _LLC_WAYS
     llc_mask = _LLC_SETS - 1
     n_cores = len(trace_lens)
@@ -687,8 +709,9 @@ def _batched_replay(
     # the L1 kernel's fill/evict streams ("before" is strict for demand
     # evictions — the op's own L1 fill happens after its demand probe —
     # and inclusive for prefetch evictions, which run after the fill).
-    # Up to the first would-be back-invalidation both replays agree, so
-    # this check fires exactly when the scalar replay counts one.
+    # Up to the first would-be back-invalidation this replay and a
+    # per-access one agree, so the check fires exactly when the
+    # per-access replay would count one.
     evict_sel = probe_vline >= 0
     if np.any(evict_sel):
         key_base = np.int64(m + 1)
@@ -770,6 +793,7 @@ def _batched_replay(
         event_start = act_start[have][new_event]
         event_core = core_of[event_pos]
         event_op = idx_of[event_pos]
+        event_pos = np.flatnonzero(leader)[event_pos]  # merged positions
         for c in range(n_cores):
             sel = event_core == c
             starts_c = event_start[sel]
@@ -788,199 +812,6 @@ def _batched_replay(
         for c in range(n_cores):
             events.append((empty_i, empty_i, np.zeros(1, dtype=np.int64), empty_i))
     return counters, outcome, events, hits_base, misses_base
-
-
-def _scalar_replay(
-    line: np.ndarray,
-    l1_index: np.ndarray,
-    write: np.ndarray,
-    core_of: np.ndarray,
-    idx_of: np.ndarray,
-    boundary: int,
-    trace_lens: List[int],
-    fill_lines: np.ndarray,
-    fill_dirty: np.ndarray,
-    pf_params: Tuple[int, int, int],
-):
-    """The exact per-access content replay, the batched kernels' fallback.
-
-    Walks the merged ops one by one through the L1 / stream-prefetcher /
-    LLC bookkeeping on plain dicts, so it also replays what the per-set
-    kernels cannot: an LLC eviction back-invalidating a live L1 line
-    (which can break a same-line run, so this replay takes uncollapsed
-    columns). Same arguments and return shape as :func:`_batched_replay`:
-    ``(counters, outcome, events, hits_base, misses_base)`` with per-core
-    hit-level arrays and per-core ``(op, pos, offsets, actions)`` event
-    arrays.
-    """
-    l1_ways = _L1_WAYS
-    l1_bits = _L1_SET_BITS
-    l1_mask = (1 << l1_bits) - 1
-    llc_ways = _LLC_WAYS
-    llc_mask = _LLC_SETS - 1
-    pf_streams, pf_degree, pf_distance = pf_params
-    n_cores = len(trace_lens)
-    # Replay columns as array.array (not list) on purpose: their elements
-    # are machine values, so the cyclic GC never rescans them — with
-    # multi-hundred-k lists here, every gen-2 collection would walk
-    # millions of pointers and dominate the pass.
-    merged_line = array("q", line.tobytes())
-    merged_l1_index = array("q", l1_index.tobytes())
-    merged_write = array("b", write.astype(np.int8).tobytes())
-    core_of = array("q", core_of.tobytes())
-    idx_of = array("q", idx_of.tobytes())
-
-    missing = object()  # dict-probe sentinel (single-lookup hit path)
-    llc = _initial_llc_sets(fill_lines, fill_dirty, _LLC_SETS, llc_ways)
-    # Flat per-core L1 sets: index (core << l1_bits) | (line & l1_mask).
-    l1: List[dict] = [{} for _ in range(n_cores << l1_bits)]
-    # Prefetcher stream tables: page -> [last_line, confidence, next_prefetch].
-    pf: List[dict] = [{} for _ in range(n_cores)]
-    outcome = [bytearray(length) for length in trace_lens]
-    events: List[List[Tuple[int, int, List[int]]]] = [[] for _ in range(n_cores)]
-    counters = {"hits": 0, "misses": 0, "incl": 0}
-
-    def replay(start: int, end: int) -> None:
-        llc_hits = counters["hits"]
-        llc_misses = counters["misses"]
-        inclusion = counters["incl"]
-        llc_local = llc
-        l1_local = l1
-        k = start
-        for line, l1idx, w in zip(
-            merged_line[start:end],
-            merged_l1_index[start:end],
-            merged_write[start:end],
-        ):
-            l1s = l1_local[l1idx]
-            dirty = l1s.pop(line, missing)
-            if dirty is not missing:
-                # L1 hit: refresh LRU, OR the dirty bit (outcome stays
-                # OUT_L1).
-                l1s[line] = dirty or w
-                k += 1
-                continue
-            c = core_of[k]
-            # Stream prefetcher observes every L1 miss, before the LLC
-            # probe.
-            page = line >> 6
-            pfc = pf[c]
-            stream = pfc.pop(page, None)
-            prefetches = None
-            if stream is None:
-                if len(pfc) >= pf_streams:
-                    del pfc[next(iter(pfc))]
-                pfc[page] = [line, 0, line + pf_distance]
-            else:
-                pfc[page] = stream  # LRU refresh
-                last_line, confidence, next_prefetch = stream
-                if line == last_line + 1:
-                    confidence = confidence + 1 if confidence < 4 else 4
-                elif line != last_line:
-                    confidence = confidence - 1 if confidence > 0 else 0
-                stream[0] = line
-                stream[1] = confidence
-                if confidence >= 2:
-                    target = next_prefetch if next_prefetch > line + 1 else line + 1
-                    if (target + pf_degree - 1) >> 6 == page:
-                        # Whole burst inside the page (the common case).
-                        prefetches = range(target, target + pf_degree)
-                    else:
-                        prefetches = [
-                            t
-                            for t in range(target, target + pf_degree)
-                            if t >> 6 == page
-                        ]
-                    stream[2] = target + pf_degree
-            i = idx_of[k]
-            # Actions pack as (line << 3) | code — plain ints keep the
-            # event lists GC-cheap.
-            actions: Optional[List[int]] = None
-            ls = llc_local[line & llc_mask]
-            ldirty = ls.pop(line, missing)
-            if ldirty is not missing:
-                ls[line] = ldirty  # LRU refresh (read probe: dirty unchanged)
-                llc_hits += 1
-                outcome[c][i] = OUT_LLC
-            else:
-                llc_misses += 1
-                outcome[c][i] = OUT_DRAM
-                actions = [line << 3]  # A_DEMAND_READ
-                # Fill the LLC; the victim back-invalidates its owner's
-                # L1 (address ranges are per-core disjoint, so only the
-                # owner core can hold it) and writes back if dirty
-                # anywhere.
-                if len(ls) >= llc_ways:
-                    vline = next(iter(ls))
-                    vdirty = ls.pop(vline)
-                    if l1_local[((vline >> 28) << l1_bits) | (vline & l1_mask)].pop(
-                        vline, False
-                    ):
-                        vdirty = True
-                    if vdirty:
-                        actions.append((vline << 3) | A_VICTIM_WRITE)
-                ls[line] = False
-            # Fill the L1 (dirty if this is a store); a dirty L1 victim
-            # touches its LLC copy (counts as an LLC hit) or — impossible
-            # under inclusion, but never silently dropped — goes to DRAM.
-            if len(l1s) >= l1_ways:
-                vline = next(iter(l1s))
-                if l1s.pop(vline):
-                    vs = llc_local[vline & llc_mask]
-                    if vline in vs:
-                        vs.pop(vline)
-                        vs[vline] = True
-                        llc_hits += 1
-                    else:
-                        inclusion += 1
-                        if actions is None:
-                            actions = []
-                        actions.append((vline << 3) | A_INCL_WRITE)
-            l1s[line] = w
-            if prefetches:
-                for pline in prefetches:
-                    ps = llc_local[pline & llc_mask]
-                    if pline in ps:
-                        continue
-                    if actions is None:
-                        actions = []
-                    actions.append((pline << 3) | A_PF_READ)
-                    if len(ps) >= llc_ways:
-                        pvline = next(iter(ps))
-                        pvdirty = ps.pop(pvline)
-                        if l1_local[
-                            ((pvline >> 28) << l1_bits) | (pvline & l1_mask)
-                        ].pop(pvline, False):
-                            pvdirty = True
-                        if pvdirty:
-                            actions.append((pvline << 3) | A_PF_VICTIM_WRITE)
-                    ps[pline] = False
-            if actions:
-                events[c].append((i, k, actions))
-            k += 1
-        counters["hits"] = llc_hits
-        counters["misses"] = llc_misses
-        counters["incl"] = inclusion
-
-    replay(0, boundary)
-    hits_base, misses_base = counters["hits"], counters["misses"]
-    replay(boundary, len(merged_line))
-
-    arrays = []
-    for evs in events:
-        offsets = np.zeros(len(evs) + 1, dtype=np.int64)
-        if evs:
-            np.cumsum([len(e[2]) for e in evs], out=offsets[1:])
-        arrays.append(
-            (
-                np.array([e[0] for e in evs], dtype=np.int64),
-                np.array([e[1] for e in evs], dtype=np.int64),
-                offsets,
-                np.array([a for e in evs for a in e[2]], dtype=np.int64),
-            )
-        )
-    outcome_np = [np.frombuffer(out, dtype=np.uint8) for out in outcome]
-    return counters, outcome_np, arrays, hits_base, misses_base
 
 
 @dataclass
@@ -1101,7 +932,13 @@ def _content_pass(
     seed: int,
     instructions_per_core: int,
     warmup_instructions: int,
-) -> Optional[_ContentResult]:
+):
+    """The memoized content pass of one (workload, seed, size) cell.
+
+    Returns its :class:`_ContentResult`, ``None`` for an all-L1 profile
+    (no DRAM traffic at all), or :data:`DECLINED` when the batched
+    replay cannot replay the cell exactly. Declines are memoized too.
+    """
     key = (prof, n_cores, seed, instructions_per_core, warmup_instructions)
     cached = _CONTENT_MEMO.get(key)
     if cached is not None:
@@ -1123,7 +960,7 @@ def _content_pass_uncached(
     seed: int,
     instructions_per_core: int,
     warmup_instructions: int,
-) -> Optional[_ContentResult]:
+):
     total = warmup_instructions + instructions_per_core
     traces = [_synthesize_trace(prof, c, seed, total) for c in range(n_cores)]
     if any(t is None for t in traces):
@@ -1168,70 +1005,27 @@ def _content_pass_uncached(
     np_line = np.concatenate([t.line for t in traces])[order]
     np_l1idx = (all_core[order] << _L1_SET_BITS) | (np_line & ((1 << _L1_SET_BITS) - 1))
     np_write = np.concatenate([t.is_write for t in traces])[order]
-    np_core = all_core[order]
-    np_idx = all_idx[order]
-    n_merged = len(np_line)
-
-    # -- same-line run collapse ---------------------------------------
-    # Consecutive accesses to the same line within one (core, L1-set)
-    # stream are guaranteed L1 hits whose only effect is OR-ing the
-    # line's dirty bit: the leader leaves it at L1 MRU and no same-set
-    # access intervenes. Collapsing each run to its leader (carrying
-    # the run-ORed write bit) shrinks the replayed stream by 65-80% on
-    # streaming workloads. The one thing that can break a run
-    # mid-flight is an inclusion back-invalidation from another set
-    # evicting the line; the batched replay detects any such event, and
-    # the pass then takes the exact uncollapsed scalar replay (never on
-    # the default geometry, where the LLC dwarfs the L1s).
-    srt = _radix_argsort(np_l1idx)
-    same = np.zeros(n_merged, dtype=bool)
-    same[1:] = (np_l1idx[srt[1:]] == np_l1idx[srt[:-1]]) & (
-        np_line[srt[1:]] == np_line[srt[:-1]]
-    )
-    leader = np.ones(n_merged, dtype=bool)
-    leader[srt] = ~same
-    run_starts = np.nonzero(~same)[0]
-    eff_write = np.zeros(n_merged, dtype=bool)
-    eff_write[srt[run_starts]] = np.logical_or.reduceat(
-        np_write[srt], run_starts
-    )
-
     trace_lens = [len(t.instr_cum) for t in traces]
     pf_params = (pf_proto.n_streams, pf_proto.degree, pf_proto.distance)
-    boundary = int(np.count_nonzero(leader[:boundary_pos]))
     replayed = _batched_replay(
-        np_line[leader],
-        np_l1idx[leader],
-        eff_write[leader],
-        np_core[leader],
-        np_idx[leader],
-        boundary,
+        np_line,
+        np_l1idx,
+        np_write,
+        all_core[order],
+        all_idx[order],
+        boundary_pos,
         trace_lens,
         fill_lines,
         fill_dirty,
         pf_params,
     )
-    if replayed is not None:
-        _BATCH_STATS["batched"] += 1
-    else:
+    if replayed is None:
         # A would-be back-invalidation breaks the per-set decomposition
-        # (and possibly a collapsed run): take the exact uncollapsed
-        # scalar replay (rare: needs an LLC small enough to
-        # back-invalidate still-hot L1 lines).
+        # (rare: needs an LLC small enough to back-invalidate still-hot
+        # L1 lines); the reference engine runs the cell instead.
         _BATCH_STATS["fallbacks"] += 1
-        boundary = boundary_pos
-        replayed = _scalar_replay(
-            np_line,
-            np_l1idx,
-            np_write,
-            np_core,
-            np_idx,
-            boundary,
-            trace_lens,
-            fill_lines,
-            fill_dirty,
-            pf_params,
-        )
+        return DECLINED
+    _BATCH_STATS["batched"] += 1
     counters, outcome, events, hits_base, misses_base = replayed
 
     # Per-core stall-free timelines: each op advances the clock by
@@ -1265,7 +1059,7 @@ def _content_pass_uncached(
                 trace.instr_cum,
                 trace.is_write,
                 trace.serializing,
-                boundary,
+                boundary_pos,
                 rob,
             )
         )
@@ -1289,7 +1083,7 @@ def _content_pass_uncached(
         no_warmup=warmup_instructions == 0,
         llc_hits_window=counters["hits"] - hits_base,
         llc_misses_window=counters["misses"] - misses_base,
-        n_ops=n_merged,
+        n_ops=len(np_line),
         inclusion_writebacks=counters["incl"],
         coords=coords,
     )
@@ -1560,9 +1354,11 @@ def run_workload_fast(
     organization,
     config,
     diagnostics: Optional[dict] = None,
-) -> SystemResult:
+) -> Optional[SystemResult]:
     """Fast-engine counterpart of :func:`repro.perf.model.run_workload`.
 
+    Returns ``None`` when the content pass declines the cell (see
+    :data:`DECLINED`); the caller then runs the reference engine.
     ``diagnostics``, when given, is filled with rare-path counters
     (drain episodes, backpressure stalls, refreshes, inclusion
     writebacks) so tests can assert those paths actually ran.
@@ -1574,6 +1370,8 @@ def run_workload_fast(
         config.instructions_per_core,
         config.warmup_instructions,
     )
+    if content is DECLINED:
+        return None
     if content is None:
         if diagnostics is not None:
             diagnostics.update(

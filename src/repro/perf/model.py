@@ -65,12 +65,15 @@ def run_workload(
 
     Dispatches to the vectorized engine when ``config.engine`` (or the
     :data:`repro.switches.PERF` switch) selects ``"fast"`` and the fast
-    engine's timing decomposition applies to the profile; otherwise runs
-    the reference :class:`System`.
+    engine's timing decomposition applies to the profile; otherwise, or
+    when the fast engine's content pass declines the cell, runs the
+    reference :class:`System`.
     """
     config = config or PerfConfig()
     if PERF.get(config.engine) == "fast" and fastpath.supports(workload):
-        return fastpath.run_workload_fast(workload, organization, config)
+        result = fastpath.run_workload_fast(workload, organization, config)
+        if result is not None:
+            return result
     system = System(
         workload, organization, n_cores=config.n_cores, seed=config.seed
     )

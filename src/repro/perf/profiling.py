@@ -100,8 +100,8 @@ def profile_passes(
             config.instructions_per_core,
             config.warmup_instructions,
         )
-        if content is None:
-            continue  # all-L1 profile: no timing pass to run
+        if content is None or content is fastpath.DECLINED:
+            continue  # all-L1 profile or declined cell: no timing pass to run
         for organization in organizations:
             timed("timing", fastpath._timing_pass, content, prof, organization, config)
 

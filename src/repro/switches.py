@@ -1,11 +1,9 @@
 """Every execution switch of the repository, resolved by one rule.
 
 A switch decides *which code* computes a result (fast or reference
-kernels and engines) or *how* a campaign executes (scheduler, worker
-count). There are five, one environment variable each:
+engines) or *how* a campaign executes (scheduler, worker count). There
+are four, one environment variable each:
 
-- :data:`KERNELS` — ``REPRO_KERNELS``: ``fast`` (default) or ``reference``
-  codec kernels (bit-identical);
 - :data:`PERF` — ``REPRO_PERF``: ``reference`` (default) or ``fast`` perf
   engine;
 - :data:`FAULTSIM` — ``REPRO_FAULTSIM``: ``reference`` (default) or
@@ -98,10 +96,9 @@ class Switch:
 
 _ENGINES = choice("fast", "reference")
 
-KERNELS = Switch("REPRO_KERNELS", _ENGINES, "fast")
 PERF = Switch("REPRO_PERF", _ENGINES, "reference")
 FAULTSIM = Switch("REPRO_FAULTSIM", _ENGINES, "reference")
 SCHEDULER = Switch("REPRO_SCHEDULER", choice("pool", "steal"), "pool")
 WORKERS = Switch("REPRO_WORKERS", positive_int, 1)
 
-SWITCHES: Tuple[Switch, ...] = (KERNELS, PERF, FAULTSIM, SCHEDULER, WORKERS)
+SWITCHES: Tuple[Switch, ...] = (PERF, FAULTSIM, SCHEDULER, WORKERS)

@@ -104,12 +104,13 @@ def extract_pin_symbols(line: int, n_pins: int = 64, n_beats: int = BEATS_PER_LI
     """Extract the per-pin symbols of a line.
 
     Pin ``j`` contributes one bit per beat; its symbol packs those
-    ``n_beats`` bits with beat 0 in the LSB.
+    ``n_beats`` bits with beat 0 in the LSB. Burst-8 lines over a multiple
+    of 8 pins take a numpy transpose; other shapes, the positional loop.
     """
     # Imported lazily: repro.ecc depends on this module at import time.
     from repro.ecc import kernels
 
-    if kernels.kernel_mode() == "fast" and kernels.supports_pin_transpose(n_pins, n_beats):
+    if kernels.supports_pin_transpose(n_pins, n_beats):
         return kernels.extract_pin_symbols_fast(line, n_pins, n_beats)
     symbols = []
     for pin in range(n_pins):
@@ -134,11 +135,12 @@ def insert_pin_symbol(
 
 
 def pin_symbols_to_int(symbols: Sequence[int], n_beats: int = BEATS_PER_LINE) -> int:
-    """Reassemble a line integer from its per-pin symbols."""
+    """Reassemble a line integer from its per-pin symbols (the inverse of
+    :func:`extract_pin_symbols`, shape for shape)."""
     from repro.ecc import kernels
 
     n_pins = len(symbols)
-    if kernels.kernel_mode() == "fast" and kernels.supports_pin_transpose(n_pins, n_beats):
+    if kernels.supports_pin_transpose(n_pins, n_beats):
         return kernels.pin_symbols_to_int_fast(symbols, n_beats)
     line = 0
     for pin, symbol in enumerate(symbols):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.address_map import map_address, packed_coordinates
+from repro.dram.address_map import map_address, packed_coordinate, packed_coordinates
 from repro.dram.controller import MemoryController
 from repro.dram.timing import CPU_CYCLES_PER_MEM_CYCLE, DDR4_3200
 
@@ -83,13 +83,15 @@ def _packed(address):
 
 
 class TestPackedCoordinates:
-    """The vectorized decode the fast engine fills the controller memo with."""
+    """The controller's memo format: the scalar decode it calls on a memo
+    miss and the vectorized one the fast engine fills the memo with."""
 
     @given(st.lists(st.integers(0, (1 << 46) - 1), max_size=64))
     @settings(max_examples=60)
     def test_matches_map_address(self, addresses):
         packed = packed_coordinates(np.array(addresses, dtype=np.int64))
         assert packed.tolist() == [_packed(a) for a in addresses]
+        assert [packed_coordinate(a) for a in addresses] == packed.tolist()
 
     def test_matches_map_address_at_field_boundaries(self):
         # Offset, column, bank, rank and row start at bits 0, 6, 13, 17
@@ -104,10 +106,13 @@ class TestPackedCoordinates:
         ] + [(1 << 46) - 1, (1 << 63) - 1]
         packed = packed_coordinates(np.array(addresses, dtype=np.int64))
         assert packed.tolist() == [_packed(a) for a in addresses]
+        assert [packed_coordinate(a) for a in addresses] == packed.tolist()
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             packed_coordinates(np.array([0, -64], dtype=np.int64))
+        with pytest.raises(ValueError, match="negative"):
+            packed_coordinate(-64)
 
 
 class TestBank:

@@ -98,7 +98,7 @@ class TestSymbolPacking:
     def test_pair_symbols_roundtrip(self, code):
         line = random.Random(10).getrandbits(512)
         for pair in range(4):
-            symbols = code._pair_symbols(line, pair)
+            symbols = code._all_pair_symbols(line)[pair]
             assert len(symbols) == 16
             rebuilt = code._set_pair_symbols(line, pair, symbols)
             assert rebuilt == line
@@ -109,8 +109,8 @@ class TestSymbolPacking:
         bad_line, bad_checks = code.corrupt_chip(line, checks, 7, 0xFFFFFFFF)
         assert bad_checks == checks
         for pair in range(4):
-            before = code._pair_symbols(line, pair)
-            after = code._pair_symbols(bad_line, pair)
+            before = code._all_pair_symbols(line)[pair]
+            after = code._all_pair_symbols(bad_line)[pair]
             for chip in range(16):
                 if chip == 7:
                     assert before[chip] != after[chip]

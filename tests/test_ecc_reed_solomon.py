@@ -1,13 +1,15 @@
 """Tests for the generic Reed-Solomon codec."""
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ecc.gf import GF16, GF256
+from repro.ecc.gf import GF16, GF256, GF2m
 from repro.ecc.reed_solomon import ReedSolomon, RSDecodeFailure
+from tests import oracles
 
 
 class TestConstruction:
@@ -136,3 +138,55 @@ class TestGF16Codes:
             pos = rng.randrange(15)
             cw[pos] ^= rng.randrange(1, 16)
             assert rs.decode(cw).data == tuple(data)
+
+
+class TestKernels:
+    def test_kernel_cache_follows_the_field_not_its_identity(self):
+        """Two GF(16) fields with different moduli, built and freed in
+        turn, so a new field may reuse the freed one's ``id``: every
+        encode must use its own field's tables (the LFSR oracle)."""
+        rng = random.Random(25)
+        for round_index in range(200):
+            field = GF2m(4, (0b10011, 0b11001)[round_index % 2])
+            rs = ReedSolomon(field, 15, 11)
+            data = [rng.randrange(16) for _ in range(11)]
+            expected = data + oracles.rs_checks(
+                field, oracles.rs_generator(field, 4), data
+            )
+            assert rs.encode(data) == expected, round_index
+            del field, rs
+            gc.collect()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        # A GF(16) code, Chipkill's RS(18,16) and Bamboo's RS(72,64).
+        m_n_k=st.sampled_from([(4, 15, 11), (8, 18, 16), (8, 72, 64)]),
+    )
+    def test_kernel_matches_positional_oracle(self, seed, m_n_k):
+        m, n, k = m_n_k
+        field = GF16 if m == 4 else GF256
+        rs = ReedSolomon(field, n, k)
+        oracle = oracles.positional_rs(ReedSolomon(field, n, k))
+        rng = random.Random(seed)
+        data = [rng.randrange(field.size) for _ in range(k)]
+        codeword = rs.encode(data)
+        assert codeword == oracle.encode(data)
+        codeword[rng.randrange(n)] ^= rng.randrange(1, field.size)
+        assert rs.syndromes(codeword) == oracle.syndromes(codeword)
+
+    def test_wide_field_takes_the_positional_path(self):
+        """GF(2^10) symbols do not fit the kernel's 8-bit lanes."""
+        field = GF2m(10)
+        rs = ReedSolomon(field, 40, 36)
+        assert rs._kernel is None
+        rng = random.Random(10)
+        for _ in range(10):
+            data = [rng.randrange(field.size) for _ in range(36)]
+            codeword = rs.encode(data)
+            assert codeword[36:] == oracles.rs_checks(
+                field, oracles.rs_generator(field, 4), data
+            )
+            codeword[rng.randrange(40)] ^= rng.randrange(1, field.size)
+            codeword[rng.randrange(40)] ^= rng.randrange(1, field.size)
+            assert rs.decode(codeword).data == tuple(data)

@@ -1,21 +1,19 @@
-"""Fast kernels are bit-exact replacements for the reference codecs.
+"""The table-driven kernels are bit-exact with the positional oracles.
 
-The table-driven kernels in :mod:`repro.ecc.kernels` exist purely for
-throughput; the positional reference implementations remain the oracle.
-This suite pins the equivalence three ways:
+The kernels in :mod:`repro.ecc.kernels` are the codecs' one path; the
+straightforward positional implementations they replaced live in
+``tests/oracles.py``. This suite pins the equivalence three ways:
 
 1. **Hypothesis properties** — for every accelerated primitive (Hamming
-   SEC/SECDED, word-SECDED line, ECC-1, Chipkill RS, column parity, SPECK,
-   LineMAC), a fast-mode and a reference-mode instance built side by side
-   (codecs capture the kernel mode at construction) must agree on random
-   inputs, including corrupted ones.
+   SEC/SECDED, word-SECDED line, ECC-1, Chipkill RS, column parity, the
+   pin transposes, SPECK, LineMAC), a product instance and its oracle
+   twin (the same codec with its kernels swapped for positional loops)
+   must agree on random inputs, including corrupted ones.
 2. **Batch-vs-scalar** — every ``*_batch`` API equals the scalar loop,
    and ``MemoryController.access_many`` produces the same results, stats
    and events as per-address ``read``.
-3. **Golden parity under fast kernels** — the pre-refactor op corpus
-   replays bit-exactly with kernels explicitly forced to ``fast`` (the
-   default CI run covers the ambient mode; this covers fast regardless
-   of ``REPRO_KERNELS``).
+3. **Golden parity** — the pre-refactor op corpus replays bit-exactly
+   on the kernels.
 """
 
 from __future__ import annotations
@@ -36,34 +34,44 @@ from repro.ecc.parity import N_DATA_PINS, column_parity, recover_pin
 from repro.ecc.secded import LineECC1, WordSECDEDLine
 from repro.mac.linemac import BATCH_MIN_LINES, LineMAC
 from repro.mac.speck import Speck64
-from repro.switches import KERNELS
+from repro.utils.bits import extract_pin_symbols, pin_symbols_to_int
+from tests import oracles
 
 KEY = b"equivalence-key!"
 
-# Codec/MAC instances capture the kernel mode at construction, so a pair
-# built under forced modes can be compared side by side afterwards.
-with KERNELS.override("fast"):
-    FAST = {
-        "sec64": HammingSEC(64),
-        "sec566": HammingSEC(566),
-        "secded64": HammingSECDED(64),
-        "word_secded": WordSECDEDLine(),
-        "ecc1": LineECC1(566),
-        "chipkill": ChipkillCode(),
-        "mac": LineMAC(KEY, 46),
-        "speck": Speck64(KEY),
-    }
-with KERNELS.override("reference"):
-    REF = {
-        "sec64": HammingSEC(64),
-        "sec566": HammingSEC(566),
-        "secded64": HammingSECDED(64),
-        "word_secded": WordSECDEDLine(),
-        "ecc1": LineECC1(566),
-        "chipkill": ChipkillCode(),
-        "mac": LineMAC(KEY, 46),
-        "speck": Speck64(KEY),
-    }
+
+def _positional_word_secded():
+    code = WordSECDEDLine()
+    oracles.positional_hamming(code._word_code._code)
+    return code
+
+
+def _positional_ecc1(payload_bits):
+    code = LineECC1(payload_bits)
+    oracles.positional_hamming(code._code)
+    return code
+
+
+FAST = {
+    "sec64": HammingSEC(64),
+    "sec566": HammingSEC(566),
+    "secded64": HammingSECDED(64),
+    "word_secded": WordSECDEDLine(),
+    "ecc1": LineECC1(566),
+    "chipkill": ChipkillCode(),
+    "mac": LineMAC(KEY, 46),
+    "speck": Speck64(KEY),
+}
+REF = {
+    "sec64": oracles.positional_hamming(HammingSEC(64)),
+    "sec566": oracles.positional_hamming(HammingSEC(566)),
+    "secded64": oracles.positional_hamming(HammingSECDED(64)),
+    "word_secded": _positional_word_secded(),
+    "ecc1": _positional_ecc1(566),
+    "chipkill": oracles.OracleChipkillCode(),
+    "mac": oracles.OracleLineMAC(KEY, 46),
+    "speck": oracles.OracleSpeck64(KEY),
+}
 
 COMMON = settings(max_examples=150, deadline=None)
 
@@ -179,14 +187,9 @@ def test_chipkill_equivalent(line, chip, pattern):
 @COMMON
 @given(line=st.integers(0, (1 << 512) - 1), pin=st.integers(0, N_DATA_PINS - 1))
 def test_column_parity_equivalent(line, pin):
-    with KERNELS.override("fast"):
-        fast_parity = column_parity(line)
-        fast_recovered = recover_pin(line, pin, fast_parity)
-    with KERNELS.override("reference"):
-        ref_parity = column_parity(line)
-        ref_recovered = recover_pin(line, pin, ref_parity)
-    assert fast_parity == ref_parity
-    assert fast_recovered == ref_recovered
+    parity = column_parity(line)
+    assert parity == oracles.column_parity(line)
+    assert recover_pin(line, pin, parity) == oracles.rebuild_pin(line, pin, parity)
 
 
 @COMMON
@@ -197,17 +200,27 @@ def test_column_parity_equivalent(line, pin):
 )
 def test_pin_recovery_equivalent_under_damage(line, pin, symbol_error):
     """A damaged pin is reconstructed identically by both paths."""
-    with KERNELS.override("reference"):
-        parity = column_parity(line)
+    parity = oracles.column_parity(line)
     damaged = line
     for beat in range(8):
         if (symbol_error >> beat) & 1:
             damaged ^= 1 << (beat * N_DATA_PINS + pin)
-    with KERNELS.override("fast"):
-        fast_recovered = recover_pin(damaged, pin, parity)
-    with KERNELS.override("reference"):
-        ref_recovered = recover_pin(damaged, pin, parity)
-    assert fast_recovered == ref_recovered == line
+    recovered = recover_pin(damaged, pin, parity)
+    assert recovered == oracles.rebuild_pin(damaged, pin, parity) == line
+
+
+@COMMON
+@given(
+    line=st.integers(0, (1 << 512) - 1),
+    n_pins=st.sampled_from([8, 16, 64, 72]),
+)
+def test_pin_transpose_equivalent(line, n_pins):
+    """The numpy beat transpose, both ways, on every burst-8 pin count a
+    multiple of 8 (the shapes it covers)."""
+    line &= (1 << (8 * n_pins)) - 1
+    symbols = extract_pin_symbols(line, n_pins)
+    assert symbols == oracles.pin_symbols(line, n_pins)
+    assert pin_symbols_to_int(symbols) == oracles.pin_symbols_to_int(symbols) == line
 
 
 # -- SPECK / LineMAC -------------------------------------------------------------
@@ -223,14 +236,12 @@ def test_speck_block_equivalent(block):
 
 
 def test_speck_official_test_vector():
-    """SPECK-64/128 vector from the original paper, both modes."""
+    """SPECK-64/128 vector from the original paper, kernel and oracle."""
     key = bytes.fromhex("00010203" "08090a0b" "10111213" "18191a1b")
     plaintext = (0x3B726574 << 32) | 0x7475432D
     expected = (0x8C6FA548 << 32) | 0x454E028B
-    with KERNELS.override("fast"):
-        assert Speck64(key).encrypt_block(plaintext) == expected
-    with KERNELS.override("reference"):
-        assert Speck64(key).encrypt_block(plaintext) == expected
+    assert Speck64(key).encrypt_block(plaintext) == expected
+    assert oracles.OracleSpeck64(key).encrypt_block(plaintext) == expected
 
 
 @COMMON
@@ -366,7 +377,7 @@ def test_access_many_emits_identical_events():
     assert run(True) == run(False)
 
 
-# -- golden parity under fast kernels --------------------------------------------
+# -- golden parity on the kernels --------------------------------------------------
 
 _CORPUS_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_parity.json")
 
@@ -379,26 +390,25 @@ _CORPUS_KEY = bytes.fromhex(_CORPUS["key"])
 @pytest.mark.parametrize("scheme_name", sorted(_CORPUS["schemes"]))
 def test_golden_parity_replays_under_fast_kernels(scheme_name):
     entry = _CORPUS["schemes"][scheme_name]
-    with KERNELS.override("fast"):
-        controller = create(scheme_name, key=_CORPUS_KEY)
-        reads = iter(entry["reads"])
-        for op in entry["ops"]:
-            name, args = op[0], op[1:]
-            if name == "write":
-                controller.write(args[0], bytes.fromhex(args[1]))
-                continue
-            if name != "read":
-                if name in ("inject_data_bits", "inject_meta_bits", "inject_mac_bits"):
-                    getattr(controller, name)(args[0], int(args[1], 16))
-                else:
-                    getattr(controller, name)(*args)
-                continue
-            result = controller.read(args[0])
-            expect = next(reads)
-            context = f"{scheme_name} op {op}"
-            assert result.status.value == expect["status"], context
-            assert result.data.hex() == expect["data"], context
-            assert result.costs.mac_checks == expect["mac_checks"], context
-            assert result.costs.latency_cycles == expect["latency_cycles"], context
-        for field_name, expected in entry["stats"].items():
-            assert getattr(controller.stats, field_name) == expected
+    controller = create(scheme_name, key=_CORPUS_KEY)
+    reads = iter(entry["reads"])
+    for op in entry["ops"]:
+        name, args = op[0], op[1:]
+        if name == "write":
+            controller.write(args[0], bytes.fromhex(args[1]))
+            continue
+        if name != "read":
+            if name in ("inject_data_bits", "inject_meta_bits", "inject_mac_bits"):
+                getattr(controller, name)(args[0], int(args[1], 16))
+            else:
+                getattr(controller, name)(*args)
+            continue
+        result = controller.read(args[0])
+        expect = next(reads)
+        context = f"{scheme_name} op {op}"
+        assert result.status.value == expect["status"], context
+        assert result.data.hex() == expect["data"], context
+        assert result.costs.mac_checks == expect["mac_checks"], context
+        assert result.costs.latency_cycles == expect["latency_cycles"], context
+    for field_name, expected in entry["stats"].items():
+        assert getattr(controller.stats, field_name) == expected

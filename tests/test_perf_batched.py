@@ -1,27 +1,31 @@
 """Equivalence suite for the fast perf engine's batched content kernels.
 
 The content pass runs per-set batched kernels over same-line-collapsed
-columns and takes the exact per-access scalar replay
-(:func:`fastpath._scalar_replay`, uncollapsed) on its own when it
-detects an inclusion back-invalidation. Pinned from three directions:
+columns (``fastpath._batched_replay``) and declines the cell — which
+then runs on the reference engine — when it detects an inclusion
+back-invalidation. Pinned from four directions:
 
 - **Kernel properties** (hypothesis) — the per-set batched LRU kernels
   (:func:`fastpath._l1_kernel`, :func:`fastpath._llc_kernel`) replayed
   against straightforward dict/list LRU references over random access
   streams, including primed LLC state and all three probe kinds; the
-  closed-form priming against one-at-a-time LRU fills, and the radix
-  regroup against ``np.argsort(kind="stable")``.
+  closed-form priming against one-at-a-time LRU fills
+  (:func:`oracles.initial_llc_sets`), and the radix regroup against
+  ``np.argsort(kind="stable")``.
 - **Whole-pass equivalence** — the batched content pass agrees
-  field-for-field with the fallback replay (outcomes, event tables,
-  counters) across workloads, seeds and random cells, which also pins
-  the run collapse as exact. Tests force the fallback by patching
-  ``_batched_replay`` to return ``None``.
+  field-for-field with the per-access oracle
+  (:func:`oracles.scalar_replay`, substituted for ``_batched_replay``:
+  both take the uncollapsed columns) on outcomes, event tables and
+  counters across workloads, seeds and random cells, which also pins
+  the run collapse as exact.
 - **Coordinate memo** — the content pass's decoded DRAM coordinates
   cover every address the timing tick maps.
-- **Fallback** (pinned) — shrinking the cache geometry until LLC
+- **Decline** (pinned) — shrinking the cache geometry until LLC
   evictions back-invalidate live L1 lines makes ``_batched_replay``
-  return ``None`` and the pass take the scalar replay; the fallback
-  counter records the event, and the default geometry never takes it.
+  return ``None``: the pass declines, the fallback counter records it,
+  and ``run_workload`` returns the reference engine's result. The
+  residency check fires exactly when the oracle counts a
+  back-invalidation, and the default geometry never declines.
 
 The timing tick is pinned by the golden corpus's ``result_fast``
 records (``tests/test_perf_fastpath.py``).
@@ -29,7 +33,6 @@ records (``tests/test_perf_fastpath.py``).
 
 import dataclasses
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -38,8 +41,9 @@ from hypothesis import strategies as st
 
 from repro.cpu.workloads import profile
 from repro.perf import fastpath
-from repro.perf.model import PerfConfig
+from repro.perf.model import PerfConfig, run_workload
 from repro.perf.organizations import BASELINE_ECC, safeguard, sgx_style
+from tests import oracles
 
 #: Small but mechanism-covering scale for whole-pass comparisons.
 SCALE = dict(n_cores=2, instructions_per_core=8_000, warmup_instructions=2_000)
@@ -54,13 +58,14 @@ def _fresh_memo():
     fastpath._CONTENT_MEMO.clear()
 
 
-def _content(workload, seed=0, fallback=False, **overrides):
-    """One freshly computed content pass; ``fallback`` forces the scalar replay."""
+def _content(workload, seed=0, replay=None, **overrides):
+    """One freshly computed content pass, replayed by ``replay`` in place
+    of ``fastpath._batched_replay`` when given."""
     params = {**SCALE, **overrides}
     fastpath._CONTENT_MEMO.clear()
     with pytest.MonkeyPatch.context() as patch:
-        if fallback:
-            patch.setattr(fastpath, "_batched_replay", lambda *args: None)
+        if replay is not None:
+            patch.setattr(fastpath, "_batched_replay", replay)
         return fastpath._content_pass(
             profile(workload),
             params["n_cores"],
@@ -68,6 +73,19 @@ def _content(workload, seed=0, fallback=False, **overrides):
             params["instructions_per_core"],
             params["warmup_instructions"],
         )
+
+
+def _oracle_content(workload, seed=0, **overrides):
+    """The content pass replayed by :func:`oracles.scalar_replay`, and the
+    oracle's counters (``back_invalidations`` among them)."""
+    counters = {}
+
+    def replay(*args):
+        replayed = oracles.scalar_replay(*args)
+        counters.update(replayed[0])
+        return replayed
+
+    return _content(workload, seed, replay, **overrides), counters
 
 
 def _assert_content_equal(a, b):
@@ -131,18 +149,15 @@ def _ref_llc(set_ids, lines, kinds, init_sets, ways):
     return hit, vline, vdirty
 
 
-def _ref_priming(lines, dirty, n_sets, ways):
-    """Sequential LRU fills; a line's dirty flag is the OR over its fills."""
-    sets = [OrderedDict() for _ in range(n_sets)]
-    ever_dirty = {}
-    for ln, d in zip(lines, dirty):
-        ever_dirty[ln] = ever_dirty.get(ln, False) or d
-        llc_set = sets[ln % n_sets]
-        llc_set.pop(ln, None)
-        llc_set[ln] = True
-        if len(llc_set) > ways:
-            llc_set.popitem(last=False)
-    return [[(ln, ever_dirty[ln]) for ln in llc_set] for llc_set in sets]
+def _resident(tags):
+    """Per set, the ``(line, dirty)`` pairs of a packed priming matrix."""
+    return [
+        [(int(t) >> 1, bool(int(t) & 1)) for t in row if int(t) >= 0] for row in tags
+    ]
+
+
+def _resident_sets(sets):
+    return [[(ln, bool(d)) for ln, d in llc_set.items()] for llc_set in sets]
 
 
 class TestKernelProperties:
@@ -190,7 +205,7 @@ class TestKernelProperties:
         fill_lines = np.array([f[0] for f in fills], dtype=np.int64)
         fill_dirty = np.array([f[1] for f in fills], dtype=bool)
         tags = fastpath._initial_llc_arrays(fill_lines, fill_dirty, n_sets, ways)
-        init_sets = fastpath._initial_llc_sets(fill_lines, fill_dirty, n_sets, ways)
+        init_sets = oracles.initial_llc_sets(fill_lines, fill_dirty, n_sets, ways)
         hit, vline, vdirty = fastpath._llc_kernel(set_ids, lines, kinds, tags, ways)
         rhit, rvline, rvdirty = _ref_llc(
             set_ids.tolist(), lines.tolist(), kinds.tolist(), init_sets, ways
@@ -223,13 +238,12 @@ class TestKernelProperties:
     )
     def test_priming_matches_sequential_lru_fills(self, fills, high, ways, n_sets):
         """The closed-form priming equals filling LRU sets one line at a time."""
-        lines = [high + f[0] for f in fills]
-        dirty = [f[1] for f in fills]
-        sets = fastpath._initial_llc_sets(
-            np.array(lines, dtype=np.int64), np.array(dirty, dtype=bool), n_sets, ways
+        lines = np.array([high + f[0] for f in fills], dtype=np.int64)
+        dirty = np.array([f[1] for f in fills], dtype=bool)
+        tags = fastpath._initial_llc_arrays(lines, dirty, n_sets, ways)
+        assert _resident(tags) == _resident_sets(
+            oracles.initial_llc_sets(lines, dirty, n_sets, ways)
         )
-        resident = [[(ln, bool(d)) for ln, d in llc_set.items()] for llc_set in sets]
-        assert resident == _ref_priming(lines, dirty, n_sets, ways)
 
     def test_initial_llc_arrays_matches_sets(self):
         rng = np.random.default_rng(7)
@@ -237,12 +251,8 @@ class TestKernelProperties:
         dirty = rng.random(200) < 0.3
         ways, n_sets = 4, 8
         tags = fastpath._initial_llc_arrays(fills, dirty, n_sets, ways)
-        sets = fastpath._initial_llc_sets(fills, dirty, n_sets, ways)
-        for s in range(n_sets):
-            resident = [
-                (int(t) >> 1, bool(int(t) & 1)) for t in tags[s] if int(t) >= 0
-            ]
-            assert resident == [(ln, bool(d)) for ln, d in sets[s].items()]
+        sets = oracles.initial_llc_sets(fills, dirty, n_sets, ways)
+        assert _resident(tags) == _resident_sets(sets)
 
 
 # --- whole-pass equivalence ------------------------------------------------
@@ -253,7 +263,7 @@ class TestContentPassEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batched_equals_scalar(self, workload, seed):
         batched = _content(workload, seed=seed)
-        scalar = _content(workload, seed=seed, fallback=True)
+        scalar, _ = _oracle_content(workload, seed=seed)
         _assert_content_equal(batched, scalar)
 
     @settings(max_examples=8, deadline=None)
@@ -275,7 +285,7 @@ class TestContentPassEquivalence:
             warmup_instructions=warmup,
         )
         batched = _content(workload, seed=seed, **overrides)
-        scalar = _content(workload, seed=seed, fallback=True, **overrides)
+        scalar, _ = _oracle_content(workload, seed=seed, **overrides)
         _assert_content_equal(batched, scalar)
 
     def test_batched_counter_increments(self):
@@ -305,7 +315,7 @@ class TestCoordinateMemo:
         assert added <= {sgx.metadata_address(address) for address in decoded}
 
 
-# --- scalar fallback (pinned) ----------------------------------------------
+# --- the decline (pinned) --------------------------------------------------
 
 
 class TestScalarFallback:
@@ -323,41 +333,52 @@ class TestScalarFallback:
         monkeypatch.setattr(fastpath, "_LLC_SETS", 2)
         monkeypatch.setattr(fastpath, "_LLC_WAYS", 2)
 
+    CELL = dict(instructions_per_core=3_000, warmup_instructions=500)
+
     def test_back_invalidation_triggers_fallback(self, tiny_llc):
         before = dict(fastpath._BATCH_STATS)
-        automatic = _content("mcf", instructions_per_core=3_000,
-                             warmup_instructions=500)
+        assert _content("mcf", **self.CELL) is fastpath.DECLINED
         assert fastpath._BATCH_STATS["fallbacks"] == before["fallbacks"] + 1
         assert fastpath._BATCH_STATS["batched"] == before["batched"]
-        forced = _content("mcf", fallback=True, instructions_per_core=3_000,
-                          warmup_instructions=500)
-        _assert_content_equal(automatic, forced)
+        _, counters = _oracle_content("mcf", **self.CELL)
+        assert counters["back_invalidations"] > 0
+
+    def test_declined_cell_runs_on_the_reference_engine(self, tiny_llc):
+        config = PerfConfig(n_cores=2, engine="fast", **self.CELL)
+        before = fastpath._BATCH_STATS["fallbacks"]
+        fast = run_workload(profile("mcf"), safeguard(), config)
+        assert fastpath._BATCH_STATS["fallbacks"] == before + 1
+        reference = run_workload(
+            profile("mcf"), safeguard(), dataclasses.replace(config, engine="reference")
+        )
+        assert fast == reference
 
     def test_residency_check_misses_no_back_invalidation(self, monkeypatch):
-        """Near the back-invalidation threshold the batched pass stays exact.
+        """Near the back-invalidation threshold the check fires iff the
+        oracle back-invalidates a live L1 line.
 
-        At these shrunk geometries some cells fall back and some do not;
-        every cell the residency check lets through must still equal the
-        scalar replay, i.e. the check never misses a back-invalidation.
+        At these shrunk geometries some cells decline and some do not.
+        Every cell the residency check lets through equals the oracle
+        replay, which back-invalidates nothing there; every cell it
+        declines back-invalidates in the oracle replay.
         """
-        batched = fallbacks = 0
+        batched = declined = 0
         for l1_set_bits, llc_sets, llc_ways in [(1, 16, 4), (1, 64, 4), (1, 256, 2)]:
             monkeypatch.setattr(fastpath, "_L1_SET_BITS", l1_set_bits)
             monkeypatch.setattr(fastpath, "_LLC_SETS", llc_sets)
             monkeypatch.setattr(fastpath, "_LLC_WAYS", llc_ways)
             for workload in ("gcc", "mcf", "leela", "lbm"):
                 for seed in (0, 1):
-                    cell = dict(seed=seed, instructions_per_core=3_000,
-                                warmup_instructions=500)
-                    before = fastpath._BATCH_STATS["batched"]
-                    automatic = _content(workload, **cell)
-                    if fastpath._BATCH_STATS["batched"] > before:
-                        batched += 1
+                    automatic = _content(workload, seed=seed, **self.CELL)
+                    oracle, counters = _oracle_content(workload, seed=seed, **self.CELL)
+                    if automatic is fastpath.DECLINED:
+                        declined += 1
+                        assert counters["back_invalidations"] > 0
                     else:
-                        fallbacks += 1
-                    forced = _content(workload, fallback=True, **cell)
-                    _assert_content_equal(automatic, forced)
-        assert batched > 0 and fallbacks > 0
+                        batched += 1
+                        assert counters["back_invalidations"] == 0
+                        _assert_content_equal(automatic, oracle)
+        assert batched > 0 and declined > 0
 
     def test_default_geometry_never_falls_back(self):
         before = dict(fastpath._BATCH_STATS)

@@ -1,9 +1,9 @@
-"""The execution switches (repro.switches), tested once for all five.
+"""The execution switches (repro.switches), tested once for all four.
 
 Every switch resolves by the same rule — explicit argument > override >
 environment variable > default — so one parametrized suite pins it for
-``REPRO_KERNELS``, ``REPRO_PERF``, ``REPRO_FAULTSIM``, ``REPRO_SCHEDULER``
-and ``REPRO_WORKERS``: precedence, restore on exit, invalid explicit
+``REPRO_PERF``, ``REPRO_FAULTSIM``, ``REPRO_SCHEDULER`` and
+``REPRO_WORKERS``: precedence, restore on exit, invalid explicit
 values, and the environment read at import (select and reject, in a
 subprocess). The scoping contract follows: an override is seen by its own
 thread and by a process forked inside it, never by another thread — so a
@@ -23,13 +23,10 @@ from contextlib import ExitStack
 
 import pytest
 
-from repro.ecc.chipkill import ChipkillCode
-from repro.ecc.kernels import kernel_mode
-from repro.switches import FAULTSIM, KERNELS, PERF, SWITCHES
+from repro.switches import FAULTSIM, PERF, SWITCHES
 
 #: Per switch: two distinct valid values and one invalid value.
 VALUES = {
-    "REPRO_KERNELS": ("fast", "reference", "turbo"),
     "REPRO_PERF": ("fast", "reference", "warp"),
     "REPRO_FAULTSIM": ("fast", "reference", "quick"),
     "REPRO_SCHEDULER": ("pool", "steal", "magic"),
@@ -37,7 +34,7 @@ VALUES = {
 }
 
 #: The switches that pick fast or reference code.
-MODE_SWITCHES = (KERNELS, PERF, FAULTSIM)
+MODE_SWITCHES = (PERF, FAULTSIM)
 
 each_switch = pytest.mark.parametrize("switch", SWITCHES, ids=lambda s: s.env)
 
@@ -131,30 +128,28 @@ def _flipped(switch):
 
 
 def _modes():
-    return kernel_mode(), PERF.get(), FAULTSIM.get()
+    return PERF.get(), FAULTSIM.get()
 
 
 def test_override_is_invisible_to_other_threads():
-    """Another thread keeps the env/default modes, codecs included."""
+    """Another thread keeps the env/default modes."""
     ambient = _modes()
     seen = {}
 
     def other_thread():
         seen["modes"] = _modes()
-        seen["codec_fast"] = ChipkillCode()._fast
 
     with ExitStack() as stack:
         for switch in MODE_SWITCHES:
             stack.enter_context(switch.override(_flipped(switch)))
         forced = _modes()
         assert forced != ambient
-        assert ChipkillCode()._fast == (forced[0] == "fast")
         thread = threading.Thread(target=other_thread)
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert _modes() == forced
-    assert seen == {"modes": ambient, "codec_fast": ambient[0] == "fast"}
+    assert seen == {"modes": ambient}
     assert _modes() == ambient
 
 
